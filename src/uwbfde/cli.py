@@ -133,9 +133,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def cli_main(argv=None) -> int:
-    return main(argv)
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -5,8 +5,9 @@ multiple-access interference jointly. The received-data operator that maps
 the filter to symbol estimates factors into a diagonal scaling, a segment
 fold and a small inverse DFT, which keeps every product cheap and gives the
 least-squares normal matrix a sparse block structure: after regrouping bins
-by symbol index it is block diagonal with n independent Hermitian nc-by-nc
-blocks, so the RLS solve costs O(m*nc^2) instead of O(m^3).
+by symbol index (:func:`fdcore.by_symbol`) it is block diagonal with n
+independent Hermitian nc-by-nc blocks, so the RLS solve and the genie MMSE
+build cost O(m*nc^2) instead of O(m^3).
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import numpy as np
 
 from .fdcore import (
     DivergenceError,
+    by_symbol,
     fold_segments,
-    tap_spectrum,
+    from_symbol,
+    genie_covariance,
     tile_segments,
 )
 
@@ -67,7 +70,7 @@ class RxOperator:
 
 
 def spectral_mask(n: int, nc: int) -> np.ndarray:
-    """Dense (m, m) 0/1 mask of bin pairs sharing the same symbol index."""
+    """Dense (m, m) 0/1 mask of bin pairs sharing the same symbol index (oracle helper)."""
     return np.kron(np.ones((nc, nc)), np.eye(n))
 
 
@@ -113,15 +116,6 @@ def new_cg_state(m: int, iters: int = 8) -> DaCgState:
     return DaCgState(w_hat=np.zeros(m, dtype=complex), iters=int(iters))
 
 
-def _by_symbol(vec, n: int, nc: int) -> np.ndarray:
-    """Regroup a length-m vector into (n, nc): row i holds bins i, i+n, ..."""
-    return vec.reshape(nc, n).T
-
-
-def _from_symbol(grouped) -> np.ndarray:
-    return grouped.T.reshape(-1)
-
-
 def _check_finite(vec):
     if not np.all(np.isfinite(vec)):
         raise DivergenceError("adaptive update diverged (non-finite weights)")
@@ -154,10 +148,10 @@ def da_rls_step(state: DaRlsState, op: RxOperator, b, counter=None) -> DaRlsStat
     in the regrouped ordering and each nc-by-nc block is solved directly.
     """
     n, nc = op.n, op.nc
-    zg = _by_symbol(op.zbins, n, nc)                      # (n, nc)
+    zg = by_symbol(op.zbins, n)                           # (n, nc)
     state.corr = state.lam * state.corr + zg.conj()[:, :, None] * zg[:, None, :]
     err = b - op.matvec(state.w_hat)
-    folded = _by_symbol(op.rmatvec(err), n, nc)[:, :, None]
+    folded = by_symbol(op.rmatvec(err), n)[:, :, None]
     try:
         update = np.linalg.solve(state.corr, folded)
     except np.linalg.LinAlgError:
@@ -170,7 +164,7 @@ def da_rls_step(state: DaRlsState, op: RxOperator, b, counter=None) -> DaRlsStat
                 logger.warning("singular block %d; regularizing with delta=%g", i, state.delta)
                 state.corr[i] = state.corr[i] + eye
                 update[i] = np.linalg.solve(state.corr[i], folded[i])
-    state.w_hat += _from_symbol(update[:, :, 0])
+    state.w_hat += from_symbol(update[:, :, 0])
     _check_finite(state.w_hat)
     if counter is not None:
         m = op.m
@@ -236,33 +230,14 @@ def da_cg_step(state: DaCgState, op: RxOperator, b, counter=None, trace=None) ->
 def build_mmse_da(taps, codes, sigma2: float, n: int) -> np.ndarray:
     """Genie MMSE filter weights from the true channel and all active codes.
 
-    Builds the dense masked input covariance, solves against the desired
-    user's composite response, and collapses the masked solution matrix to
-    its per-bin row sums, which is exact because every block of the solution
-    is diagonal. Returns the weight vector ready for :func:`detect_da`.
+    Solves each symbol group's input covariance against the desired user's
+    composite response, ``w_g = conj(R_g^-1 lam_0,g) / sqrt(nc)`` (see
+    :func:`fdcore.genie_covariance`): the per-bin row sums of the masked
+    m-by-m solution. Returns the weight vector ready for :func:`detect_da`.
     """
-    codes = np.atleast_2d(np.asarray(codes, dtype=float))
-    k, nc = codes.shape
-    m = n * nc
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
-    if sigma2 == 0 and k < nc:
-        raise np.linalg.LinAlgError("noiseless input covariance is rank deficient (K < Nc)")
-    hbar = tap_spectrum(taps, m)
-    mask = spectral_mask(n, nc)
-    cov = np.zeros((m, m), dtype=complex)
-    composite = []
-    for i in range(k):
-        lam = hbar * tap_spectrum(codes[i], m)
-        composite.append(lam)
-        cov += (lam[:, None] * lam.conj()[None, :]) * mask
-    cov = cov / nc + sigma2 * np.eye(m)
-    if sigma2 == 0 and np.any(np.abs(composite[0]) == 0):
-        raise np.linalg.LinAlgError("noiseless input covariance is singular (dead bin)")
-    cov = 0.5 * (cov + cov.conj().T)
-    solution = np.linalg.solve(cov, np.diag(composite[0])) / np.sqrt(nc)
-    w_equiv = (solution * mask).sum(axis=1)
-    return w_equiv.conj()
+    cov, lam = genie_covariance(taps, codes, sigma2, n)
+    solution = np.linalg.solve(cov, lam[0][:, :, None])[:, :, 0]
+    return from_symbol(solution).conj() / np.sqrt(cov.shape[-1])
 
 
 def detect_da(op: RxOperator, w_hat) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fdcore import fourier_tap_basis, tap_spectrum
+from .fdcore import by_symbol, fourier_tap_basis, tap_spectrum
 
 
 def ml_noise_variance(z, xdiag, num_taps: int, ddof_correction: bool = False):
@@ -64,19 +64,6 @@ def ml_noise_variance(z, xdiag, num_taps: int, ddof_correction: bool = False):
     denom = (m - num_taps) if ddof_correction else m
     sigma2_hat = float(np.vdot(resid, resid).real) / denom
     return sigma2_hat, taps_hat
-
-
-def residual_noise_variance(z, xdiag, taps_hat) -> float:
-    """Low-cost variance estimate reusing an externally supplied tap estimate.
-
-    Skips the least-squares fit, so the residual keeps whatever error the
-    supplied estimate carries; noticeably less accurate with several active
-    users.
-    """
-    z = np.asarray(z, dtype=complex)
-    xdiag = np.asarray(xdiag, dtype=complex)
-    resid = z - xdiag * tap_spectrum(taps_hat, z.size)
-    return float(np.vdot(resid, resid).real) / z.size
 
 
 @dataclass
@@ -157,8 +144,7 @@ class GroupCovariance:
 
 def update_covariance(state: GroupCovariance, z) -> GroupCovariance:
     """Fold one received block into the per-group covariance sums."""
-    n, nc, _ = state.acc.shape
-    zg = np.asarray(z, dtype=complex).reshape(nc, n).T         # (n, nc)
+    zg = by_symbol(z, state.acc.shape[0])                      # (n, nc)
     state.acc += zg[:, :, None] * zg[:, None, :].conj()
     state.blocks += 1
     return state

@@ -2,9 +2,10 @@
 
 Everything in this module is a pure function of its inputs: unitary DFTs,
 Walsh spreading/despreading, chip-rate zero stuffing, cyclic-prefix handling,
-circulant channel application, and the structured Fourier operators that let
+circulant channel application, the structured Fourier operators that let
 the adaptive algorithms work on a short tap vector instead of a full
-frequency-domain vector.
+frequency-domain vector, and the symbol-group kernel. The explicit m-by-m
+matrices are oracle helpers for the tests; no detector builds one.
 
 Conventions
 -----------
@@ -12,6 +13,10 @@ Conventions
   symbol, ``m = n * nc`` chips per block.
 * The forward DFT is unitary (scaled by ``1/sqrt(m)``), so it preserves
   energy and its inverse is its conjugate transpose.
+* Symbol groups: with a cyclic prefix and orthogonal spreading codes, every
+  MMSE covariance couples only bins ``a = a' (mod n)``. :func:`by_symbol`
+  regroups the ``m`` bins into ``n`` groups of ``nc``, so such a covariance
+  is ``n`` independent ``nc``-by-``nc`` blocks.
 * ``tap_spectrum`` absorbs the ``sqrt(m)`` factor, i.e. bin ``a`` of
   ``tap_spectrum(h, m)`` is ``sum_l h[l] * exp(-2j*pi*a*l/m)``, which is the
   channel frequency response and equals the diagonal that a circulant matrix
@@ -49,7 +54,7 @@ def idft(z) -> np.ndarray:
 
 
 def dft_matrix(m: int) -> np.ndarray:
-    """Explicit ``m``-by-``m`` unitary DFT matrix (for oracles and genie baselines)."""
+    """Explicit ``m``-by-``m`` unitary DFT matrix (oracle helper)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     a = np.arange(m)
@@ -149,14 +154,55 @@ def tap_spectrum_adjoint(bins, num_taps: int) -> np.ndarray:
 def fourier_tap_basis(m: int, num_taps: int) -> np.ndarray:
     """Explicit (m, num_taps) matrix with entries ``exp(-2j*pi*a*l/m)``.
 
-    Dense counterpart of :func:`tap_spectrum`; used by oracles, the genie
-    detectors and the maximum-likelihood noise fit.
+    Dense counterpart of :func:`tap_spectrum`; used by oracles and the
+    maximum-likelihood noise fit.
     """
     if m < 1 or num_taps < 1:
         raise ValueError("dimensions must be >= 1")
     a = np.arange(m)[:, None]
     l = np.arange(num_taps)[None, :]
     return np.exp(-2j * np.pi * a * l / m)
+
+
+def by_symbol(vec, n: int) -> np.ndarray:
+    """Regroup the bins of ``(..., m)`` vectors into ``(..., n, nc)`` symbol groups.
+
+    Row ``g`` holds bins ``g, g+n, ..., g+(nc-1)n``; a view where possible.
+    """
+    vec = np.asarray(vec)
+    return np.swapaxes(vec.reshape(*vec.shape[:-1], -1, n), -1, -2)
+
+
+def from_symbol(grouped) -> np.ndarray:
+    """Inverse of :func:`by_symbol`: flatten ``(..., n, nc)`` groups back to bins."""
+    grouped = np.asarray(grouped)
+    return np.swapaxes(grouped, -1, -2).reshape(*grouped.shape[:-2], -1)
+
+
+def genie_covariance(taps, codes, sigma2: float, n: int):
+    """Input covariance of the genie MMSE detectors, one block per symbol group.
+
+    ``lam_k = hbar * tap_spectrum(code_k, m)`` is the composite response of
+    user ``k`` (``hbar`` the channel spectrum), and group ``g`` of the
+    covariance is ``R_g = (1/nc) sum_k lam_k,g lam_k,g^H + sigma2 * I``.
+    Returns ``(cov, lam)`` of shapes ``(n, nc, nc)`` and ``(K, n, nc)``.
+    Raises ``LinAlgError`` when the noiseless covariance is singular: fewer
+    users than codes, or a dead channel bin.
+    """
+    codes = np.atleast_2d(np.asarray(codes, dtype=float))
+    k, nc = codes.shape
+    m = n * nc
+    if sigma2 < 0:
+        raise ValueError("sigma2 must be >= 0")
+    hbar = tap_spectrum(taps, m)
+    if sigma2 == 0:
+        if k < nc:
+            raise np.linalg.LinAlgError("noiseless input covariance is rank deficient (K < Nc)")
+        if np.any(hbar == 0):
+            raise np.linalg.LinAlgError("noiseless input covariance is singular (dead channel bin)")
+    lam = by_symbol(hbar * np.fft.fft(codes, n=m, axis=-1), n)
+    cov = np.einsum("kgi,kgj->gij", lam, lam.conj()) / nc + sigma2 * np.eye(nc)
+    return cov, lam
 
 
 def circulant_apply(taps, chips) -> np.ndarray:

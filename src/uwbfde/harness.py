@@ -20,7 +20,6 @@ Protocol notes
 from __future__ import annotations
 
 import dataclasses
-import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,11 +36,9 @@ from .estimators import (
     update_covariance,
     update_power,
 )
-from .fdcore import random_bpsk, spread, walsh_code_set
+from .fdcore import DivergenceError, random_bpsk, spread, walsh_code_set
 from .opcount import OpCounter, nominal_cost
 from .sce import build_mmse_sce, build_mmse_sce_exact, detect_sce, pilot_matrix
-
-logger = logging.getLogger(__name__)
 
 _CHAN_STREAM = 7919
 _DATA_STREAM = 104729
@@ -115,9 +112,9 @@ class ExperimentConfig:
         if self.cp_chips < 0:
             raise ValueError("cp_chips must be >= 0")
         if self.cp_chips < self.cir_taps - 1:
-            logger.warning("cyclic prefix (%d chips) shorter than the channel memory (%d); "
-                           "inter-block interference would not be removed",
-                           self.cp_chips, self.cir_taps - 1)
+            raise ValueError(f"cyclic prefix ({self.cp_chips} chips) shorter than the channel "
+                             f"memory ({self.cir_taps - 1}); synthesis is circular, so the "
+                             "inter-block interference would not be simulated")
         if self.cg_iters < 1:
             raise ValueError("cg_iters must be >= 1")
         if self.runs < 1 or self.training_blocks < 1 or self.eval_blocks < 0:
@@ -288,8 +285,9 @@ def _new_runners(cfg, users, sigma2, taps, codes, algo_keys):
 
 
 def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
-                     adapt=True, errors_out=None):
-    """Advance every runner over ``n_blocks`` blocks, filling ``errors_out``."""
+                     adapt=True, errors_out=None, where="run"):
+    """Advance every runner over ``n_blocks`` blocks, filling ``errors_out``;
+    a divergence is re-raised naming ``where``, the algorithm and the block."""
     n = cfg.block_length
     need_sce = any(k.startswith("sce") for k in runners)
     need_da = any(k.startswith("da") for k in runners)
@@ -305,12 +303,16 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
                 if adapt:
                     runner.observe(z)
                 bits = runner.detect(z)
-                if adapt:
-                    runner.update(z, xdiag)
+                update_args = (z, xdiag)
             else:
                 bits = runner.detect(op)
-                if adapt:
-                    runner.update(op, desired)
+                update_args = (op, desired)
+            if adapt:
+                try:
+                    runner.update(*update_args)
+                except DivergenceError as exc:
+                    raise DivergenceError(
+                        f"{where}, {key}, block {i + 1} of {n_blocks}: {exc}") from exc
             if errors_out is not None:
                 errors_out[key][i] = int(np.count_nonzero(bits != desired))
 
@@ -325,7 +327,8 @@ def _curve_trial(args):
     runners = _new_runners(cfg, users, sigma2, taps, codes, algo_keys)
     errors = {key: np.zeros(cfg.training_blocks, dtype=np.int64) for key in algo_keys}
     _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng,
-                     cfg.training_blocks, adapt=True, errors_out=errors)
+                     cfg.training_blocks, adapt=True, errors_out=errors,
+                     where=f"run {run_idx}, {snr_db:g} dB SNR, {users} users")
     return errors
 
 
@@ -340,7 +343,8 @@ def _steady_trial(args):
         rng = _data_rng(cfg, run_idx, point_idx)
         runners = _new_runners(cfg, users, sigma2, taps, codes, algo_keys)
         _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng,
-                         cfg.training_blocks, adapt=True)
+                         cfg.training_blocks, adapt=True,
+                         where=f"run {run_idx}, {snr_db:g} dB SNR, {users} users")
         errors = {key: np.zeros(cfg.eval_blocks, dtype=np.int64) for key in algo_keys}
         _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng,
                          cfg.eval_blocks, adapt=False, errors_out=errors)

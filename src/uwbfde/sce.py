@@ -4,7 +4,8 @@ The receiver adaptively estimates the short chip-spaced channel tap vector in
 the frequency domain from the desired user's pilot blocks, builds a diagonal
 per-bin MMSE equalizer from the estimate, equalizes, and despreads in the
 time domain. LMS, RLS and conjugate-gradient updates are provided, plus the
-dense genie MMSE detector used as a performance baseline.
+genie MMSE detector used as a performance baseline, which knows the channel
+and every active code and is solved one symbol group at a time.
 
 All adaptive steps realize the operator products structurally (diagonal
 scalings and zero-padded FFTs), never materializing a full m-by-m matrix.
@@ -20,8 +21,10 @@ from scipy.linalg import toeplitz
 
 from .fdcore import (
     DivergenceError,
+    by_symbol,
     despread,
-    dft_matrix,
+    from_symbol,
+    genie_covariance,
     tap_spectrum,
     tap_spectrum_adjoint,
 )
@@ -245,47 +248,32 @@ def build_mmse_sce(h_hat, k_est: float, sigma2_est: float, nc: int, m: int) -> n
 
 
 def build_mmse_sce_exact(taps, codes, sigma2: float, n: int) -> np.ndarray:
-    """Dense genie MMSE detector from the true channel and all active codes.
+    """Genie MMSE detector from the true channel and all active codes.
 
-    Solves the full m-by-m input-covariance system; only used as the
-    performance baseline at desk scale. Raises ``LinAlgError`` when the
-    noiseless system is rank deficient.
+    The input covariance couples only the bins of one symbol group, so the
+    detector ``R^-1 diag(hbar)`` is returned as its ``(n, nc, nc)`` group
+    blocks ``R_g^-1 diag(hbar_g)`` (see :func:`fdcore.genie_covariance`).
+    Raises ``LinAlgError`` when the noiseless system is rank deficient.
     """
-    codes = np.atleast_2d(np.asarray(codes, dtype=float))
-    k, nc = codes.shape
-    m = n * nc
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be >= 0")
-    hbar = tap_spectrum(taps, m)
-    if sigma2 == 0:
-        if k < nc:
-            raise np.linalg.LinAlgError(
-                "noiseless input covariance is rank deficient (K < Nc)")
-        if np.any(np.abs(hbar) == 0):
-            raise np.linalg.LinAlgError(
-                "noiseless input covariance is singular (dead channel bin)")
-    fmat = dft_matrix(m)
-    code_gram = codes.T @ codes                     # (nc, nc) chip-domain code mix
-    mix = np.kron(np.eye(n), code_gram)
-    left = hbar[:, None] * fmat
-    cov = left @ mix @ left.conj().T + sigma2 * np.eye(m)
-    cov = 0.5 * (cov + cov.conj().T)
-    return np.linalg.solve(cov, np.diag(hbar))
+    cov, _ = genie_covariance(taps, codes, sigma2, n)
+    hbar = by_symbol(tap_spectrum(taps, n * cov.shape[-1]), n)
+    return np.linalg.inv(cov) * hbar[:, None, :]
 
 
 def detect_sce(z, detector, code) -> np.ndarray:
     """Equalize, transform back and despread; hard BPSK decisions.
 
     ``detector`` is either the per-bin weight vector from
-    :func:`build_mmse_sce` or the dense matrix from
-    :func:`build_mmse_sce_exact`; it is applied conjugated. ``sign(0)``
-    resolves to +1.
+    :func:`build_mmse_sce` or the ``(n, nc, nc)`` group blocks from
+    :func:`build_mmse_sce_exact`; it is applied conjugate-transposed.
+    ``sign(0)`` resolves to +1.
     """
     detector = np.asarray(detector)
     if detector.ndim == 1:
         eq = detector.conj() * z
     else:
-        eq = detector.conj().T @ z
+        zg = by_symbol(z, detector.shape[0])[:, None, :]      # (n, 1, nc)
+        eq = from_symbol((zg @ detector.conj())[:, 0, :])
     chips = np.fft.ifft(eq, norm="ortho")
     soft = despread(chips, code)
     return np.where(soft.real >= 0, 1.0, -1.0)

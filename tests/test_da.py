@@ -243,25 +243,24 @@ class TestGenieWeights:
 
     def test_collapse_identity(self):
         # the masked solution matrix times the expansion equals its per-bin
-        # row sums times the expansion
-        rng = np.random.default_rng(17)
-        n, nc, k = 4, 2, 2
-        m = n * nc
+        # row sums times the expansion; includes n != nc and K < nc
         taps = generate_cir(ChannelProfile(3, 0.1, seed=18))
-        codes = fdcore.walsh_code_set(nc)
         sigma2 = 0.3
-        spectrum = fdcore.tap_spectrum(taps, m)
-        mask = da.spectral_mask(n, nc)
-        ie = fdcore.expansion_matrix(n, nc)
-        cov = np.zeros((m, m), complex)
-        for i in range(k):
-            lam = spectrum * fdcore.tap_spectrum(codes[i], m)
-            cov += (lam[:, None] * lam.conj()[None, :]) * mask
-        cov = cov / nc + sigma2 * np.eye(m)
-        lam1 = spectrum * fdcore.tap_spectrum(codes[0], m)
-        solution = np.linalg.solve(cov, np.diag(lam1)) / np.sqrt(nc)
-        w_equiv = da.build_mmse_da(taps, codes[:k], sigma2, n).conj()
-        assert_allclose(solution @ ie, np.diag(w_equiv) @ ie, atol=1e-10)
+        for n, nc, k in [(4, 2, 2), (8, 4, 3), (4, 8, 5)]:
+            m = n * nc
+            codes = fdcore.walsh_code_set(nc)
+            spectrum = fdcore.tap_spectrum(taps, m)
+            mask = da.spectral_mask(n, nc)
+            ie = fdcore.expansion_matrix(n, nc)
+            cov = np.zeros((m, m), complex)
+            for i in range(k):
+                lam = spectrum * fdcore.tap_spectrum(codes[i], m)
+                cov += (lam[:, None] * lam.conj()[None, :]) * mask
+            cov = cov / nc + sigma2 * np.eye(m)
+            lam1 = spectrum * fdcore.tap_spectrum(codes[0], m)
+            solution = np.linalg.solve(cov, np.diag(lam1)) / np.sqrt(nc)
+            w_equiv = da.build_mmse_da(taps, codes[:k], sigma2, n).conj()
+            assert_allclose(solution @ ie, np.diag(w_equiv) @ ie, atol=1e-10)
 
     def test_noiseless_rank_deficient_raises(self):
         taps = generate_cir(ChannelProfile(2, 0.1, seed=19))

@@ -13,7 +13,6 @@ from uwbfde.estimators import (
     GroupCovariance,
     estimate_user_count,
     ml_noise_variance,
-    residual_noise_variance,
     subspace_estimate,
     update_covariance,
     update_power,
@@ -109,14 +108,6 @@ class TestMlNoiseVariance:
             assert sigma2_hat >= 0
             checked += 1
         assert checked >= 10
-
-    def test_simplified_variant_reuses_estimate(self):
-        rng = np.random.default_rng(12)
-        taps = generate_cir(ChannelProfile(3, 0.2, seed=13))
-        z, xdiag = _pilot_block(rng, 8, 2, taps, 0.0)
-        assert residual_noise_variance(z, xdiag, taps) < 1e-20
-        off = taps + 0.1
-        assert residual_noise_variance(z, xdiag, off) > 0
 
 
 class TestPowerAccumulator:
@@ -286,3 +277,14 @@ class TestSubspaceEstimate:
         est = subspace_estimate(state, cap=2)
         assert est.k_int == 2
         assert est.k_float <= 2
+
+    def test_sample_covariance_matches_genie_covariance(self):
+        # the received covariance of each symbol group converges to the genie
+        # detectors' input covariance, which is built from the truth
+        rng = np.random.default_rng(31)
+        n, nc, users, sigma2 = 8, 4, 2, 0.1
+        taps = generate_cir(ChannelProfile(3, 0.2, seed=32))
+        state = _covariance(rng, n, nc, taps, sigma2, users, 4000)
+        cov, _ = fdcore.genie_covariance(taps, fdcore.walsh_code_set(nc)[:users], sigma2, n)
+        err = np.max(np.abs(state.acc / state.blocks - cov))
+        assert err < 0.05 * np.max(np.abs(cov))

@@ -273,3 +273,68 @@ class TestTapSpectrum:
         u = _random_complex(rng, m)
         assert_allclose(fdcore.tap_spectrum_adjoint(u, num_taps),
                         basis.conj().T @ u, atol=1e-12)
+
+
+class TestSymbolGroups:
+    def test_groups_bins_congruent_mod_n(self):
+        n, nc = 4, 3
+        v = np.arange(n * nc)
+        grouped = fdcore.by_symbol(v, n)
+        assert grouped.shape == (n, nc)
+        for g in range(n):
+            assert_allclose(grouped[g], [g, g + n, g + 2 * n])
+
+    def test_round_trip_with_leading_axes(self):
+        rng = np.random.default_rng(40)
+        v = rng.standard_normal((3, 32)) + 1j * rng.standard_normal((3, 32))
+        grouped = fdcore.by_symbol(v, 8)
+        assert grouped.shape == (3, 8, 4)
+        assert_allclose(grouped[1], fdcore.by_symbol(v[1], 8))
+        assert_allclose(fdcore.from_symbol(grouped), v)
+        assert_allclose(fdcore.by_symbol(fdcore.from_symbol(grouped), 8), grouped)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError):
+            fdcore.by_symbol(np.zeros(10), 4)
+
+    @pytest.mark.parametrize("n, nc, k", [(4, 4, 2), (8, 4, 3), (4, 8, 5)])
+    def test_genie_covariance_matches_dense_constructions(self, n, nc, k):
+        # the SCE genie's F (I ⊗ C^T C) F^H form and the DA genie's masked
+        # sum of composite outer products are the same block-diagonal matrix
+        rng = np.random.default_rng(n + nc + k)
+        m = n * nc
+        taps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        codes = fdcore.walsh_code_set(nc)[:k]
+        sigma2 = 0.2
+        cov, lam = fdcore.genie_covariance(taps, codes, sigma2, n)
+        assert cov.shape == (n, nc, nc) and lam.shape == (k, n, nc)
+        spectrum = fdcore.tap_spectrum(taps, m)
+        left = spectrum[:, None] * fdcore.dft_matrix(m)
+        sce_form = left @ np.kron(np.eye(n), codes.T @ codes) @ left.conj().T
+        composite = spectrum * np.fft.fft(codes, n=m, axis=1)
+        assert_allclose(lam, fdcore.by_symbol(composite, n))
+        mask = np.kron(np.ones((nc, nc)), np.eye(n))
+        da_form = sum(np.outer(c, c.conj()) * mask for c in composite) / nc
+        assert_allclose(sce_form, da_form, atol=1e-12)
+        dense = np.zeros((m, m), complex)
+        for g in range(n):
+            idx = np.arange(g, m, n)
+            dense[np.ix_(idx, idx)] = cov[g]
+        assert_allclose(dense, sce_form + sigma2 * np.eye(m), atol=1e-12)
+
+    def test_noiseless_singular_cases_raise(self):
+        codes = fdcore.walsh_code_set(2)
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+            fdcore.genie_covariance([1.0, 0.5], codes[:1], 0.0, 2)
+        # equal-and-opposite taps null bin 0
+        with pytest.raises(np.linalg.LinAlgError, match="dead channel bin"):
+            fdcore.genie_covariance([1.0, -1.0], codes, 0.0, 2)
+        cov, _ = fdcore.genie_covariance([1.0, 0.5], codes, 0.0, 2)
+        hbar = fdcore.tap_spectrum([1.0, 0.5], 4)
+        # full Walsh load: C^T C = I, so R reduces to diag(|hbar|^2)
+        assert_allclose(cov, np.stack([np.diag(np.abs(hbar[g::2]) ** 2) for g in range(2)]),
+                        atol=1e-12)
+
+    def test_negative_noise_variance(self):
+        with pytest.raises(ValueError):
+            fdcore.genie_covariance([1.0], fdcore.walsh_code_set(2), -0.1, 2)

@@ -8,7 +8,7 @@ import pytest
 from uwbfde.channel import ChannelProfile, generate_cir
 from uwbfde import harness
 from uwbfde.cli import main as cli_main
-from uwbfde.fdcore import walsh_code_set
+from uwbfde.fdcore import DivergenceError, walsh_code_set
 from uwbfde.harness import (
     CurveSet,
     ExperimentConfig,
@@ -49,11 +49,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _tiny_config(algorithm="nope").validate()
 
-    def test_short_prefix_warns_but_passes(self, caplog):
-        cfg = _tiny_config(cp_chips=1)
-        with caplog.at_level("WARNING"):
-            cfg.validate()
-        assert "inter-block interference" in caplog.text
+    def test_short_prefix_rejected(self):
+        # synthesis is circular, so a prefix shorter than the channel memory
+        # would be accepted and then silently not simulated
+        with pytest.raises(ValueError, match="shorter than the channel memory"):
+            _tiny_config(cp_chips=1).validate()
+        _tiny_config(cp_chips=2).validate()
 
     def test_algo_keys(self):
         assert _tiny_config(scheme="sce", algorithm="cg").algo_keys() == ["sce-cg"]
@@ -66,6 +67,14 @@ class TestConfigValidation:
 
 
 class TestExperiments:
+    def test_divergence_names_run_point_algorithm_and_block(self):
+        cfg = _tiny_config(scheme="da", algorithm="lms", mu_w=5.0, training_blocks=400)
+        with np.errstate(all="ignore"), pytest.raises(
+                DivergenceError,
+                match=r"^run 0, 12 dB SNR, 2 users, da-lms, block 357 of 400: "
+                      r"adaptive update diverged"):
+            run_ber_vs_blocks(cfg)
+
     def test_ber_vs_blocks_shape(self):
         curve = run_ber_vs_blocks(_tiny_config())
         assert curve.x_name == "block"

@@ -14,6 +14,27 @@ def _random_complex(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def _dense_from_blocks(blocks):
+    """Expand (n, nc, nc) symbol-group blocks to the equivalent (m, m) matrix."""
+    n, nc, _ = blocks.shape
+    m = n * nc
+    dense = np.zeros((m, m), complex)
+    for g in range(n):
+        idx = np.arange(g, m, n)
+        dense[np.ix_(idx, idx)] = blocks[g]
+    return dense
+
+
+def _dense_genie_covariance(taps, codes, sigma2, n):
+    """Oracle: the SCE genie's input covariance built from the DFT matrix."""
+    k, nc = codes.shape
+    m = n * nc
+    spectrum = fdcore.tap_spectrum(taps, m)
+    left = spectrum[:, None] * fdcore.dft_matrix(m)
+    mix = np.kron(np.eye(n), codes.T @ codes)
+    return left @ mix @ left.conj().T + sigma2 * np.eye(m)
+
+
 def _pilot_scene(rng, n=4, nc=2, num_taps=3, sigma2=0.0, users=1):
     codes = fdcore.walsh_code_set(nc)
     taps = generate_cir(ChannelProfile(num_taps, 0.2, seed=rng.integers(1 << 30)))
@@ -222,7 +243,7 @@ class TestBuildMmseExact:
         taps = generate_cir(ChannelProfile(3, 0.1, seed=14))
         codes = fdcore.walsh_code_set(nc)
         sigma2 = 0.3
-        dense = sce.build_mmse_sce_exact(taps, codes, sigma2, n)
+        dense = _dense_from_blocks(sce.build_mmse_sce_exact(taps, codes, sigma2, n))
         diag = sce.build_mmse_sce(taps, nc, sigma2, nc, n * nc)
         assert np.max(np.abs(dense - np.diag(diag))) < 1e-10
 
@@ -232,24 +253,29 @@ class TestBuildMmseExact:
         taps = generate_cir(ChannelProfile(2, 0.1, seed=16))
         codes = fdcore.walsh_code_set(nc)
         sigma2 = 1e6
-        dense = sce.build_mmse_sce_exact(taps, codes[:1], sigma2, n)
+        dense = _dense_from_blocks(sce.build_mmse_sce_exact(taps, codes[:1], sigma2, n))
         spectrum = fdcore.tap_spectrum(taps, n * nc)
         assert np.max(np.abs(dense - np.diag(spectrum / sigma2))) < 0.01 / sigma2
 
     def test_normal_equation_residual(self):
+        # includes n != nc and K < nc
         rng = np.random.default_rng(17)
-        n, nc, k = 2, 4, 3
-        m = n * nc
-        taps = _random_complex(rng, 3)
-        codes = fdcore.walsh_code_set(nc)
-        sigma2 = 0.2
-        dense = sce.build_mmse_sce_exact(taps, codes[:k], sigma2, n)
-        fmat = fdcore.dft_matrix(m)
-        spectrum = fdcore.tap_spectrum(taps, m)
-        mix = np.kron(np.eye(n), codes[:k].T @ codes[:k])
-        left = spectrum[:, None] * fmat
-        cov = left @ mix @ left.conj().T + sigma2 * np.eye(m)
-        assert np.linalg.norm(cov @ dense - np.diag(spectrum)) < 1e-8
+        for n, nc, k in [(2, 4, 3), (8, 4, 3), (4, 8, 5)]:
+            m = n * nc
+            taps = _random_complex(rng, 3)
+            codes = fdcore.walsh_code_set(nc)
+            sigma2 = 0.2
+            dense = _dense_from_blocks(sce.build_mmse_sce_exact(taps, codes[:k], sigma2, n))
+            spectrum = fdcore.tap_spectrum(taps, m)
+            cov = _dense_genie_covariance(taps, codes[:k], sigma2, n)
+            assert np.linalg.norm(cov @ dense - np.diag(spectrum)) < 1e-8
+
+    def test_large_block_keeps_group_shape(self):
+        taps = generate_cir(ChannelProfile(34, 0.35, seed=19))
+        codes = fdcore.walsh_code_set(8)[:3]
+        blocks = sce.build_mmse_sce_exact(taps, codes, 0.05, 256)
+        assert blocks.shape == (256, 8, 8)
+        assert np.all(np.isfinite(blocks))
 
     def test_noiseless_rank_deficient_raises(self):
         taps = generate_cir(ChannelProfile(2, 0.1, seed=18))
@@ -269,6 +295,18 @@ class TestDetect:
             _, z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
             det = sce.build_mmse_sce(taps, 1, 0.0, nc, n * nc)
             assert_allclose(sce.detect_sce(z, det, codes[0]), b)
+
+    def test_group_blocks_apply_like_dense_matrix(self):
+        rng = np.random.default_rng(23)
+        n, nc = 8, 4
+        codes = fdcore.walsh_code_set(nc)
+        blocks = sce.build_mmse_sce_exact(_random_complex(rng, 5), codes[:3], 0.1, n)
+        dense = _dense_from_blocks(blocks)
+        for _ in range(5):
+            z = _random_complex(rng, n * nc)
+            soft = fdcore.despread(fdcore.idft(dense.conj().T @ z), codes[0])
+            assert_allclose(sce.detect_sce(z, blocks, codes[0]),
+                            np.where(soft.real >= 0, 1.0, -1.0))
 
     def test_zero_input_resolves_positive(self):
         det = np.ones(8, complex)
