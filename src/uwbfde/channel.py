@@ -100,8 +100,8 @@ def freq_response(taps, m: int) -> np.ndarray:
     return tap_spectrum(taps, m)
 
 
-def synthesize_rx(symbol_blocks, codes, taps, sigma2: float, rng: np.random.Generator):
-    """Synthesize one noisy downlink block.
+def synthesize_rx(symbol_blocks, codes, taps, sigma2: float, rng):
+    """Synthesize one noisy downlink block, or one per run of a batch.
 
     All users share the same channel; user ``k`` spreads its symbol block
     with ``codes[k]``. Complex white Gaussian noise with per-sample variance
@@ -109,8 +109,11 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2: float, rng: np.random.Gene
     the time domain. Returns ``(y, z)``: the time-domain chips and their
     unitary DFT.
 
-    ``symbol_blocks`` is a (K, n) array; a (0, n)-shaped array gives a
-    pure-noise block.
+    ``symbol_blocks`` is a (K, n) array, with ``taps`` of shape (L,) and
+    ``rng`` one ``np.random.Generator``; a (0, n)-shaped array gives a
+    pure-noise block. A leading run axis batches R runs: (R, K, n) symbol
+    blocks, (R, L) or shared (L,) taps and a sequence of R generators, each
+    drawing its run's noise (real parts, then imaginary parts).
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be >= 0")
@@ -118,19 +121,20 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2: float, rng: np.random.Gene
     blocks = np.asarray(symbol_blocks, dtype=float)
     if blocks.ndim == 1:
         blocks = blocks[None, :]
-    if blocks.ndim != 2 or blocks.shape[1] == 0:
-        raise ValueError("symbol_blocks must be a (K, n) array with n >= 1")
-    k, n = blocks.shape
+    if blocks.ndim not in (2, 3) or blocks.shape[-1] == 0:
+        raise ValueError("symbol_blocks must be a (K, n) or (R, K, n) array with n >= 1")
+    k, n = blocks.shape[-2:]
     if k > codes.shape[0]:
         raise ValueError(f"K exceeds Nc ({k} > {codes.shape[0]}): out of spreading codes")
     nc = codes.shape[1]
     m = n * nc
-    chips = np.zeros(m, dtype=complex)
+    chips = np.zeros((*blocks.shape[:-2], m), dtype=complex)
     for i in range(k):
-        chips += spread(blocks[i], codes[i])
+        chips += spread(blocks[..., i, :], codes[i])
     y = circulant_apply(taps, chips) if k else chips
     if sigma2 > 0:
-        noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        y = y + noise * np.sqrt(sigma2 / 2.0)
+        gens = [rng] if blocks.ndim == 2 else rng
+        noise = np.stack([g.standard_normal(m) + 1j * g.standard_normal(m) for g in gens])
+        y = y + noise.reshape(y.shape) * np.sqrt(sigma2 / 2.0)
     z = np.fft.fft(y, norm="ortho")
     return y, z

@@ -57,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feed the detector the estimated noise variance")
     p.add_argument("--estimated-k", action="store_true",
                    help="feed the detector the estimated user count")
-    p.add_argument("--workers", type=int, default=1, help="parallel runs")
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes, each advancing a contiguous slice of the runs")
     p.add_argument("--check", action="store_true",
                    help="complexity experiment: exit nonzero unless all counts match")
     p.add_argument("--out", default=None, help="output path (default <experiment>.csv)")

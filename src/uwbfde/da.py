@@ -8,6 +8,10 @@ least-squares normal matrix a sparse block structure: after regrouping bins
 by symbol index (:func:`fdcore.by_symbol`) it is block diagonal with n
 independent Hermitian nc-by-nc blocks, so the RLS solve and the genie MMSE
 build cost O(m*nc^2) instead of O(m^3).
+
+The operator, the steps and detection also take a leading run axis: an
+``(R, m)`` received block advances R independent runs at once, each row
+bitwise equal to its own call without the axis.
 """
 
 from __future__ import annotations
@@ -18,11 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdcore import (
-    DivergenceError,
     by_symbol,
+    check_finite,
     fold_segments,
     from_symbol,
     genie_covariance,
+    solve_regularized,
     tile_segments,
 )
 
@@ -34,37 +39,39 @@ class RxOperator:
 
     ``matvec(w)`` computes the length-n symbol-domain output of filtering the
     received spectrum with ``w``; ``rmatvec(u)`` is the exact adjoint. Both
-    cost O(m) plus one n-point transform.
+    cost O(m) plus one n-point transform. ``zbins`` of shape ``(R, m)`` holds
+    one received block per run, and the products act row by row.
     """
 
     def __init__(self, zbins, n: int):
         zbins = np.asarray(zbins, dtype=complex)
-        if zbins.ndim != 1 or zbins.size == 0:
-            raise ValueError("zbins must be a non-empty 1-D vector")
-        if zbins.size % n != 0:
-            raise ValueError(f"bin count {zbins.size} is not a multiple of {n}")
+        if zbins.ndim == 0 or zbins.shape[-1] == 0:
+            raise ValueError("zbins must have a non-empty last axis")
+        if zbins.shape[-1] % n != 0:
+            raise ValueError(f"bin count {zbins.shape[-1]} is not a multiple of {n}")
         self.zbins = zbins
+        self.zconj = zbins.conj()
         self.n = n
-        self.nc = zbins.size // n
+        self.nc = zbins.shape[-1] // n
 
     @property
     def m(self) -> int:
-        return self.zbins.size
+        return self.zbins.shape[-1]
 
     def matvec(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=complex)
-        if w.size != self.m:
-            raise ValueError(f"expected length {self.m}, got {w.size}")
+        if w.shape[-1:] != (self.m,):
+            raise ValueError(f"expected length {self.m}, got shape {w.shape}")
         return np.fft.ifft(fold_segments(self.zbins * w, self.n), norm="ortho")
 
     def rmatvec(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
-        if u.size != self.n:
-            raise ValueError(f"expected length {self.n}, got {u.size}")
-        return self.zbins.conj() * tile_segments(np.fft.fft(u, norm="ortho"), self.nc)
+        if u.shape[-1:] != (self.n,):
+            raise ValueError(f"expected length {self.n}, got shape {u.shape}")
+        return self.zconj * tile_segments(np.fft.fft(u, norm="ortho"), self.nc)
 
     def dense(self) -> np.ndarray:
-        """Explicit (n, m) matrix (oracle helper)."""
+        """Explicit (n, m) matrix of a single block (oracle helper)."""
         cols = np.eye(self.m, dtype=complex)
         return np.stack([self.matvec(cols[:, j]) for j in range(self.m)], axis=1)
 
@@ -98,27 +105,35 @@ class DaCgState:
     iters: int
 
 
-def new_lms_state(m: int, mu: float) -> DaLmsState:
-    return DaLmsState(w_hat=np.zeros(m, dtype=complex), mu=float(mu))
+# ``batch`` is the leading shape of the state arrays: ``()`` for one run,
+# ``(R,)`` for R runs advanced together.
+
+def new_lms_state(m: int, mu: float, batch=()) -> DaLmsState:
+    return DaLmsState(w_hat=np.zeros((*batch, m), dtype=complex), mu=float(mu))
 
 
-def new_rls_state(n: int, nc: int, lam: float = 0.998, delta: float = 1e-2) -> DaRlsState:
+def new_rls_state(n: int, nc: int, lam: float = 0.998, delta: float = 1e-2,
+                  batch=()) -> DaRlsState:
     if not 0 < lam <= 1:
         raise ValueError("forgetting factor must be in (0, 1]")
-    corr = np.broadcast_to(delta * np.eye(nc, dtype=complex), (n, nc, nc)).copy()
-    return DaRlsState(w_hat=np.zeros(n * nc, dtype=complex), corr=corr,
+    corr = np.broadcast_to(delta * np.eye(nc, dtype=complex), (*batch, n, nc, nc)).copy()
+    return DaRlsState(w_hat=np.zeros((*batch, n * nc), dtype=complex), corr=corr,
                       lam=float(lam), delta=float(delta))
 
 
-def new_cg_state(m: int, iters: int = 8) -> DaCgState:
+def new_cg_state(m: int, iters: int = 8, batch=()) -> DaCgState:
     if iters < 1:
         raise ValueError("iteration count must be >= 1")
-    return DaCgState(w_hat=np.zeros(m, dtype=complex), iters=int(iters))
+    return DaCgState(w_hat=np.zeros((*batch, m), dtype=complex), iters=int(iters))
+
+
+def _energy(v):
+    """Squared norm of each row (last axis) of ``v``."""
+    return np.einsum("...i,...i->...", v.conj(), v).real
 
 
 def _check_finite(vec):
-    if not np.all(np.isfinite(vec)):
-        raise DivergenceError("adaptive update diverged (non-finite weights)")
+    check_finite(vec, "adaptive update diverged (non-finite weights)")
 
 
 # ---------------------------------------------------------------------------
@@ -145,26 +160,21 @@ def da_rls_step(state: DaRlsState, op: RxOperator, b, counter=None) -> DaRlsStat
 
     The per-block normal-matrix increment is the outer product of each
     symbol's bin group with itself, so the accumulator stays block diagonal
-    in the regrouped ordering and each nc-by-nc block is solved directly.
+    in the regrouped ordering and each nc-by-nc block is solved directly. A
+    singular block is regularized with ``delta * I``, that block only.
     """
     n, nc = op.n, op.nc
-    zg = by_symbol(op.zbins, n)                           # (n, nc)
-    state.corr = state.lam * state.corr + zg.conj()[:, :, None] * zg[:, None, :]
+    zg = by_symbol(op.zbins, n)                           # (..., n, nc)
+    zg_conj = zg.conj()
+    state.corr *= state.lam
+    for j in range(nc):         # column by column: no (..., n, nc, nc) temporary
+        state.corr[..., j] += zg_conj * zg[..., j, None]
     err = b - op.matvec(state.w_hat)
-    folded = by_symbol(op.rmatvec(err), n)[:, :, None]
-    try:
-        update = np.linalg.solve(state.corr, folded)
-    except np.linalg.LinAlgError:
-        update = np.empty_like(folded)
-        eye = state.delta * np.eye(nc)
-        for i in range(n):
-            try:
-                update[i] = np.linalg.solve(state.corr[i], folded[i])
-            except np.linalg.LinAlgError:
-                logger.warning("singular block %d; regularizing with delta=%g", i, state.delta)
-                state.corr[i] = state.corr[i] + eye
-                update[i] = np.linalg.solve(state.corr[i], folded[i])
-    state.w_hat += from_symbol(update[:, :, 0])
+    folded = by_symbol(op.rmatvec(err), n)[..., None]
+    update, regularized = solve_regularized(state.corr, folded, state.delta)
+    for block in regularized:
+        logger.warning("singular block %s; regularizing with delta=%g", block, state.delta)
+    state.w_hat += from_symbol(update[..., 0])
     _check_finite(state.w_hat)
     if counter is not None:
         m = op.m
@@ -182,30 +192,37 @@ def da_rls_step(state: DaRlsState, op: RxOperator, b, counter=None) -> DaRlsStat
 def da_cg_step(state: DaCgState, op: RxOperator, b, counter=None, trace=None) -> DaCgState:
     """Run the per-block conjugate-gradient inner loop on the filter weights.
 
-    ``trace``, when given, collects one ``(grad_energy, neg_dir_grad,
-    residual_norm)`` tuple per iteration.
+    A zero-curvature direction or a vanished gradient ends the loop early,
+    per run: a stopped row takes no further step. ``trace``, when given,
+    collects one ``(grad_energy, neg_dir_grad, residual_norm)`` tuple per
+    iteration (one value per run).
     """
     w = state.w_hat
     err = b - op.matvec(w)
     grad = -op.rmatvec(err)
     direction = -grad
-    grad_energy = float(np.vdot(grad, grad).real)
+    grad_energy = _energy(grad)
+    active = np.ones(grad_energy.shape, dtype=bool)
     for _ in range(state.iters):
-        if grad_energy == 0.0:
+        active &= grad_energy != 0.0
+        if not active.any():
             break
         filtered = op.matvec(direction)
-        curvature = float(np.vdot(filtered, filtered).real)
-        if curvature == 0.0:
+        curvature = _energy(filtered)
+        active &= curvature != 0.0
+        if not active.any():
             break
-        alpha = grad_energy / curvature
+        alpha = np.divide(grad_energy, curvature, out=np.zeros(curvature.shape),
+                          where=active)[..., None]
         w += alpha * direction
         err -= alpha * filtered
         new_grad = -op.rmatvec(err)
-        new_energy = float(np.vdot(new_grad, new_grad).real)
-        beta = new_energy / grad_energy
+        new_energy = _energy(new_grad)
+        beta = np.divide(new_energy, grad_energy, out=np.zeros(new_energy.shape),
+                         where=active)[..., None]
         if trace is not None:
-            neg_dir_grad = -complex(np.vdot(direction, grad))
-            trace.append((grad_energy, neg_dir_grad, float(np.linalg.norm(err))))
+            neg_dir_grad = -np.einsum("...i,...i->...", direction.conj(), grad)
+            trace.append((grad_energy, neg_dir_grad, np.linalg.norm(err, axis=-1)))
         direction = -new_grad + beta * direction
         grad, grad_energy = new_grad, new_energy
         if counter is not None:
@@ -241,6 +258,6 @@ def build_mmse_da(taps, codes, sigma2: float, n: int) -> np.ndarray:
 
 
 def detect_da(op: RxOperator, w_hat) -> np.ndarray:
-    """Hard BPSK decisions from the filtered received block; sign(0) is +1."""
+    """Hard BPSK decisions from the filtered received block(s); sign(0) is +1."""
     soft = op.matvec(w_hat)
     return np.where(soft.real >= 0, 1.0, -1.0)

@@ -17,6 +17,11 @@ Conventions
   MMSE covariance couples only bins ``a = a' (mod n)``. :func:`by_symbol`
   regroups the ``m`` bins into ``n`` groups of ``nc``, so such a covariance
   is ``n`` independent ``nc``-by-``nc`` blocks.
+* Leading run axis: the helpers the detectors and the block synthesis use
+  (spreading, despreading, segment folding and tiling, the tap spectrum
+  and its adjoint, circulant application) act on the last axis and accept
+  ``(R, ...)`` arrays, one row per Monte-Carlo run. Each row's result is
+  bitwise equal to the result of a call with that row alone.
 * ``tap_spectrum`` absorbs the ``sqrt(m)`` factor, i.e. bin ``a`` of
   ``tap_spectrum(h, m)`` is ``sum_l h[l] * exp(-2j*pi*a*l/m)``, which is the
   channel frequency response and equals the diagonal that a circulant matrix
@@ -31,7 +36,23 @@ from scipy.linalg import hadamard as _hadamard
 
 
 class DivergenceError(RuntimeError):
-    """An adaptive update produced non-finite values (step size too large)."""
+    """An adaptive update produced non-finite values (step size too large).
+
+    ``rows`` holds the flat indices of the diverged rows of a batched update
+    (``[0]`` for an update without a run axis).
+    """
+
+    def __init__(self, message: str, rows=()):
+        super().__init__(message)
+        self.rows = rows
+
+
+def check_finite(vec, message: str):
+    """Raise :class:`DivergenceError` naming every row of ``vec`` (last axis)
+    that holds a non-finite value."""
+    bad = ~np.isfinite(vec).all(axis=-1)
+    if bad.any():
+        raise DivergenceError(message, rows=np.flatnonzero(bad))
 
 
 def _as_complex_vector(x, name: str = "x") -> np.ndarray:
@@ -40,6 +61,14 @@ def _as_complex_vector(x, name: str = "x") -> np.ndarray:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
+    return arr
+
+
+def _as_complex_rows(x, name: str = "x") -> np.ndarray:
+    """A vector or an ``(R, ...)`` stack of them, as complex; the last axis must not be empty."""
+    arr = np.asarray(x, dtype=complex)
+    if arr.ndim == 0 or arr.shape[-1] == 0:
+        raise ValueError(f"{name} must have a non-empty last axis, got shape {arr.shape}")
     return arr
 
 
@@ -73,12 +102,12 @@ def walsh_code_set(nc: int) -> np.ndarray:
 
 
 def spread(symbols, code) -> np.ndarray:
-    """Spread a symbol block with one code: chip ``i*nc + j`` is ``symbols[i] * code[j]``."""
+    """Spread a symbol block with one code: chip ``i*nc + j`` is ``symbols[..., i] * code[j]``."""
     symbols = np.asarray(symbols)
     code = np.asarray(code)
-    if symbols.ndim != 1 or code.ndim != 1:
-        raise ValueError("symbols and code must be 1-D")
-    return np.kron(symbols, code)
+    if symbols.ndim < 1 or code.ndim != 1:
+        raise ValueError("symbols must have a last axis and code must be 1-D")
+    return (symbols[..., :, None] * code).reshape(*symbols.shape[:-1], -1)
 
 
 def despread(chips, code) -> np.ndarray:
@@ -87,12 +116,12 @@ def despread(chips, code) -> np.ndarray:
     Exact inverse of :func:`spread` for a unit-norm code; orthogonal codes
     despread to zero.
     """
-    chips = _as_complex_vector(chips, "chips")
+    chips = _as_complex_rows(chips, "chips")
     code = np.asarray(code)
     nc = code.size
-    if chips.size % nc != 0:
-        raise ValueError(f"chip count {chips.size} is not a multiple of code length {nc}")
-    return chips.reshape(-1, nc) @ code.conj()
+    if chips.shape[-1] % nc != 0:
+        raise ValueError(f"chip count {chips.shape[-1]} is not a multiple of code length {nc}")
+    return chips.reshape(*chips.shape[:-1], -1, nc) @ code.conj()
 
 
 def expand_symbols(symbols, nc: int) -> np.ndarray:
@@ -112,14 +141,14 @@ def expansion_matrix(n: int, nc: int) -> np.ndarray:
 
 def fold_segments(v, n: int) -> np.ndarray:
     """Sum the ``nc`` length-``n`` segments of ``v`` (adjoint of tiling)."""
-    v = _as_complex_vector(v, "v")
-    if v.size % n != 0:
-        raise ValueError(f"length {v.size} is not a multiple of {n}")
-    return v.reshape(-1, n).sum(axis=0)
+    v = _as_complex_rows(v, "v")
+    if v.shape[-1] % n != 0:
+        raise ValueError(f"length {v.shape[-1]} is not a multiple of {n}")
+    return v.reshape(*v.shape[:-1], -1, n).sum(axis=-2)
 
 
 def tile_segments(u, nc: int) -> np.ndarray:
-    """Stack ``nc`` copies of ``u`` end to end."""
+    """Stack ``nc`` copies of ``u`` end to end along the last axis."""
     return np.tile(np.asarray(u, dtype=complex), nc)
 
 
@@ -130,25 +159,26 @@ def tap_spectrum(taps, m: int) -> np.ndarray:
     ``m`` alias onto ``l mod m``, which keeps the operator well defined for
     any tap count.
     """
-    taps = _as_complex_vector(taps, "taps")
+    taps = _as_complex_rows(taps, "taps")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if taps.size > m:
-        pad = (-taps.size) % m
-        taps = np.concatenate([taps, np.zeros(pad, dtype=complex)]).reshape(-1, m).sum(axis=0)
+    num_taps = taps.shape[-1]
+    if num_taps > m:
+        pad = np.zeros((*taps.shape[:-1], (-num_taps) % m), dtype=complex)
+        taps = fold_segments(np.concatenate([taps, pad], axis=-1), m)
     return np.fft.fft(taps, n=m)
 
 
 def tap_spectrum_adjoint(bins, num_taps: int) -> np.ndarray:
     """Adjoint of :func:`tap_spectrum`: fold ``m`` bins back onto ``num_taps`` taps."""
-    bins = _as_complex_vector(bins, "bins")
+    bins = _as_complex_rows(bins, "bins")
     if num_taps < 1:
         raise ValueError("num_taps must be >= 1")
-    m = bins.size
+    m = bins.shape[-1]
     folded = np.fft.ifft(bins) * m
     if num_taps <= m:
-        return folded[:num_taps]
-    return folded[np.arange(num_taps) % m]
+        return folded[..., :num_taps]
+    return folded[..., np.arange(num_taps) % m]
 
 
 def fourier_tap_basis(m: int, num_taps: int) -> np.ndarray:
@@ -209,14 +239,38 @@ def circulant_apply(taps, chips) -> np.ndarray:
     """Circular convolution of a chip block with a tap vector (zero-padded).
 
     Equivalent to multiplying by the circulant matrix whose first column is
-    ``taps`` zero-padded to the block length.
+    ``taps`` zero-padded to the block length. Leading axes broadcast.
     """
-    chips = _as_complex_vector(chips, "chips")
-    taps = _as_complex_vector(taps, "taps")
-    m = chips.size
-    if taps.size > m:
-        raise ValueError(f"tap count {taps.size} exceeds block length {m}")
+    chips = _as_complex_rows(chips, "chips")
+    taps = _as_complex_rows(taps, "taps")
+    m = chips.shape[-1]
+    if taps.shape[-1] > m:
+        raise ValueError(f"tap count {taps.shape[-1]} exceeds block length {m}")
     return np.fft.ifft(np.fft.fft(chips) * np.fft.fft(taps, n=m))
+
+
+def solve_regularized(mats, rhs, delta: float):
+    """Solve the stacked systems ``mats @ x = rhs``; ``mats`` is ``(..., k, k)``
+    and ``rhs`` is ``(..., k, 1)`` with the same leading axes.
+
+    A singular matrix gets ``delta * I`` added, in place and to that matrix
+    only, and is solved again. Returns ``(x, regularized)``, the second
+    listing the indices of the regularized matrices.
+    """
+    try:
+        return np.linalg.solve(mats, rhs), []
+    except np.linalg.LinAlgError:
+        pass
+    out = np.empty_like(rhs, dtype=np.result_type(mats, rhs))
+    regularized = []
+    for idx in np.ndindex(mats.shape[:-2]):
+        try:
+            out[idx] = np.linalg.solve(mats[idx], rhs[idx])
+        except np.linalg.LinAlgError:
+            mats[idx] += delta * np.eye(mats.shape[-1])
+            out[idx] = np.linalg.solve(mats[idx], rhs[idx])
+            regularized.append(idx)
+    return out, regularized
 
 
 def circulant_matrix(taps, m: int) -> np.ndarray:

@@ -13,13 +13,22 @@ Protocol notes
 * Runs are independent trials with private RNG streams derived from
   ``(base_seed, stream, run, point)``; each run draws its own channel, which
   is held constant for the whole run and shared across sweep points.
-* Parallelism is across runs only; results merge in run order, so output is
-  byte-identical for any worker count.
+* Runs are batched: the runs one process owns advance together, as the rows
+  of ``(R, ...)`` arrays, through synthesis, the adaptive steps and
+  detection, each run drawing from its own generator. ``--workers`` splits
+  the runs into contiguous slices, one per worker process. Every row is
+  computed as it would be alone and results merge in run order, so output
+  is byte-identical for any worker count and batch size.
+* A diverging run is recorded at its first non-finite update. Its row
+  stays non-finite, which touches no other row, and its later divergences
+  are not recorded while the other runs finish. The experiment then raises
+  for the lowest-index diverged run, naming its point, algorithm and block.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -131,9 +140,9 @@ class ExperimentConfig:
             raise ValueError("k_cap must be >= 0")
 
     def algo_keys(self) -> list[str]:
-        schemes = ("sce", "da") if self.scheme == "both" else (self.scheme,)
-        algos = ("lms", "rls", "cg", "mmse") if self.algorithm == "all" else (self.algorithm,)
-        return [f"{s}-{a}" for s in schemes for a in algos]
+        return [key for key, algo in _ALGORITHMS.items()
+                if self.scheme in ("both", algo.runner.scheme)
+                and self.algorithm in ("all", algo.kind)]
 
     def metadata(self) -> dict:
         meta = {}
@@ -196,160 +205,257 @@ def _data_rng(cfg: ExperimentConfig, run_idx: int, point_idx: int) -> np.random.
     return np.random.default_rng([cfg.base_seed, _DATA_STREAM, run_idx, point_idx])
 
 
-class _SceRunner:
-    """One SCE algorithm instance for one trial: adapt, estimate, detect."""
+@dataclass
+class _Block:
+    """One received block per run and what the detectors read from it."""
 
-    def __init__(self, kind, cfg, users, sigma2, taps, codes):
-        n, nc, num_taps = cfg.block_length, cfg.spreading, cfg.cir_taps
-        self.kind = kind
+    z: np.ndarray                   # (..., m) received spectrum
+    desired: np.ndarray             # (..., n) desired user's symbols
+    xdiag: np.ndarray | None        # (..., m) pilot spectrum, for SCE
+    op: da.RxOperator | None        # received-data operator, for DA
+
+
+def _per_run(build, taps, *args) -> np.ndarray:
+    """Call a one-run build on each run's taps and stack the results."""
+    out = np.stack([build(t, *args) for t in taps.reshape(-1, taps.shape[-1])])
+    return out.reshape(*taps.shape[:-1], *out.shape[1:])
+
+
+class _Runner:
+    """One algorithm advanced over a batch of runs: adapt, estimate, detect.
+
+    ``taps`` holds one channel per run, ``(R, L)``, or a single run's,
+    ``(L,)``; the adaptive state or genie detector gets the same leading
+    shape. Subclasses name their scheme, genie build and step inputs.
+    """
+
+    scheme = ""
+
+    def __init__(self, algo, cfg, users, sigma2, taps, codes):
+        taps = np.asarray(taps)
+        self.kind = algo.kind
+        self.step = algo.step
         self.cfg = cfg
-        self.nc, self.m = nc, n * nc
         self.users, self.sigma2 = users, sigma2
+        self.batch = taps.shape[:-1]
+        self.state = self.detector = None
+        if algo.new_state is None:
+            self.detector = _per_run(self.build_genie, taps, codes[:users],
+                                     max(sigma2, _GENIE_RIDGE), cfg.block_length)
+        else:
+            self.state = algo.new_state(cfg, self.batch)
+
+    def observe(self, rx: _Block):
+        """Fold a training block into the runner's estimates (none by default)."""
+
+    def update(self, rx: _Block):
+        if self.state is not None:
+            self.step(self.state, *self.step_args(rx))
+
+
+class _SceRunner(_Runner):
+    """An SCE algorithm; with estimated inputs it also tracks each run's
+    subspace estimate of sigma2 and K."""
+
+    scheme = "sce"
+
+    def __init__(self, algo, cfg, users, sigma2, taps, codes):
+        super().__init__(algo, cfg, users, sigma2, taps, codes)
+        self.nc, self.m = cfg.spreading, cfg.chips_per_block
         self.code = codes[0]
-        self.cov = self.est = None
-        if kind == "mmse":
-            self.detector = build_mmse_sce_exact(
-                taps, codes[:users], max(sigma2, _GENIE_RIDGE), n)
-        elif kind == "lms":
-            self.state = sce.new_lms_state(num_taps, cfg.resolved_mu_h)
-        elif kind == "rls":
-            self.state = sce.new_rls_state(num_taps, cfg.lambda_h, cfg.delta_init)
-        elif kind == "cg":
-            self.state = sce.new_cg_state(num_taps, cfg.cg_iters)
-        else:
-            raise ValueError(f"unknown algorithm {kind!r}")
-        if kind != "mmse" and (cfg.use_estimated_sigma2 or cfg.use_estimated_k):
-            self.cov = GroupCovariance.empty(n, nc)
+        self.covs = self.est = None
+        if self.state is not None and (cfg.use_estimated_sigma2 or cfg.use_estimated_k):
+            self.covs = [GroupCovariance.empty(cfg.block_length, cfg.spreading)
+                         for _ in range(int(np.prod(self.batch)))]
 
-    def observe(self, z):
-        """Fold a training block into the subspace estimate of sigma2 and K."""
-        if self.cov is None:
+    @staticmethod
+    def build_genie(taps, codes, sigma2, n):
+        return build_mmse_sce_exact(taps, codes, sigma2, n)
+
+    @staticmethod
+    def step_args(rx: _Block):
+        return rx.z, rx.xdiag
+
+    def observe(self, rx: _Block):
+        """Fold a training block into each run's subspace estimate of sigma2 and K."""
+        if self.covs is None:
             return
-        update_covariance(self.cov, z)
-        self.est = subspace_estimate(self.cov, self.cfg.k_cap)
+        rows = rx.z.reshape(-1, rx.z.shape[-1])
+        self.est = [subspace_estimate(update_covariance(cov, z), self.cfg.k_cap)
+                    for cov, z in zip(self.covs, rows)]
 
-    def detect(self, z):
-        if self.kind == "mmse":
-            return detect_sce(z, self.detector, self.code)
-        sigma2 = self.est.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
-        k_used = self.est.k_int if self.cfg.use_estimated_k else self.users
+    def detect(self, rx: _Block):
+        if self.state is None:
+            return detect_sce(rx.z, self.detector, self.code)
+        sigma2, k_used = self.sigma2, self.users
+        if self.cfg.use_estimated_sigma2:
+            sigma2 = np.reshape([e.sigma2 for e in self.est], self.batch)
+        if self.cfg.use_estimated_k:
+            k_used = np.reshape([e.k_int for e in self.est], self.batch)
         det = build_mmse_sce(self.state.h_hat, k_used, sigma2, self.nc, self.m)
-        return detect_sce(z, det, self.code)
-
-    def update(self, z, xdiag):
-        if self.kind == "lms":
-            sce.sce_lms_step(self.state, z, xdiag)
-        elif self.kind == "rls":
-            sce.sce_rls_step(self.state, z, xdiag)
-        elif self.kind == "cg":
-            sce.sce_cg_step(self.state, z, xdiag)
+        return detect_sce(rx.z, det, self.code)
 
 
-class _DaRunner:
-    """One DA algorithm instance for one trial."""
+class _DaRunner(_Runner):
+    """A DA algorithm."""
 
-    def __init__(self, kind, cfg, users, sigma2, taps, codes):
-        n, nc = cfg.block_length, cfg.spreading
-        self.kind = kind
-        if kind == "mmse":
-            self.w = da.build_mmse_da(taps, codes[:users], max(sigma2, _GENIE_RIDGE), n)
-        elif kind == "lms":
-            self.state = da.new_lms_state(n * nc, cfg.mu_w)
-        elif kind == "rls":
-            self.state = da.new_rls_state(n, nc, cfg.lambda_w, cfg.delta_init)
-        elif kind == "cg":
-            self.state = da.new_cg_state(n * nc, cfg.cg_iters)
-        else:
-            raise ValueError(f"unknown algorithm {kind!r}")
+    scheme = "da"
 
-    def detect(self, op):
-        w = self.w if self.kind == "mmse" else self.state.w_hat
-        return da.detect_da(op, w)
+    @staticmethod
+    def build_genie(taps, codes, sigma2, n):
+        return da.build_mmse_da(taps, codes, sigma2, n)
 
-    def update(self, op, b):
-        if self.kind == "lms":
-            da.da_lms_step(self.state, op, b)
-        elif self.kind == "rls":
-            da.da_rls_step(self.state, op, b)
-        elif self.kind == "cg":
-            da.da_cg_step(self.state, op, b)
+    @staticmethod
+    def step_args(rx: _Block):
+        return rx.op, rx.desired
+
+    def detect(self, rx: _Block):
+        w = self.detector if self.state is None else self.state.w_hat
+        return da.detect_da(rx.op, w)
+
+
+@dataclass(frozen=True)
+class _Algorithm:
+    """One detector: its runner class and, unless it is a genie, its state
+    constructor ``new_state(cfg, batch)`` and block step
+    ``step(state, *step_args, counter=None)``. The lambdas look the module
+    functions up at call time, so wrappers installed on the modules apply."""
+
+    kind: str
+    runner: type
+    new_state: Callable | None = None
+    step: Callable | None = None
+
+
+_ALGORITHMS = {f"{algo.runner.scheme}-{algo.kind}": algo for algo in (
+    _Algorithm("lms", _SceRunner,
+               lambda cfg, batch: sce.new_lms_state(cfg.cir_taps, cfg.resolved_mu_h, batch),
+               lambda *args: sce.sce_lms_step(*args)),
+    _Algorithm("rls", _SceRunner,
+               lambda cfg, batch: sce.new_rls_state(cfg.cir_taps, cfg.lambda_h,
+                                                    cfg.delta_init, batch),
+               lambda *args: sce.sce_rls_step(*args)),
+    _Algorithm("cg", _SceRunner,
+               lambda cfg, batch: sce.new_cg_state(cfg.cir_taps, cfg.cg_iters, batch),
+               lambda *args: sce.sce_cg_step(*args)),
+    _Algorithm("mmse", _SceRunner),
+    _Algorithm("lms", _DaRunner,
+               lambda cfg, batch: da.new_lms_state(cfg.chips_per_block, cfg.mu_w, batch),
+               lambda *args: da.da_lms_step(*args)),
+    _Algorithm("rls", _DaRunner,
+               lambda cfg, batch: da.new_rls_state(cfg.block_length, cfg.spreading,
+                                                   cfg.lambda_w, cfg.delta_init, batch),
+               lambda *args: da.da_rls_step(*args)),
+    _Algorithm("cg", _DaRunner,
+               lambda cfg, batch: da.new_cg_state(cfg.chips_per_block, cfg.cg_iters, batch),
+               lambda *args: da.da_cg_step(*args)),
+    _Algorithm("mmse", _DaRunner),
+)}
 
 
 def _new_runners(cfg, users, sigma2, taps, codes, algo_keys):
-    runners = {}
-    for key in algo_keys:
-        scheme, kind = key.split("-")
-        cls = _SceRunner if scheme == "sce" else _DaRunner
-        runners[key] = cls(kind, cfg, users, sigma2, taps, codes)
-    return runners
+    return {key: _ALGORITHMS[key].runner(_ALGORITHMS[key], cfg, users, sigma2, taps, codes)
+            for key in algo_keys}
 
 
 def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
-                     adapt=True, errors_out=None, where="run"):
-    """Advance every runner over ``n_blocks`` blocks, filling ``errors_out``;
-    a divergence is re-raised naming ``where``, the algorithm and the block."""
+                     adapt=True, errors_out=None, where=("run",)) -> dict:
+    """Advance every runner over ``n_blocks`` blocks of every run, filling
+    ``errors_out`` (``key -> (..., n_blocks)`` error counts).
+
+    ``taps`` is ``(R, L)`` with ``rng`` a list of R generators, or ``(L,)``
+    with one generator. Returns the first divergence of each diverged run,
+    ``{row: message}``, the message naming ``where[row]``, the algorithm and
+    the block. A diverged row keeps its non-finite state, which every later
+    update leaves non-finite, and its later divergences are not recorded.
+    """
     n = cfg.block_length
-    need_sce = any(k.startswith("sce") for k in runners)
-    need_da = any(k.startswith("da") for k in runners)
+    gens = rng if np.ndim(taps) == 2 else [rng]
+    need_sce = any(isinstance(r, _SceRunner) for r in runners.values())
+    need_da = any(isinstance(r, _DaRunner) for r in runners.values())
     code0 = codes[0]
+    diverged = {}
     for i in range(n_blocks):
-        blocks = random_bpsk(rng, users * n).reshape(users, n)
+        bits = np.stack([random_bpsk(g, users * n) for g in gens])
+        blocks = bits.reshape(*np.shape(taps)[:-1], users, n)
         _, z = synthesize_rx(blocks, codes, taps, sigma2, rng)
-        xdiag = pilot_matrix(spread(blocks[0], code0)) if need_sce else None
-        op = da.RxOperator(z, n) if need_da else None
-        desired = blocks[0]
+        desired = blocks[..., 0, :]
+        rx = _Block(z, desired,
+                    pilot_matrix(spread(desired, code0)) if need_sce else None,
+                    da.RxOperator(z, n) if need_da else None)
         for key, runner in runners.items():
-            if key.startswith("sce"):
-                if adapt:
-                    runner.observe(z)
-                bits = runner.detect(z)
-                update_args = (z, xdiag)
-            else:
-                bits = runner.detect(op)
-                update_args = (op, desired)
+            if adapt:
+                runner.observe(rx)
+            bits_hat = runner.detect(rx)
             if adapt:
                 try:
-                    runner.update(*update_args)
+                    runner.update(rx)
                 except DivergenceError as exc:
-                    raise DivergenceError(
-                        f"{where}, {key}, block {i + 1} of {n_blocks}: {exc}") from exc
+                    for row in exc.rows:
+                        diverged.setdefault(
+                            int(row), f"{where[row]}, {key}, block {i + 1} of {n_blocks}: {exc}")
             if errors_out is not None:
-                errors_out[key][i] = int(np.count_nonzero(bits != desired))
+                errors_out[key][..., i] = np.count_nonzero(bits_hat != desired, axis=-1)
+    return diverged
+
+
+def _raise_first(diverged: dict):
+    """Raise the recorded divergence of the lowest-index run, if any."""
+    if diverged:
+        raise DivergenceError(diverged[min(diverged)])
+
+
+def _batch_inputs(cfg, runs):
+    """Each run's channel, stacked ``(R, L)``, and the spreading codes."""
+    return np.stack([_channel_for_run(cfg, r) for r in runs]), walsh_code_set(cfg.spreading)
+
+
+def _where(runs, snr_db, users):
+    return [f"run {r}, {snr_db:g} dB SNR, {users} users" for r in runs]
 
 
 def _curve_trial(args):
-    """One training-curve run: per-block desired-user error counts."""
-    cfg, snr_db, users, algo_keys, run_idx = args
-    taps = _channel_for_run(cfg, run_idx)
-    codes = walsh_code_set(cfg.spreading)
+    """Training curves of a batch of runs: per-block desired-user error
+    counts, one ``{key: (blocks,)}`` dict per run."""
+    cfg, snr_db, users, algo_keys, runs = args
+    taps, codes = _batch_inputs(cfg, runs)
     sigma2 = cfg.sigma2_for(snr_db)
-    rng = _data_rng(cfg, run_idx, 0)
+    rngs = [_data_rng(cfg, r, 0) for r in runs]
     runners = _new_runners(cfg, users, sigma2, taps, codes, algo_keys)
-    errors = {key: np.zeros(cfg.training_blocks, dtype=np.int64) for key in algo_keys}
-    _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng,
-                     cfg.training_blocks, adapt=True, errors_out=errors,
-                     where=f"run {run_idx}, {snr_db:g} dB SNR, {users} users")
-    return errors
+    errors = {key: np.zeros((len(runs), cfg.training_blocks), dtype=np.int64)
+              for key in algo_keys}
+    _raise_first(_simulate_blocks(cfg, users, sigma2, taps, codes, runners, rngs,
+                                  cfg.training_blocks, adapt=True, errors_out=errors,
+                                  where=_where(runs, snr_db, users)))
+    return [{key: errors[key][row] for key in algo_keys} for row in range(len(runs))]
 
 
 def _steady_trial(args):
-    """One sweep run: train, then measure steady-state errors with frozen filters."""
-    cfg, points, algo_keys, run_idx = args
-    taps = _channel_for_run(cfg, run_idx)
-    codes = walsh_code_set(cfg.spreading)
-    out = {key: [] for key in algo_keys}
+    """Sweeps of a batch of runs: at each point train, then measure
+    steady-state errors with frozen filters. Returns one ``{key: [(errors,
+    bits) per point]}`` dict per run."""
+    cfg, points, algo_keys, runs = args
+    taps, codes = _batch_inputs(cfg, runs)
+    out = [{key: [] for key in algo_keys} for _ in runs]
+    diverged = {}
     for point_idx, snr_db, users in points:
         sigma2 = cfg.sigma2_for(snr_db)
-        rng = _data_rng(cfg, run_idx, point_idx)
+        rngs = [_data_rng(cfg, r, point_idx) for r in runs]
         runners = _new_runners(cfg, users, sigma2, taps, codes, algo_keys)
-        _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng,
-                         cfg.training_blocks, adapt=True,
-                         where=f"run {run_idx}, {snr_db:g} dB SNR, {users} users")
-        errors = {key: np.zeros(cfg.eval_blocks, dtype=np.int64) for key in algo_keys}
-        _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng,
+        first = _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rngs,
+                                 cfg.training_blocks, adapt=True,
+                                 where=_where(runs, snr_db, users))
+        for row, message in first.items():
+            diverged.setdefault(row, message)
+        errors = {key: np.zeros((len(runs), cfg.eval_blocks), dtype=np.int64)
+                  for key in algo_keys}
+        _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rngs,
                          cfg.eval_blocks, adapt=False, errors_out=errors)
-        for key in algo_keys:
-            out[key].append((int(errors[key].sum()), cfg.eval_blocks * cfg.block_length))
+        for row, res in enumerate(out):
+            for key in algo_keys:
+                res[key].append((int(errors[key][row].sum()),
+                                 cfg.eval_blocks * cfg.block_length))
+    _raise_first(diverged)
     return out
 
 
@@ -422,11 +528,27 @@ def _kcount_trial(args):
     return estimator_kcount_trial(cfg, users, run_idx)
 
 
-def _map_runs(cfg, fn, args_list):
-    if cfg.workers > 1 and len(args_list) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            return list(ex.map(fn, args_list))
-    return [fn(a) for a in args_list]
+def _each_run(task):
+    """Apply a one-run trial to each argument tuple of ``task = (fn, args_list)``."""
+    fn, args_list = task
+    return [fn(args) for args in args_list]
+
+
+def _map_runs(cfg, fn, task_for):
+    """Split the runs into one contiguous slice per worker and return the
+    per-run results in run order.
+
+    ``task_for(runs)`` builds the argument of ``fn`` for a list of run
+    indices; ``fn`` returns one result per run of its list.
+    """
+    slices = np.array_split(np.arange(cfg.runs), min(cfg.workers, cfg.runs))
+    tasks = [task_for([int(r) for r in part]) for part in slices]
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
+            parts = list(ex.map(fn, tasks))
+    else:
+        parts = [fn(tasks[0])]
+    return [res for part in parts for res in part]
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +561,7 @@ def run_ber_vs_blocks(cfg: ExperimentConfig) -> CurveSet:
     algo_keys = cfg.algo_keys()
     snr_db = cfg.snr_db[0]
     results = _map_runs(cfg, _curve_trial,
-                        [(cfg, snr_db, cfg.users, algo_keys, r) for r in range(cfg.runs)])
+                        lambda runs: (cfg, snr_db, cfg.users, algo_keys, runs))
     n = cfg.block_length
     curve = CurveSet("block", np.arange(1, cfg.training_blocks + 1),
                      meta={**cfg.metadata(), "experiment": "ber-vs-blocks",
@@ -472,8 +594,7 @@ def run_ber_vs_users(cfg: ExperimentConfig) -> CurveSet:
 
 
 def _steady_curve(cfg, algo_keys, points, x_name, x, experiment) -> CurveSet:
-    results = _map_runs(cfg, _steady_trial,
-                        [(cfg, points, algo_keys, r) for r in range(cfg.runs)])
+    results = _map_runs(cfg, _steady_trial, lambda runs: (cfg, points, algo_keys, runs))
     curve = CurveSet(x_name, x, meta={**cfg.metadata(), "experiment": experiment})
     for key in algo_keys:
         per_run = np.array([[err / bits for err, bits in res[key]] for res in results])
@@ -513,9 +634,8 @@ def run_estimator_curves(cfg: ExperimentConfig) -> dict:
     for k in user_set_sigma2:
         means = []
         for point_idx, snr in enumerate(snrs):
-            vals = _map_runs(cfg, _sigma2_trial,
-                             [(cfg, float(snr), k, r, point_idx, n_blocks)
-                              for r in range(cfg.runs)])
+            vals = _map_runs(cfg, _each_run, lambda runs: (_sigma2_trial, [
+                (cfg, float(snr), k, r, point_idx, n_blocks) for r in runs]))
             means.append(float(np.mean(vals)))
         sigma2_curve.columns[f"sigma2_hat_k{k}"] = np.asarray(means)
 
@@ -523,7 +643,8 @@ def run_estimator_curves(cfg: ExperimentConfig) -> dict:
                             meta={**cfg.metadata(), "experiment": "estimators-kcount",
                                   "snr_db_point": cfg.snr_db[-1]})
     for k in user_set_kcount:
-        traces = _map_runs(cfg, _kcount_trial, [(cfg, k, r) for r in range(cfg.runs)])
+        traces = _map_runs(cfg, _each_run,
+                           lambda runs: (_kcount_trial, [(cfg, k, r) for r in runs]))
         for name in ("k_float_genie", "k_float_est", "k_int_est"):
             stacked = np.stack([t[name] for t in traces]).astype(float)
             kcount_curve.columns[f"{name}_k{k}"] = stacked.mean(axis=0)
@@ -594,21 +715,14 @@ def _measured_step_cost(algo, n, nc, num_taps, iters, rng) -> tuple[int, int]:
     z = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     xdiag = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     b = random_bpsk(rng, n)
+    entry = _ALGORITHMS.get(algo)
+    if entry is None or entry.step is None:
+        raise ValueError(f"unknown adaptive algorithm {algo!r}")
+    # the tallies depend on the sizes only, not on step sizes or forgetting factors
+    cfg = ExperimentConfig(block_length=n, spreading=nc, cir_taps=num_taps, cg_iters=iters)
+    rx = _Block(z, b, xdiag, da.RxOperator(z, n))
     counter = OpCounter()
-    if algo == "sce-lms":
-        sce.sce_lms_step(sce.new_lms_state(num_taps, 1e-4), z, xdiag, counter)
-    elif algo == "sce-rls":
-        sce.sce_rls_step(sce.new_rls_state(num_taps), z, xdiag, counter)
-    elif algo == "sce-cg":
-        sce.sce_cg_step(sce.new_cg_state(num_taps, iters), z, xdiag, counter)
-    elif algo == "da-lms":
-        da.da_lms_step(da.new_lms_state(m, 1e-4), da.RxOperator(z, n), b, counter)
-    elif algo == "da-rls":
-        da.da_rls_step(da.new_rls_state(n, nc), da.RxOperator(z, n), b, counter)
-    elif algo == "da-cg":
-        da.da_cg_step(da.new_cg_state(m, iters), da.RxOperator(z, n), b, counter)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
+    entry.step(entry.new_state(cfg, ()), *entry.runner.step_args(rx), counter)
     return counter.snapshot()
 
 

@@ -9,6 +9,9 @@ and every active code and is solved one symbol group at a time.
 
 All adaptive steps realize the operator products structurally (diagonal
 scalings and zero-padded FFTs), never materializing a full m-by-m matrix.
+The steps, the equalizer build and detection also take a leading run axis:
+``(R, m)`` blocks and pilots advance R independent runs at once, each row
+bitwise equal to its own call without the axis.
 """
 
 from __future__ import annotations
@@ -17,14 +20,14 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .fdcore import (
-    DivergenceError,
     by_symbol,
+    check_finite,
     despread,
     from_symbol,
     genie_covariance,
+    solve_regularized,
     tap_spectrum,
     tap_spectrum_adjoint,
 )
@@ -58,25 +61,31 @@ class SceCgState:
     iters: int
 
 
-def new_lms_state(num_taps: int, mu: float) -> SceLmsState:
-    return SceLmsState(h_hat=np.zeros(num_taps, dtype=complex), mu=float(mu))
+# ``batch`` is the leading shape of the state arrays: ``()`` for one run,
+# ``(R,)`` for R runs advanced together.
+
+def new_lms_state(num_taps: int, mu: float, batch=()) -> SceLmsState:
+    return SceLmsState(h_hat=np.zeros((*batch, num_taps), dtype=complex), mu=float(mu))
 
 
-def new_rls_state(num_taps: int, lam: float = 0.998, delta: float = 1e-2) -> SceRlsState:
+def new_rls_state(num_taps: int, lam: float = 0.998, delta: float = 1e-2,
+                  batch=()) -> SceRlsState:
     if not 0 < lam <= 1:
         raise ValueError("forgetting factor must be in (0, 1]")
+    corr = np.broadcast_to(delta * np.eye(num_taps, dtype=complex),
+                           (*batch, num_taps, num_taps)).copy()
     return SceRlsState(
-        h_hat=np.zeros(num_taps, dtype=complex),
-        corr=delta * np.eye(num_taps, dtype=complex),
+        h_hat=np.zeros((*batch, num_taps), dtype=complex),
+        corr=corr,
         lam=float(lam),
         delta=float(delta),
     )
 
 
-def new_cg_state(num_taps: int, iters: int = 8) -> SceCgState:
+def new_cg_state(num_taps: int, iters: int = 8, batch=()) -> SceCgState:
     if iters < 1:
         raise ValueError("iteration count must be >= 1")
-    return SceCgState(h_hat=np.zeros(num_taps, dtype=complex), iters=int(iters))
+    return SceCgState(h_hat=np.zeros((*batch, num_taps), dtype=complex), iters=int(iters))
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +95,8 @@ def new_cg_state(num_taps: int, iters: int = 8) -> SceCgState:
 def pilot_matrix(chips) -> np.ndarray:
     """Diagonal of the pilot's spectral matrix: the unitary DFT of the chips."""
     chips = np.asarray(chips, dtype=complex)
-    if chips.ndim != 1 or chips.size == 0:
-        raise ValueError("pilot chips must be a non-empty 1-D vector")
+    if chips.ndim < 1 or chips.shape[-1] == 0:
+        raise ValueError("pilot chips must have a non-empty last axis")
     return np.fft.fft(chips, norm="ortho")
 
 
@@ -96,27 +105,34 @@ def pilot_normal_matrix(xdiag, num_taps: int) -> np.ndarray:
 
     Entry (p, q) is ``sum_a |xdiag[a]|^2 * exp(2j*pi*a*(p-q)/m)``; computed
     from one inverse FFT of the bin powers, with lags beyond the bin count
-    wrapping periodically.
+    wrapping periodically. An ``(R, m)`` stack of pilots gives ``(R, L, L)``.
     """
     xdiag = np.asarray(xdiag, dtype=complex)
-    m = xdiag.size
+    m = xdiag.shape[-1]
     power = np.abs(xdiag) ** 2
     acf = np.fft.ifft(power) * m
-    lags = np.take(acf, np.arange(num_taps) % m)
-    return toeplitz(lags, lags.conj())
+    lags = acf[..., np.arange(num_taps) % m]
+    # lags -(L-1)..(L-1): entry (p, q) is lag p - q, and lag -d is conj(lag d)
+    both = np.concatenate([lags[..., :0:-1].conj(), lags], axis=-1)
+    taps = np.arange(num_taps)
+    return both[..., num_taps - 1 + taps[:, None] - taps[None, :]]
 
 
 def _predicted_spectrum(h_hat, xdiag):
-    return xdiag * tap_spectrum(h_hat, xdiag.size)
+    return xdiag * tap_spectrum(h_hat, xdiag.shape[-1])
 
 
 def _fold_gradient(xdiag, err, num_taps):
     return tap_spectrum_adjoint(xdiag.conj() * err, num_taps)
 
 
+def _energy(v):
+    """Squared norm of each row (last axis) of ``v``."""
+    return np.einsum("...i,...i->...", v.conj(), v).real
+
+
 def _check_finite(vec):
-    if not np.all(np.isfinite(vec)):
-        raise DivergenceError("adaptive update diverged (non-finite estimate)")
+    check_finite(vec, "adaptive update diverged (non-finite estimate)")
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +141,8 @@ def _check_finite(vec):
 
 def sce_lms_step(state: SceLmsState, z, xdiag, counter=None) -> SceLmsState:
     """One stochastic-gradient update of the tap estimate from one pilot block."""
-    num_taps = state.h_hat.size
-    m = z.size
+    num_taps = state.h_hat.shape[-1]
+    m = z.shape[-1]
     err = z - _predicted_spectrum(state.h_hat, xdiag)
     state.h_hat += state.mu * _fold_gradient(xdiag, err, num_taps)
     _check_finite(state.h_hat)
@@ -142,19 +158,21 @@ def sce_lms_step(state: SceLmsState, z, xdiag, counter=None) -> SceLmsState:
 
 
 def sce_rls_step(state: SceRlsState, z, xdiag, counter=None) -> SceRlsState:
-    """One recursive-least-squares update with direct solve of the normal matrix."""
-    num_taps = state.h_hat.size
-    m = z.size
-    state.corr = state.lam * state.corr + pilot_normal_matrix(xdiag, num_taps)
+    """One recursive-least-squares update with direct solve of the normal matrix.
+
+    A singular normal matrix is regularized with ``delta * I``, in that run only.
+    """
+    num_taps = state.h_hat.shape[-1]
+    m = z.shape[-1]
+    state.corr *= state.lam
+    state.corr += pilot_normal_matrix(xdiag, num_taps)
     err = z - _predicted_spectrum(state.h_hat, xdiag)
     grad = _fold_gradient(xdiag, err, num_taps)
-    try:
-        update = np.linalg.solve(state.corr, grad)
-    except np.linalg.LinAlgError:
-        logger.warning("normal matrix singular; regularizing with delta=%g", state.delta)
-        state.corr = state.corr + state.delta * np.eye(num_taps)
-        update = np.linalg.solve(state.corr, grad)
-    state.h_hat += update
+    update, regularized = solve_regularized(state.corr, grad[..., None], state.delta)
+    for run in regularized:
+        logger.warning("normal matrix %s singular; regularizing with delta=%g",
+                       run, state.delta)
+    state.h_hat += update[..., 0]
     _check_finite(state.h_hat)
     if counter is not None:
         counter.lump(m * num_taps, 0)            # weighted basis columns
@@ -175,32 +193,38 @@ def sce_cg_step(state: SceCgState, z, xdiag, counter=None, trace=None) -> SceCgS
     Each inner iteration takes the exact minimizing step along the current
     direction of the block's least-squares cost; directions are recombined
     with the gradient-energy ratio. A zero-curvature direction or a vanished
-    gradient ends the loop early. ``trace``, when given, collects one
-    ``(grad_energy, neg_dir_grad, residual_norm)`` tuple per iteration.
+    gradient ends the loop early, per run: a stopped row takes no further
+    step. ``trace``, when given, collects one ``(grad_energy, neg_dir_grad,
+    residual_norm)`` tuple per iteration (one value per run).
     """
-    num_taps = state.h_hat.size
-    m = z.size
+    num_taps = state.h_hat.shape[-1]
+    m = z.shape[-1]
     h = state.h_hat
     err = z - _predicted_spectrum(h, xdiag)
     grad = -_fold_gradient(xdiag, err, num_taps)
     direction = -grad
-    grad_energy = float(np.vdot(grad, grad).real)
+    grad_energy = _energy(grad)
+    active = np.ones(grad_energy.shape, dtype=bool)
     for _ in range(state.iters):
-        if grad_energy == 0.0:
+        active &= grad_energy != 0.0
+        if not active.any():
             break
         filtered = xdiag * tap_spectrum(direction, m)
-        curvature = float(np.vdot(filtered, filtered).real)
-        if curvature == 0.0:
+        curvature = _energy(filtered)
+        active &= curvature != 0.0
+        if not active.any():
             break
-        alpha = grad_energy / curvature
+        alpha = np.divide(grad_energy, curvature, out=np.zeros(curvature.shape),
+                          where=active)[..., None]
         h += alpha * direction
         err -= alpha * filtered
         new_grad = -_fold_gradient(xdiag, err, num_taps)
-        new_energy = float(np.vdot(new_grad, new_grad).real)
-        beta = new_energy / grad_energy
+        new_energy = _energy(new_grad)
+        beta = np.divide(new_energy, grad_energy, out=np.zeros(new_energy.shape),
+                         where=active)[..., None]
         if trace is not None:
-            neg_dir_grad = -complex(np.vdot(direction, grad))
-            trace.append((grad_energy, neg_dir_grad, float(np.linalg.norm(err))))
+            neg_dir_grad = -np.einsum("...i,...i->...", direction.conj(), grad)
+            trace.append((grad_energy, neg_dir_grad, np.linalg.norm(err, axis=-1)))
         direction = -new_grad + beta * direction
         grad, grad_energy = new_grad, new_energy
         if counter is not None:
@@ -228,12 +252,15 @@ def build_mmse_sce(h_hat, k_est: float, sigma2_est: float, nc: int, m: int) -> n
 
     Bin ``a`` gets ``hbar[a] / ((k/nc)*|hbar[a]|^2 + sigma2)`` with ``hbar``
     the tap spectrum. When ``sigma2`` is zero, bins with a dead channel
-    response are forced to zero (one-off warning).
+    response are forced to zero (one-off warning). With ``(R, L)`` tap
+    estimates, ``k_est`` and ``sigma2_est`` may be scalars or one value per run.
     """
     global _ZERO_BIN_WARNED
-    if sigma2_est < 0:
+    sigma2_est = np.asarray(sigma2_est, dtype=float)[..., None]
+    k_est = np.asarray(k_est, dtype=float)[..., None]
+    if np.any(sigma2_est < 0):
         raise ValueError("sigma2 must be >= 0")
-    if k_est < 0:
+    if np.any(k_est < 0):
         raise ValueError("user count must be >= 0")
     hbar = tap_spectrum(h_hat, m)
     denom = (k_est / nc) * np.abs(hbar) ** 2 + sigma2_est
@@ -263,17 +290,18 @@ def build_mmse_sce_exact(taps, codes, sigma2: float, n: int) -> np.ndarray:
 def detect_sce(z, detector, code) -> np.ndarray:
     """Equalize, transform back and despread; hard BPSK decisions.
 
-    ``detector`` is either the per-bin weight vector from
-    :func:`build_mmse_sce` or the ``(n, nc, nc)`` group blocks from
-    :func:`build_mmse_sce_exact`; it is applied conjugate-transposed.
-    ``sign(0)`` resolves to +1.
+    ``detector`` is either the per-bin weights from :func:`build_mmse_sce`
+    (shaped like ``z``) or the ``(n, nc, nc)`` group blocks from
+    :func:`build_mmse_sce_exact` (with ``z``'s leading axes, if any); it is
+    applied conjugate-transposed. ``sign(0)`` resolves to +1.
     """
+    z = np.asarray(z)
     detector = np.asarray(detector)
-    if detector.ndim == 1:
+    if detector.ndim == z.ndim:
         eq = detector.conj() * z
     else:
-        zg = by_symbol(z, detector.shape[0])[:, None, :]      # (n, 1, nc)
-        eq = from_symbol((zg @ detector.conj())[:, 0, :])
+        zg = by_symbol(z, detector.shape[-3])[..., None, :]   # (..., n, 1, nc)
+        eq = from_symbol((zg @ detector.conj())[..., 0, :])
     chips = np.fft.ifft(eq, norm="ortho")
     soft = despread(chips, code)
     return np.where(soft.real >= 0, 1.0, -1.0)

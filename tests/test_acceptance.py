@@ -35,7 +35,7 @@ def _final100(errors, n):
 
 
 def _run_curves(cfg, snr_db, users, keys):
-    results = [_curve_trial((cfg, snr_db, users, keys, r)) for r in range(cfg.runs)]
+    results = _curve_trial((cfg, snr_db, users, keys, list(range(cfg.runs))))
     n = cfg.block_length
     return {k: sum(_final100(res[k], n) for res in results) / cfg.runs for k in keys}
 
@@ -442,4 +442,23 @@ def test_criterion_11_determinism(tmp_path):
     same = (paths[0].read_bytes() == paths[1].read_bytes()
             == paths[2].read_bytes())
     _report(11, same, "byte-identical output across reruns and worker counts")
+    assert same
+
+
+def test_criterion_11_batch_size_invariance(tmp_path):
+    # runs=5 split over 1, 2 and 3 workers advances batches of 5, 3+2 and
+    # 2+2+1 runs; the CSVs must not depend on the split
+    base = ["--block-length", "8", "--spreading", "4", "--users", "3",
+            "--cir-length", "5", "--cp-chips", "6", "--blocks", "40",
+            "--eval-blocks", "20", "--runs", "5", "--seed", "99"]
+    same = True
+    for experiment in ("ber-vs-blocks", "ber-vs-users"):
+        outputs = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"{experiment}_{workers}.csv"
+            assert cli_main(["--experiment", experiment, *base,
+                             "--workers", str(workers), "--out", str(path)]) == 0
+            outputs.append(path.read_bytes())
+        same &= outputs[0] == outputs[1] == outputs[2]
+    _report(11, same, "byte-identical output across batch sizes 5, 3+2 and 2+2+1")
     assert same

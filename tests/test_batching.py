@@ -1,0 +1,170 @@
+"""Batched runs: synthesis, the six adaptive steps and both detectors advanced
+on an ``(R, ...)`` run axis equal their row-by-row calls without the axis,
+bitwise."""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+from scipy.linalg import toeplitz
+
+from uwbfde import da, fdcore, sce
+from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
+
+RUNS, N, NC, TAPS, USERS = 4, 8, 4, 5, 2
+M = N * NC
+CODES = fdcore.walsh_code_set(NC)
+
+SCE_STATES = {
+    "lms": lambda batch: sce.new_lms_state(TAPS, 0.05, batch=batch),
+    "rls": lambda batch: sce.new_rls_state(TAPS, 0.9, 1e-2, batch=batch),
+    "cg": lambda batch: sce.new_cg_state(TAPS, 3, batch=batch),
+}
+SCE_STEPS = {"lms": sce.sce_lms_step, "rls": sce.sce_rls_step, "cg": sce.sce_cg_step}
+DA_STATES = {
+    "lms": lambda batch: da.new_lms_state(M, 0.05, batch=batch),
+    "rls": lambda batch: da.new_rls_state(N, NC, 0.9, 1e-2, batch=batch),
+    "cg": lambda batch: da.new_cg_state(M, 3, batch=batch),
+}
+DA_STEPS = {"lms": da.da_lms_step, "rls": da.da_rls_step, "cg": da.da_cg_step}
+
+
+def _channels(seed):
+    return np.stack([generate_cir(ChannelProfile(TAPS, 0.2, seed=[seed, r]))
+                     for r in range(RUNS)])
+
+
+def _blocks(taps, count, seed, sigma2=0.05):
+    """Yield ``count`` batched ``(z, xdiag, desired)`` blocks, one generator per run."""
+    rngs = [np.random.default_rng([seed, r]) for r in range(RUNS)]
+    for _ in range(count):
+        bits = np.stack([fdcore.random_bpsk(g, USERS * N) for g in rngs])
+        bits = bits.reshape(RUNS, USERS, N)
+        _, z = synthesize_rx(bits, CODES, taps, sigma2, rngs)
+        xdiag = sce.pilot_matrix(fdcore.spread(bits[:, 0], CODES[0]))
+        yield z, xdiag, bits[:, 0]
+
+
+def _assert_rows_equal(batched, rows):
+    assert_array_equal(batched, np.stack(rows))
+
+
+def test_synthesis_rows_equal_single_run_calls():
+    taps = _channels(1)
+    rngs = [np.random.default_rng([2, r]) for r in range(RUNS)]
+    bits = np.stack([fdcore.random_bpsk(g, USERS * N) for g in rngs]).reshape(RUNS, USERS, N)
+    y, z = synthesize_rx(bits, CODES, taps, 0.1, rngs)
+    singles = [np.random.default_rng([2, r]) for r in range(RUNS)]
+    for g in singles:
+        g.integers(0, 2, USERS * N)       # the same bit draws, then the noise
+    rows = [synthesize_rx(bits[r], CODES, taps[r], 0.1, singles[r]) for r in range(RUNS)]
+    _assert_rows_equal(y, [row[0] for row in rows])
+    _assert_rows_equal(z, [row[1] for row in rows])
+
+
+@pytest.mark.parametrize("kind", ["lms", "rls", "cg"])
+def test_sce_steps_and_detection_match_row_by_row(kind):
+    taps = _channels(3)
+    batched = SCE_STATES[kind]((RUNS,))
+    singles = [SCE_STATES[kind](()) for _ in range(RUNS)]
+    genie = np.stack([sce.build_mmse_sce_exact(t, CODES[:USERS], 0.05, N) for t in taps])
+    for z, xdiag, _ in _blocks(taps, 20, seed=4):
+        det = sce.build_mmse_sce(batched.h_hat, USERS, 0.05, NC, M)
+        _assert_rows_equal(det, [sce.build_mmse_sce(s.h_hat, USERS, 0.05, NC, M)
+                                 for s in singles])
+        _assert_rows_equal(sce.detect_sce(z, det, CODES[0]),
+                           [sce.detect_sce(z[r], det[r], CODES[0]) for r in range(RUNS)])
+        _assert_rows_equal(sce.detect_sce(z, genie, CODES[0]),
+                           [sce.detect_sce(z[r], genie[r], CODES[0]) for r in range(RUNS)])
+        SCE_STEPS[kind](batched, z, xdiag)
+        for r, single in enumerate(singles):
+            SCE_STEPS[kind](single, z[r], xdiag[r])
+        _assert_rows_equal(batched.h_hat, [s.h_hat for s in singles])
+        if kind == "rls":
+            _assert_rows_equal(batched.corr, [s.corr for s in singles])
+
+
+@pytest.mark.parametrize("kind", ["lms", "rls", "cg"])
+def test_da_steps_and_detection_match_row_by_row(kind):
+    taps = _channels(5)
+    batched = DA_STATES[kind]((RUNS,))
+    singles = [DA_STATES[kind](()) for _ in range(RUNS)]
+    genie = np.stack([da.build_mmse_da(t, CODES[:USERS], 0.05, N) for t in taps])
+    for z, _, desired in _blocks(taps, 20, seed=6):
+        op = da.RxOperator(z, N)
+        ops = [da.RxOperator(z[r], N) for r in range(RUNS)]
+        _assert_rows_equal(da.detect_da(op, batched.w_hat),
+                           [da.detect_da(ops[r], singles[r].w_hat) for r in range(RUNS)])
+        _assert_rows_equal(da.detect_da(op, genie),
+                           [da.detect_da(ops[r], genie[r]) for r in range(RUNS)])
+        DA_STEPS[kind](batched, op, desired)
+        for r, single in enumerate(singles):
+            DA_STEPS[kind](single, ops[r], desired[r])
+        _assert_rows_equal(batched.w_hat, [s.w_hat for s in singles])
+        if kind == "rls":
+            _assert_rows_equal(batched.corr, [s.corr for s in singles])
+
+
+@pytest.mark.parametrize("scheme", ["sce", "da"])
+def test_cg_early_stop_is_per_row(scheme):
+    # row 1 receives nothing: its gradient vanishes and its loop stops at
+    # once, while the other rows run their full iterations
+    taps = _channels(7)
+    new_state = SCE_STATES["cg"] if scheme == "sce" else DA_STATES["cg"]
+    batched = new_state((RUNS,))
+    singles = [new_state(()) for _ in range(RUNS)]
+    for z, xdiag, desired in _blocks(taps, 5, seed=8):
+        z[1] = 0
+        if scheme == "sce":
+            sce.sce_cg_step(batched, z, xdiag)
+            for r, single in enumerate(singles):
+                sce.sce_cg_step(single, z[r], xdiag[r])
+            rows, weights = [s.h_hat for s in singles], batched.h_hat
+        else:
+            da.da_cg_step(batched, da.RxOperator(z, N), desired)
+            for r, single in enumerate(singles):
+                da.da_cg_step(single, da.RxOperator(z[r], N), desired[r])
+            rows, weights = [s.w_hat for s in singles], batched.w_hat
+        _assert_rows_equal(weights, rows)
+    assert np.all(weights[1] == 0)
+    assert np.all(np.abs(np.delete(weights, 1, axis=0)) > 0)
+
+
+def test_batched_divergence_names_the_rows():
+    state = sce.new_lms_state(TAPS, 1e12, batch=(RUNS,))
+    taps = _channels(9)
+    with np.errstate(all="ignore"), pytest.raises(fdcore.DivergenceError) as info:
+        for z, xdiag, _ in _blocks(taps, 200, seed=10):
+            z[2] = 0
+            xdiag[2] = 0                  # no excitation: row 2 stays at zero
+            sce.sce_lms_step(state, z * 1e3, xdiag * 1e3)
+    assert 2 not in info.value.rows
+    assert set(info.value.rows) <= {0, 1, 3}
+    assert np.all(np.isfinite(state.h_hat[2]))
+
+
+def test_rls_regularizes_only_the_singular_run(caplog):
+    state = sce.new_rls_state(2, lam=1.0, delta=0.5, batch=(3,))
+    state.corr[:] = 0
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    xdiag = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    xdiag[1] = 0                          # no excitation in run 1 only
+    normal = sce.pilot_normal_matrix(xdiag, 2)
+    with caplog.at_level("WARNING", logger="uwbfde.sce"):
+        sce.sce_rls_step(state, z, xdiag)
+    assert caplog.text.count("regularizing") == 1
+    assert_array_equal(state.corr[[0, 2]], normal[[0, 2]])
+    assert_array_equal(state.corr[1], 0.5 * np.eye(2))
+    assert np.all(np.isfinite(state.h_hat))
+
+
+def test_pilot_normal_matrix_equals_scipy_toeplitz_per_row():
+    rng = np.random.default_rng(12)
+    for m, num_taps in [(32, 5), (256, 34), (8, 11)]:   # the last wraps lags
+        xdiag = rng.standard_normal((RUNS, m)) + 1j * rng.standard_normal((RUNS, m))
+        batched = sce.pilot_normal_matrix(xdiag, num_taps)
+        assert batched.shape == (RUNS, num_taps, num_taps)
+        for r in range(RUNS):
+            lags = (np.fft.ifft(np.abs(xdiag[r]) ** 2) * m)[np.arange(num_taps) % m]
+            assert_array_equal(batched[r], toeplitz(lags, lags.conj()))
+            assert_array_equal(sce.pilot_normal_matrix(xdiag[r], num_taps), batched[r])

@@ -12,6 +12,7 @@ from uwbfde.fdcore import DivergenceError, walsh_code_set
 from uwbfde.harness import (
     CurveSet,
     ExperimentConfig,
+    _curve_trial,
     _new_runners,
     _simulate_blocks,
     run_ber_vs_blocks,
@@ -74,6 +75,21 @@ class TestExperiments:
                 match=r"^run 0, 12 dB SNR, 2 users, da-lms, block 357 of 400: "
                       r"adaptive update diverged"):
             run_ber_vs_blocks(cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_divergence_names_lowest_run_of_a_batch(self, workers):
+        # run 3 diverges first (block 331), run 0 later (block 357); the
+        # error names run 0, as it does when runs advance one at a time
+        cfg = _tiny_config(scheme="da", algorithm="lms", mu_w=5.0, training_blocks=400,
+                           runs=4, workers=workers)
+        with np.errstate(all="ignore"), pytest.raises(
+                DivergenceError,
+                match=r"^run 0, 12 dB SNR, 2 users, da-lms, block 357 of 400: "
+                      r"adaptive update diverged"):
+            run_ber_vs_blocks(cfg)
+        with np.errstate(all="ignore"), pytest.raises(
+                DivergenceError, match=r"^run 3, 12 dB SNR, 2 users, da-lms, block 331 of 400"):
+            _curve_trial((cfg, 12.0, 2, ["da-lms"], [3]))
 
     def test_ber_vs_blocks_shape(self):
         curve = run_ber_vs_blocks(_tiny_config())
@@ -164,6 +180,18 @@ class TestCsvOutput:
         assert lines[0] == "# users=3"
         assert lines[1] == "x,a"
         assert lines[2].startswith("1,5.0000000000e-01")
+
+    def test_map_runs_slices_contiguously_in_run_order(self):
+        # 5 runs over 3 workers: batches 0-1, 2-3 and 4, merged in run order
+        slices = []
+
+        def task_for(runs):
+            slices.append(runs)
+            return str, runs
+
+        cfg = _tiny_config(runs=5, workers=3)
+        assert harness._map_runs(cfg, harness._each_run, task_for) == ["0", "1", "2", "3", "4"]
+        assert slices == [[0, 1], [2, 3], [4]]
 
     def test_workers_do_not_change_output(self, tmp_path):
         cfg1 = _tiny_config(runs=3, workers=1)
