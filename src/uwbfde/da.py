@@ -27,6 +27,7 @@ from .fdcore import (
     fold_segments,
     from_symbol,
     genie_covariance,
+    row_energy,
     solve_regularized,
     tile_segments,
 )
@@ -127,11 +128,6 @@ def new_cg_state(m: int, iters: int = 8, batch=()) -> DaCgState:
     return DaCgState(w_hat=np.zeros((*batch, m), dtype=complex), iters=int(iters))
 
 
-def _energy(v):
-    """Squared norm of each row (last axis) of ``v``."""
-    return np.einsum("...i,...i->...", v.conj(), v).real
-
-
 def _check_finite(vec):
     check_finite(vec, "adaptive update diverged (non-finite weights)")
 
@@ -201,14 +197,14 @@ def da_cg_step(state: DaCgState, op: RxOperator, b, counter=None, trace=None) ->
     err = b - op.matvec(w)
     grad = -op.rmatvec(err)
     direction = -grad
-    grad_energy = _energy(grad)
+    grad_energy = row_energy(grad)
     active = np.ones(grad_energy.shape, dtype=bool)
     for _ in range(state.iters):
         active &= grad_energy != 0.0
         if not active.any():
             break
         filtered = op.matvec(direction)
-        curvature = _energy(filtered)
+        curvature = row_energy(filtered)
         active &= curvature != 0.0
         if not active.any():
             break
@@ -217,7 +213,7 @@ def da_cg_step(state: DaCgState, op: RxOperator, b, counter=None, trace=None) ->
         w += alpha * direction
         err -= alpha * filtered
         new_grad = -op.rmatvec(err)
-        new_energy = _energy(new_grad)
+        new_energy = row_energy(new_grad)
         beta = np.divide(new_energy, grad_energy, out=np.zeros(new_energy.shape),
                          where=active)[..., None]
         if trace is not None:
@@ -250,10 +246,11 @@ def build_mmse_da(taps, codes, sigma2: float, n: int) -> np.ndarray:
     Solves each symbol group's input covariance against the desired user's
     composite response, ``w_g = conj(R_g^-1 lam_0,g) / sqrt(nc)`` (see
     :func:`fdcore.genie_covariance`): the per-bin row sums of the masked
-    m-by-m solution. Returns the weight vector ready for :func:`detect_da`.
+    m-by-m solution. Returns the weight vector ready for :func:`detect_da`;
+    ``(R, L)`` taps give one weight vector per run, ``(R, m)``.
     """
     cov, lam = genie_covariance(taps, codes, sigma2, n)
-    solution = np.linalg.solve(cov, lam[0][:, :, None])[:, :, 0]
+    solution = np.linalg.solve(cov, lam[..., 0, :, :, None])[..., 0]
     return from_symbol(solution).conj() / np.sqrt(cov.shape[-1])
 
 

@@ -18,6 +18,10 @@ Two families of estimators live here:
   pilot fit for the ``estimators`` noise-variance sweep and the power
   inversion, fed the true noise variance and taps, for the genie-input
   user-count trace.
+
+The accumulators and the estimates read from them take a leading run axis,
+each run's value bitwise equal to its own call without the axis. The pilot
+fit works on one block through the structured tap operators.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fdcore import by_symbol, fourier_tap_basis, tap_spectrum
+from .fdcore import by_symbol, row_energy, tap_spectrum, tap_spectrum_adjoint
+from .sce import pilot_normal_matrix
 
 
 def ml_noise_variance(z, xdiag, num_taps: int, ddof_correction: bool = False):
@@ -51,26 +56,26 @@ def ml_noise_variance(z, xdiag, num_taps: int, ddof_correction: bool = False):
         raise ValueError("num_taps must be >= 1")
     if ddof_correction and num_taps >= m:
         raise ValueError("degrees-of-freedom correction needs num_taps < m")
-    basis = xdiag[:, None] * fourier_tap_basis(m, num_taps)
-    gram = basis.conj().T @ basis
+    gram = pilot_normal_matrix(xdiag, num_taps)
     try:
         factor = cho_factor(gram)
     except np.linalg.LinAlgError:
         cond = np.linalg.cond(gram)
         raise np.linalg.LinAlgError(
             f"pilot-weighted basis is rank deficient (condition estimate {cond:.3e})")
-    taps_hat = cho_solve(factor, basis.conj().T @ z)
-    resid = z - basis @ taps_hat
+    taps_hat = cho_solve(factor, tap_spectrum_adjoint(xdiag.conj() * z, num_taps))
+    resid = z - xdiag * tap_spectrum(taps_hat, m)
     denom = (m - num_taps) if ddof_correction else m
-    sigma2_hat = float(np.vdot(resid, resid).real) / denom
+    sigma2_hat = float(row_energy(resid)) / denom
     return sigma2_hat, taps_hat
 
 
 @dataclass
 class EstimatorState:
-    """Running accumulator for the time-averaged received power."""
+    """Running accumulator for the time-averaged received power; the sum
+    takes the leading shape of the blocks folded into it."""
 
-    power_sum: float = 0.0
+    power_sum: float | np.ndarray = 0.0
     blocks: int = 0
 
     @property
@@ -81,9 +86,9 @@ class EstimatorState:
 
 
 def update_power(state: EstimatorState, z) -> EstimatorState:
-    """Fold one received block's energy into the time-averaged power."""
-    z = np.asarray(z, dtype=complex)
-    state.power_sum += float(np.vdot(z, z).real)
+    """Fold one received block's energy, one per run of an ``(R, m)`` batch,
+    into the time-averaged power."""
+    state.power_sum = state.power_sum + row_energy(np.asarray(z, dtype=complex))
     state.blocks += 1
     return state
 
@@ -94,7 +99,7 @@ class UserCountEstimate(NamedTuple):
     startup: bool = False
 
 
-def estimate_user_count(p_r: float, sigma2_hat: float, h_hat, nc: int, m: int,
+def estimate_user_count(p_r, sigma2_hat, h_hat, nc: int, m: int,
                         cap: int = 7) -> UserCountEstimate:
     """Active-user count from received power, noise floor and channel energy.
 
@@ -102,16 +107,16 @@ def estimate_user_count(p_r: float, sigma2_hat: float, h_hat, nc: int, m: int,
     of the tap estimate's spectrum; the integer estimate truncates toward
     zero and is clamped to ``[0, cap]``. A null tap estimate (startup) has no
     usable channel energy, so the capped value is emitted with the
-    ``startup`` flag set.
+    ``startup`` flag set. ``(R, L)`` tap estimates with one power per run
+    give one value per run in every field.
     """
-    spectrum = tap_spectrum(h_hat, m)
-    p_h = float(np.vdot(spectrum, spectrum).real)
-    if p_h <= 0.0:
-        return UserCountEstimate(math.inf, cap, True)
-    k_float = (p_r - sigma2_hat * m) * nc / p_h
-    k_int = int(k_float)                 # truncation toward zero
-    k_int = min(max(k_int, 0), cap)
-    return UserCountEstimate(float(k_float), k_int, False)
+    p_h = row_energy(tap_spectrum(h_hat, m))
+    startup = p_h <= 0.0
+    k_float = np.where(startup, math.inf,
+                       (p_r - sigma2_hat * m) * nc / np.where(startup, 1.0, p_h))
+    # truncation toward zero, then the clamp
+    k_int = np.where(startup, cap, np.clip(np.trunc(k_float), 0, cap)).astype(int)
+    return UserCountEstimate(k_float[()], k_int[()], startup[()])
 
 
 # ---------------------------------------------------------------------------
@@ -122,30 +127,31 @@ def estimate_user_count(p_r: float, sigma2_hat: float, h_hat, nc: int, m: int,
 class GroupCovariance:
     """Running sum of the received covariance of each symbol group.
 
-    Group ``g`` holds bins ``g, g+n, ..., g+(nc-1)n``; ``acc[g]`` is the sum
-    of ``z_g z_g^H`` over the accumulated blocks.
+    Group ``g`` holds bins ``g, g+n, ..., g+(nc-1)n``; ``acc[..., g, :, :]``
+    is the sum of ``z_g z_g^H`` over the accumulated blocks, with one set of
+    sums per run of a ``batch``.
     """
 
-    acc: np.ndarray             # (n, nc, nc) Hermitian sums
+    acc: np.ndarray             # (*batch, n, nc, nc) Hermitian sums
     blocks: int = 0
 
     @classmethod
-    def empty(cls, n: int, nc: int) -> "GroupCovariance":
-        return cls(acc=np.zeros((n, nc, nc), dtype=complex))
+    def empty(cls, n: int, nc: int, batch=()) -> "GroupCovariance":
+        return cls(acc=np.zeros((*batch, n, nc, nc), dtype=complex))
 
     @property
-    def received_power(self) -> float:
-        """Time-averaged received power per bin."""
+    def received_power(self):
+        """Time-averaged received power per bin (one per run)."""
         if self.blocks < 1:
             raise ValueError("no blocks accumulated yet")
-        n, nc, _ = self.acc.shape
-        return float(np.einsum("gii->", self.acc).real) / (self.blocks * n * nc)
+        n, nc = self.acc.shape[-3:-1]
+        return (np.einsum("...gii->...", self.acc).real / (self.blocks * n * nc))[()]
 
 
 def update_covariance(state: GroupCovariance, z) -> GroupCovariance:
-    """Fold one received block into the per-group covariance sums."""
-    zg = by_symbol(z, state.acc.shape[0])                      # (n, nc)
-    state.acc += zg[:, :, None] * zg[:, None, :].conj()
+    """Fold one received block, or one per run, into the per-group covariance sums."""
+    zg = by_symbol(z, state.acc.shape[-3])                     # (..., n, nc)
+    state.acc += zg[..., :, None] * zg[..., None, :].conj()
     state.blocks += 1
     return state
 
@@ -180,24 +186,28 @@ def subspace_estimate(state: GroupCovariance, cap: int = 7) -> SubspaceEstimate:
     ``k_int = k_float = cap`` and ``sigma2`` equal to the received power per
     bin, an upper bound on the noise variance.
     """
-    n, nc, _ = state.acc.shape
+    n, nc = state.acc.shape[-3:-1]
+    batch = state.acc.shape[:-3]
     if state.blocks <= nc:
-        return SubspaceEstimate(state.received_power, float(cap), cap, True)
+        return SubspaceEstimate(state.received_power, np.full(batch, float(cap))[()],
+                                np.full(batch, cap)[()], True)
     blocks = state.blocks
-    eig = np.maximum(np.linalg.eigvalsh(state.acc / blocks), 0.0)   # (n, nc) ascending
+    eig = np.maximum(np.linalg.eigvalsh(state.acc / blocks), 0.0)   # (..., n, nc) ascending
     kmax = min(cap, nc - 1)
     orders = np.arange(kmax + 1)
     count = nc - orders                         # noise eigenvalues per candidate order
     # a rank-deficient group (noiseless signal) has eigenvalues at round-off
     # level; flooring them keeps log() finite and the ratio test meaningful
-    floor = max(np.finfo(float).eps * float(eig[:, -1].max()), np.finfo(float).tiny)
-    floored = np.maximum(eig, floor)
-    tail_sum = np.cumsum(floored, axis=1)[:, count - 1]
-    tail_log = np.cumsum(np.log(floored), axis=1)[:, count - 1]
+    floor = np.maximum(np.finfo(float).eps * eig[..., -1].max(axis=-1), np.finfo(float).tiny)
+    floored = np.maximum(eig, floor[..., None, None])
+    tail_sum = np.cumsum(floored, axis=-1)[..., count - 1]
+    tail_log = np.cumsum(np.log(floored), axis=-1)[..., count - 1]
     # (nc-k) log(arith/geo) >= 0, exactly zero for a flat noise profile
     fit = count * np.log(tail_sum / count) - tail_log
     mdl = blocks * fit + 0.5 * orders * (2 * nc - orders) * np.log(blocks)
-    k_int = int(np.argmin(mdl.sum(axis=0)))
-    k_float = float(np.argmin(mdl, axis=1).mean())
-    sigma2 = float(eig[:, :nc - k_int].mean())
-    return SubspaceEstimate(sigma2, k_float, k_int, False)
+    k_int = np.argmin(mdl.sum(axis=-2), axis=-1)
+    k_float = np.argmin(mdl, axis=-1).mean(axis=-1)
+    # the noise subspace differs in size from run to run
+    sigma2 = np.reshape([e[:, :nc - k].mean() for e, k in
+                         zip(eig.reshape(-1, n, nc), k_int.ravel())], batch)
+    return SubspaceEstimate(sigma2[()], k_float[()], k_int[()], False)

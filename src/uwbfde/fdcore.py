@@ -19,7 +19,8 @@ Conventions
   is ``n`` independent ``nc``-by-``nc`` blocks.
 * Leading run axis: the helpers the detectors and the block synthesis use
   (spreading, despreading, segment folding and tiling, the tap spectrum
-  and its adjoint, circulant application) act on the last axis and accept
+  and its adjoint, circulant application, row energy, the genie
+  covariance) act on the last axis and accept
   ``(R, ...)`` arrays, one row per Monte-Carlo run. Each row's result is
   bitwise equal to the result of a call with that row alone.
 * ``tap_spectrum`` absorbs the ``sqrt(m)`` factor, i.e. bin ``a`` of
@@ -184,14 +185,18 @@ def tap_spectrum_adjoint(bins, num_taps: int) -> np.ndarray:
 def fourier_tap_basis(m: int, num_taps: int) -> np.ndarray:
     """Explicit (m, num_taps) matrix with entries ``exp(-2j*pi*a*l/m)``.
 
-    Dense counterpart of :func:`tap_spectrum`; used by oracles and the
-    maximum-likelihood noise fit.
+    Dense counterpart of :func:`tap_spectrum` (oracle helper).
     """
     if m < 1 or num_taps < 1:
         raise ValueError("dimensions must be >= 1")
     a = np.arange(m)[:, None]
     l = np.arange(num_taps)[None, :]
     return np.exp(-2j * np.pi * a * l / m)
+
+
+def row_energy(v):
+    """Squared norm of each row (last axis) of ``v``."""
+    return np.einsum("...i,...i->...", v.conj(), v).real
 
 
 def by_symbol(vec, n: int) -> np.ndarray:
@@ -215,7 +220,8 @@ def genie_covariance(taps, codes, sigma2: float, n: int):
     ``lam_k = hbar * tap_spectrum(code_k, m)`` is the composite response of
     user ``k`` (``hbar`` the channel spectrum), and group ``g`` of the
     covariance is ``R_g = (1/nc) sum_k lam_k,g lam_k,g^H + sigma2 * I``.
-    Returns ``(cov, lam)`` of shapes ``(n, nc, nc)`` and ``(K, n, nc)``.
+    Returns ``(cov, lam)`` of shapes ``(n, nc, nc)`` and ``(K, n, nc)``;
+    ``(R, L)`` taps, one channel per run, prefix both with ``R``.
     Raises ``LinAlgError`` when the noiseless covariance is singular: fewer
     users than codes, or a dead channel bin.
     """
@@ -230,8 +236,8 @@ def genie_covariance(taps, codes, sigma2: float, n: int):
             raise np.linalg.LinAlgError("noiseless input covariance is rank deficient (K < Nc)")
         if np.any(hbar == 0):
             raise np.linalg.LinAlgError("noiseless input covariance is singular (dead channel bin)")
-    lam = by_symbol(hbar * np.fft.fft(codes, n=m, axis=-1), n)
-    cov = np.einsum("kgi,kgj->gij", lam, lam.conj()) / nc + sigma2 * np.eye(nc)
+    lam = by_symbol(hbar[..., None, :] * np.fft.fft(codes, n=m, axis=-1), n)
+    cov = np.einsum("...kgi,...kgj->...gij", lam, lam.conj()) / nc + sigma2 * np.eye(nc)
     return cov, lam
 
 

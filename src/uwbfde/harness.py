@@ -14,8 +14,9 @@ Protocol notes
   ``(base_seed, stream, run, point)``; each run draws its own channel, which
   is held constant for the whole run and shared across sweep points.
 * Runs are batched: the runs one process owns advance together, as the rows
-  of ``(R, ...)`` arrays, through synthesis, the adaptive steps and
-  detection, each run drawing from its own generator. ``--workers`` splits
+  of ``(R, ...)`` arrays, through synthesis, the adaptive steps, the genie
+  builds, detection and the estimators, each run drawing from its own
+  generator. ``--workers`` splits
   the runs into contiguous slices, one per worker process. Every row is
   computed as it would be alone and results merge in run order, so output
   is byte-identical for any worker count and batch size.
@@ -47,7 +48,7 @@ from .estimators import (
 )
 from .fdcore import DivergenceError, random_bpsk, spread, walsh_code_set
 from .opcount import OpCounter, nominal_cost
-from .sce import build_mmse_sce, build_mmse_sce_exact, detect_sce, pilot_matrix
+from .sce import build_mmse_sce, detect_sce, pilot_matrix
 
 _CHAN_STREAM = 7919
 _DATA_STREAM = 104729
@@ -88,7 +89,6 @@ class ExperimentConfig:
     use_estimated_sigma2: bool = False
     use_estimated_k: bool = False
     k_cap: int = 7
-    sigma2_unbiased: bool = True    # degrees-of-freedom corrected noise fit
     cir_file: str | None = None
     decay_rate: float = 0.35
     workers: int = 1
@@ -215,18 +215,12 @@ class _Block:
     op: da.RxOperator | None        # received-data operator, for DA
 
 
-def _per_run(build, taps, *args) -> np.ndarray:
-    """Call a one-run build on each run's taps and stack the results."""
-    out = np.stack([build(t, *args) for t in taps.reshape(-1, taps.shape[-1])])
-    return out.reshape(*taps.shape[:-1], *out.shape[1:])
-
-
 class _Runner:
     """One algorithm advanced over a batch of runs: adapt, estimate, detect.
 
     ``taps`` holds one channel per run, ``(R, L)``, or a single run's,
     ``(L,)``; the adaptive state or genie detector gets the same leading
-    shape. Subclasses name their scheme, genie build and step inputs.
+    shape. Subclasses name their scheme and step inputs.
     """
 
     scheme = ""
@@ -239,9 +233,9 @@ class _Runner:
         self.users, self.sigma2 = users, sigma2
         self.batch = taps.shape[:-1]
         self.state = self.detector = None
-        if algo.new_state is None:
-            self.detector = _per_run(self.build_genie, taps, codes[:users],
-                                     max(sigma2, _GENIE_RIDGE), cfg.block_length)
+        if algo.genie is not None:
+            self.detector = algo.genie(taps, codes[:users], max(sigma2, _GENIE_RIDGE),
+                                       cfg.block_length)
         else:
             self.state = algo.new_state(cfg, self.batch)
 
@@ -263,14 +257,9 @@ class _SceRunner(_Runner):
         super().__init__(algo, cfg, users, sigma2, taps, codes)
         self.nc, self.m = cfg.spreading, cfg.chips_per_block
         self.code = codes[0]
-        self.covs = self.est = None
+        self.cov = self.est = None
         if self.state is not None and (cfg.use_estimated_sigma2 or cfg.use_estimated_k):
-            self.covs = [GroupCovariance.empty(cfg.block_length, cfg.spreading)
-                         for _ in range(int(np.prod(self.batch)))]
-
-    @staticmethod
-    def build_genie(taps, codes, sigma2, n):
-        return build_mmse_sce_exact(taps, codes, sigma2, n)
+            self.cov = GroupCovariance.empty(cfg.block_length, cfg.spreading, self.batch)
 
     @staticmethod
     def step_args(rx: _Block):
@@ -278,20 +267,14 @@ class _SceRunner(_Runner):
 
     def observe(self, rx: _Block):
         """Fold a training block into each run's subspace estimate of sigma2 and K."""
-        if self.covs is None:
-            return
-        rows = rx.z.reshape(-1, rx.z.shape[-1])
-        self.est = [subspace_estimate(update_covariance(cov, z), self.cfg.k_cap)
-                    for cov, z in zip(self.covs, rows)]
+        if self.cov is not None:
+            self.est = subspace_estimate(update_covariance(self.cov, rx.z), self.cfg.k_cap)
 
     def detect(self, rx: _Block):
         if self.state is None:
             return detect_sce(rx.z, self.detector, self.code)
-        sigma2, k_used = self.sigma2, self.users
-        if self.cfg.use_estimated_sigma2:
-            sigma2 = np.reshape([e.sigma2 for e in self.est], self.batch)
-        if self.cfg.use_estimated_k:
-            k_used = np.reshape([e.k_int for e in self.est], self.batch)
+        sigma2 = self.est.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
+        k_used = self.est.k_int if self.cfg.use_estimated_k else self.users
         det = build_mmse_sce(self.state.h_hat, k_used, sigma2, self.nc, self.m)
         return detect_sce(rx.z, det, self.code)
 
@@ -300,10 +283,6 @@ class _DaRunner(_Runner):
     """A DA algorithm."""
 
     scheme = "da"
-
-    @staticmethod
-    def build_genie(taps, codes, sigma2, n):
-        return da.build_mmse_da(taps, codes, sigma2, n)
 
     @staticmethod
     def step_args(rx: _Block):
@@ -316,15 +295,17 @@ class _DaRunner(_Runner):
 
 @dataclass(frozen=True)
 class _Algorithm:
-    """One detector: its runner class and, unless it is a genie, its state
-    constructor ``new_state(cfg, batch)`` and block step
-    ``step(state, *step_args, counter=None)``. The lambdas look the module
-    functions up at call time, so wrappers installed on the modules apply."""
+    """One detector: its runner class and either its state constructor
+    ``new_state(cfg, batch)`` and block step ``step(state, *step_args,
+    counter=None)`` or its genie build ``genie(taps, codes, sigma2, n)``. The
+    lambdas look the module functions up at call time, so wrappers installed
+    on the modules apply."""
 
     kind: str
     runner: type
     new_state: Callable | None = None
     step: Callable | None = None
+    genie: Callable | None = None
 
 
 _ALGORITHMS = {f"{algo.runner.scheme}-{algo.kind}": algo for algo in (
@@ -338,7 +319,7 @@ _ALGORITHMS = {f"{algo.runner.scheme}-{algo.kind}": algo for algo in (
     _Algorithm("cg", _SceRunner,
                lambda cfg, batch: sce.new_cg_state(cfg.cir_taps, cfg.cg_iters, batch),
                lambda *args: sce.sce_cg_step(*args)),
-    _Algorithm("mmse", _SceRunner),
+    _Algorithm("mmse", _SceRunner, genie=lambda *args: sce.build_mmse_sce_exact(*args)),
     _Algorithm("lms", _DaRunner,
                lambda cfg, batch: da.new_lms_state(cfg.chips_per_block, cfg.mu_w, batch),
                lambda *args: da.da_lms_step(*args)),
@@ -349,7 +330,7 @@ _ALGORITHMS = {f"{algo.runner.scheme}-{algo.kind}": algo for algo in (
     _Algorithm("cg", _DaRunner,
                lambda cfg, batch: da.new_cg_state(cfg.chips_per_block, cfg.cg_iters, batch),
                lambda *args: da.da_cg_step(*args)),
-    _Algorithm("mmse", _DaRunner),
+    _Algorithm("mmse", _DaRunner, genie=lambda *args: da.build_mmse_da(*args)),
 )}
 
 
@@ -358,27 +339,37 @@ def _new_runners(cfg, users, sigma2, taps, codes, algo_keys):
             for key in algo_keys}
 
 
+def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks):
+    """Yield ``(blocks, z)``, the ``(..., users, n)`` symbols and ``(..., m)``
+    spectrum, for each of ``n_blocks`` blocks. ``taps`` is ``(R, L)`` with
+    ``rng`` a list of R generators, or ``(L,)`` with one generator; each run
+    draws its bits, then its noise, from its own generator."""
+    gens = rng if np.ndim(taps) == 2 else [rng]
+    for _ in range(n_blocks):
+        bits = np.stack([random_bpsk(g, users * n) for g in gens])
+        blocks = bits.reshape(*np.shape(taps)[:-1], users, n)
+        _, z = synthesize_rx(blocks, codes, taps, sigma2, rng)
+        yield blocks, z
+
+
 def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
                      adapt=True, errors_out=None, where=("run",)) -> dict:
     """Advance every runner over ``n_blocks`` blocks of every run, filling
     ``errors_out`` (``key -> (..., n_blocks)`` error counts).
 
-    ``taps`` is ``(R, L)`` with ``rng`` a list of R generators, or ``(L,)``
-    with one generator. Returns the first divergence of each diverged run,
-    ``{row: message}``, the message naming ``where[row]``, the algorithm and
-    the block. A diverged row keeps its non-finite state, which every later
-    update leaves non-finite, and its later divergences are not recorded.
+    ``taps`` and ``rng`` are as for :func:`_received_blocks`. Returns the
+    first divergence of each diverged run, ``{row: message}``, the message
+    naming ``where[row]``, the algorithm and the block. A diverged row keeps
+    its non-finite state, which every later update leaves non-finite, and
+    its later divergences are not recorded.
     """
     n = cfg.block_length
-    gens = rng if np.ndim(taps) == 2 else [rng]
     need_sce = any(isinstance(r, _SceRunner) for r in runners.values())
     need_da = any(isinstance(r, _DaRunner) for r in runners.values())
     code0 = codes[0]
     diverged = {}
-    for i in range(n_blocks):
-        bits = np.stack([random_bpsk(g, users * n) for g in gens])
-        blocks = bits.reshape(*np.shape(taps)[:-1], users, n)
-        _, z = synthesize_rx(blocks, codes, taps, sigma2, rng)
+    for i, (blocks, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rng,
+                                                      n_blocks)):
         desired = blocks[..., 0, :]
         rx = _Block(z, desired,
                     pilot_matrix(spread(desired, code0)) if need_sce else None,
@@ -414,10 +405,9 @@ def _where(runs, snr_db, users):
     return [f"run {r}, {snr_db:g} dB SNR, {users} users" for r in runs]
 
 
-def _curve_trial(args):
+def _curve_trial(cfg, snr_db, users, algo_keys, runs):
     """Training curves of a batch of runs: per-block desired-user error
     counts, one ``{key: (blocks,)}`` dict per run."""
-    cfg, snr_db, users, algo_keys, runs = args
     taps, codes = _batch_inputs(cfg, runs)
     sigma2 = cfg.sigma2_for(snr_db)
     rngs = [_data_rng(cfg, r, 0) for r in runs]
@@ -430,11 +420,10 @@ def _curve_trial(args):
     return [{key: errors[key][row] for key in algo_keys} for row in range(len(runs))]
 
 
-def _steady_trial(args):
+def _steady_trial(cfg, points, algo_keys, runs):
     """Sweeps of a batch of runs: at each point train, then measure
     steady-state errors with frozen filters. Returns one ``{key: [(errors,
     bits) per point]}`` dict per run."""
-    cfg, points, algo_keys, runs = args
     taps, codes = _batch_inputs(cfg, runs)
     out = [{key: [] for key in algo_keys} for _ in runs]
     diverged = {}
@@ -459,35 +448,44 @@ def _steady_trial(args):
     return out
 
 
-def _sigma2_trial(args):
-    """Mean per-block maximum-likelihood noise-variance estimate over one run."""
-    cfg, snr_db, users, run_idx, point_idx, n_blocks = args
-    taps = _channel_for_run(cfg, run_idx)
-    codes = walsh_code_set(cfg.spreading)
-    sigma2 = cfg.sigma2_for(snr_db)
-    rng = _data_rng(cfg, run_idx, point_idx)
-    n = cfg.block_length
-    total = 0.0
-    used = 0
-    for _ in range(n_blocks):
-        blocks = random_bpsk(rng, users * n).reshape(users, n)
-        _, z = synthesize_rx(blocks, codes, taps, sigma2, rng)
-        xdiag = pilot_matrix(spread(blocks[0], codes[0]))
-        try:
-            s2, _ = ml_noise_variance(z, xdiag, cfg.cir_taps,
-                                      ddof_correction=cfg.sigma2_unbiased)
-        except np.linalg.LinAlgError:
-            continue                # degenerate pilot block (tiny scales only)
-        total += s2
-        used += 1
-    if not used:
-        raise np.linalg.LinAlgError("every pilot block was rank deficient")
-    return total / used
+def _sigma2_trial(cfg, points, runs):
+    """Noise-variance sweep of a batch of runs: at each ``(point_idx, snr_db,
+    users)`` point, the mean over ``cfg.training_blocks`` blocks of the
+    degrees-of-freedom corrected maximum-likelihood pilot fit. Returns one
+    list of estimates, one per point, per run.
+
+    A degenerate pilot block (tiny scales only) is left out of its run's
+    mean; a run with no usable block raises ``LinAlgError``.
+    """
+    taps, codes = _batch_inputs(cfg, runs)
+    out = [[] for _ in runs]
+    for point_idx, snr_db, users in points:
+        rngs = [_data_rng(cfg, r, point_idx) for r in runs]
+        total = np.zeros(len(runs))
+        used = np.zeros(len(runs), dtype=int)
+        for blocks, z in _received_blocks(users, cfg.block_length, codes, taps,
+                                          cfg.sigma2_for(snr_db), rngs, cfg.training_blocks):
+            xdiag = pilot_matrix(spread(blocks[:, 0], codes[0]))
+            for row in range(len(runs)):
+                try:
+                    s2, _ = ml_noise_variance(z[row], xdiag[row], cfg.cir_taps,
+                                              ddof_correction=True)
+                except np.linalg.LinAlgError:
+                    continue
+                total[row] += s2
+                used[row] += 1
+        if not used.all():
+            raise np.linalg.LinAlgError(
+                f"run {runs[int(np.argmin(used))]}, {snr_db:g} dB SNR, {users} users: "
+                "every pilot block was rank deficient")
+        for row, res in enumerate(out):
+            res.append(total[row] / used[row])
+    return out
 
 
-def estimator_kcount_trial(cfg: ExperimentConfig, users: int, run_idx: int,
-                           point_idx: int = 0) -> dict:
-    """Per-block user-count traces for one run at the last configured SNR.
+def estimator_kcount_trial(cfg: ExperimentConfig, users: int, runs) -> list[dict]:
+    """Per-block user-count traces of a batch of runs at the last configured
+    SNR, one dict per run.
 
     Over ``cfg.training_blocks`` blocks this records the genie-input
     power-inversion estimate (true noise variance and channel energy) and
@@ -497,57 +495,48 @@ def estimator_kcount_trial(cfg: ExperimentConfig, users: int, run_idx: int,
     until more than ``cfg.spreading`` blocks are accumulated and never
     exceed ``cfg.k_cap``.
     """
-    snr_db = cfg.snr_db[-1]
-    taps = _channel_for_run(cfg, run_idx)
-    codes = walsh_code_set(cfg.spreading)
-    sigma2 = cfg.sigma2_for(snr_db)
-    rng = _data_rng(cfg, run_idx, 10_000 + point_idx)
+    taps, codes = _batch_inputs(cfg, runs)
+    sigma2 = cfg.sigma2_for(cfg.snr_db[-1])
+    rngs = [_data_rng(cfg, r, 10_000) for r in runs]
     n, nc, m = cfg.block_length, cfg.spreading, cfg.chips_per_block
-    est = EstimatorState()
-    cov = GroupCovariance.empty(n, nc)
-    n_blocks = cfg.training_blocks
-    k_float_genie = np.zeros(n_blocks)
-    k_float_est = np.zeros(n_blocks)
-    k_int_est = np.zeros(n_blocks, dtype=np.int64)
-    for i in range(n_blocks):
-        blocks = random_bpsk(rng, users * n).reshape(users, n)
-        _, z = synthesize_rx(blocks, codes, taps, sigma2, rng)
-        update_power(est, z)
-        genie = estimate_user_count(est.received_power, sigma2, taps, nc, m,
+    power = EstimatorState()
+    cov = GroupCovariance.empty(n, nc, (len(runs),))
+    shape = (len(runs), cfg.training_blocks)
+    k_float_genie, k_float_est = np.zeros(shape), np.zeros(shape)
+    k_int_est = np.zeros(shape, dtype=np.int64)
+    for i, (_, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rngs,
+                                                 cfg.training_blocks)):
+        update_power(power, z)
+        genie = estimate_user_count(power.received_power, sigma2, taps, nc, m,
                                     cap=cfg.k_cap)
         guess = subspace_estimate(update_covariance(cov, z), cfg.k_cap)
-        k_float_genie[i] = genie.k_float
-        k_float_est[i] = guess.k_float
-        k_int_est[i] = guess.k_int
-    return {"k_float_genie": k_float_genie, "k_float_est": k_float_est,
-            "k_int_est": k_int_est}
+        k_float_genie[:, i] = genie.k_float
+        k_float_est[:, i] = guess.k_float
+        k_int_est[:, i] = guess.k_int
+    return [{"k_float_genie": k_float_genie[row], "k_float_est": k_float_est[row],
+             "k_int_est": k_int_est[row]} for row in range(len(runs))]
 
 
-def _kcount_trial(args):
-    cfg, users, run_idx = args
-    return estimator_kcount_trial(cfg, users, run_idx)
+def _kcount_sweep(cfg, user_set, runs):
+    """User-count traces of a batch of runs for each user count in turn; one
+    list of :func:`estimator_kcount_trial` dicts, one per user count, per run."""
+    return list(zip(*(estimator_kcount_trial(cfg, k, runs) for k in user_set)))
 
 
-def _each_run(task):
-    """Apply a one-run trial to each argument tuple of ``task = (fn, args_list)``."""
-    fn, args_list = task
-    return [fn(args) for args in args_list]
-
-
-def _map_runs(cfg, fn, task_for):
+def _map_runs(cfg, fn, args_for):
     """Split the runs into one contiguous slice per worker and return the
     per-run results in run order.
 
-    ``task_for(runs)`` builds the argument of ``fn`` for a list of run
-    indices; ``fn`` returns one result per run of its list.
+    ``args_for(runs)`` builds the arguments of ``fn`` for a list of run
+    indices; ``fn(*args)`` returns one result per run of its list.
     """
     slices = np.array_split(np.arange(cfg.runs), min(cfg.workers, cfg.runs))
-    tasks = [task_for([int(r) for r in part]) for part in slices]
+    tasks = [args_for([int(r) for r in part]) for part in slices]
     if len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
-            parts = list(ex.map(fn, tasks))
+            parts = list(ex.map(fn, *zip(*tasks)))
     else:
-        parts = [fn(tasks[0])]
+        parts = [fn(*tasks[0])]
     return [res for part in parts for res in part]
 
 
@@ -630,21 +619,18 @@ def run_estimator_curves(cfg: ExperimentConfig) -> dict:
                             meta={**cfg.metadata(), "experiment": "estimators-sigma2"})
     sigma2_curve.columns["sigma2_theory"] = np.array(
         [cfg.sigma2_for(s) for s in snrs])
-    n_blocks = cfg.training_blocks
-    for k in user_set_sigma2:
-        means = []
-        for point_idx, snr in enumerate(snrs):
-            vals = _map_runs(cfg, _each_run, lambda runs: (_sigma2_trial, [
-                (cfg, float(snr), k, r, point_idx, n_blocks) for r in runs]))
-            means.append(float(np.mean(vals)))
-        sigma2_curve.columns[f"sigma2_hat_k{k}"] = np.asarray(means)
+    # the SNR index seeds a cell's blocks, whatever its user count
+    points = [(idx, float(snr), k) for k in user_set_sigma2 for idx, snr in enumerate(snrs)]
+    per_run = _map_runs(cfg, _sigma2_trial, lambda runs: (cfg, points, runs))
+    cells = np.array(per_run).T.reshape(len(user_set_sigma2), len(snrs), cfg.runs)
+    for k, means in zip(user_set_sigma2, cells.mean(axis=-1)):
+        sigma2_curve.columns[f"sigma2_hat_k{k}"] = means
 
     kcount_curve = CurveSet("block", np.arange(1, cfg.training_blocks + 1),
                             meta={**cfg.metadata(), "experiment": "estimators-kcount",
                                   "snr_db_point": cfg.snr_db[-1]})
-    for k in user_set_kcount:
-        traces = _map_runs(cfg, _each_run,
-                           lambda runs: (_kcount_trial, [(cfg, k, r) for r in runs]))
+    per_run = _map_runs(cfg, _kcount_sweep, lambda runs: (cfg, user_set_kcount, runs))
+    for k, traces in zip(user_set_kcount, zip(*per_run)):
         for name in ("k_float_genie", "k_float_est", "k_int_est"):
             stacked = np.stack([t[name] for t in traces]).astype(float)
             kcount_curve.columns[f"{name}_k{k}"] = stacked.mean(axis=0)

@@ -27,6 +27,7 @@ from .fdcore import (
     despread,
     from_symbol,
     genie_covariance,
+    row_energy,
     solve_regularized,
     tap_spectrum,
     tap_spectrum_adjoint,
@@ -126,11 +127,6 @@ def _fold_gradient(xdiag, err, num_taps):
     return tap_spectrum_adjoint(xdiag.conj() * err, num_taps)
 
 
-def _energy(v):
-    """Squared norm of each row (last axis) of ``v``."""
-    return np.einsum("...i,...i->...", v.conj(), v).real
-
-
 def _check_finite(vec):
     check_finite(vec, "adaptive update diverged (non-finite estimate)")
 
@@ -203,14 +199,14 @@ def sce_cg_step(state: SceCgState, z, xdiag, counter=None, trace=None) -> SceCgS
     err = z - _predicted_spectrum(h, xdiag)
     grad = -_fold_gradient(xdiag, err, num_taps)
     direction = -grad
-    grad_energy = _energy(grad)
+    grad_energy = row_energy(grad)
     active = np.ones(grad_energy.shape, dtype=bool)
     for _ in range(state.iters):
         active &= grad_energy != 0.0
         if not active.any():
             break
         filtered = xdiag * tap_spectrum(direction, m)
-        curvature = _energy(filtered)
+        curvature = row_energy(filtered)
         active &= curvature != 0.0
         if not active.any():
             break
@@ -219,7 +215,7 @@ def sce_cg_step(state: SceCgState, z, xdiag, counter=None, trace=None) -> SceCgS
         h += alpha * direction
         err -= alpha * filtered
         new_grad = -_fold_gradient(xdiag, err, num_taps)
-        new_energy = _energy(new_grad)
+        new_energy = row_energy(new_grad)
         beta = np.divide(new_energy, grad_energy, out=np.zeros(new_energy.shape),
                          where=active)[..., None]
         if trace is not None:
@@ -279,12 +275,13 @@ def build_mmse_sce_exact(taps, codes, sigma2: float, n: int) -> np.ndarray:
 
     The input covariance couples only the bins of one symbol group, so the
     detector ``R^-1 diag(hbar)`` is returned as its ``(n, nc, nc)`` group
-    blocks ``R_g^-1 diag(hbar_g)`` (see :func:`fdcore.genie_covariance`).
-    Raises ``LinAlgError`` when the noiseless system is rank deficient.
+    blocks ``R_g^-1 diag(hbar_g)`` (see :func:`fdcore.genie_covariance`);
+    ``(R, L)`` taps give ``(R, n, nc, nc)``. Raises ``LinAlgError`` when the
+    noiseless system is rank deficient.
     """
     cov, _ = genie_covariance(taps, codes, sigma2, n)
     hbar = by_symbol(tap_spectrum(taps, n * cov.shape[-1]), n)
-    return np.linalg.inv(cov) * hbar[:, None, :]
+    return np.linalg.inv(cov) * hbar[..., None, :]
 
 
 def detect_sce(z, detector, code) -> np.ndarray:
@@ -301,7 +298,8 @@ def detect_sce(z, detector, code) -> np.ndarray:
         eq = detector.conj() * z
     else:
         zg = by_symbol(z, detector.shape[-3])[..., None, :]   # (..., n, 1, nc)
-        eq = from_symbol((zg @ detector.conj())[..., 0, :])
+        # conj(conj(zg) @ D) == zg @ conj(D) without copying the blocks D
+        eq = from_symbol(np.conj(zg.conj() @ detector)[..., 0, :])
     chips = np.fft.ifft(eq, norm="ortho")
     soft = despread(chips, code)
     return np.where(soft.real >= 0, 1.0, -1.0)

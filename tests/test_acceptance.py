@@ -7,6 +7,8 @@ the SCE detector its noise variance and user count without the truth or a
 pilot. The assertion messages carry the measured numbers.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ def _final100(errors, n):
 
 
 def _run_curves(cfg, snr_db, users, keys):
-    results = _curve_trial((cfg, snr_db, users, keys, list(range(cfg.runs))))
+    results = _curve_trial(cfg, snr_db, users, keys, list(range(cfg.runs)))
     n = cfg.block_length
     return {k: sum(_final100(res[k], n) for res in results) / cfg.runs for k in keys}
 
@@ -352,13 +354,14 @@ def test_criterion_7_cg_iteration_sweep(ordering_bers):
 
 def test_criterion_8_noise_variance():
     cfg = ExperimentConfig(runs=5, training_blocks=200)
+    snrs = (0.0, 4.0, 8.0, 12.0, 16.0)
+    points = [(point, snr, 1) for point, snr in enumerate(snrs)] + [(50, 16.0, 5)]
+    vals = np.array(_sigma2_trial(cfg, points, list(range(cfg.runs))))   # (runs, points)
     devs = []
-    for point, snr in enumerate((0.0, 4.0, 8.0, 12.0, 16.0)):
-        vals = [_sigma2_trial((cfg, snr, 1, r, point, 200)) for r in range(cfg.runs)]
+    for point, snr in enumerate(snrs):
         truth = cfg.sigma2_for(snr)
-        devs.append(abs(np.mean(vals) - truth) / truth)
-    vals5 = [_sigma2_trial((cfg, 16.0, 5, r, 50, 200)) for r in range(cfg.runs)]
-    exceeds = np.mean(vals5) > cfg.sigma2_for(16.0)
+        devs.append(abs(np.mean(vals[:, point]) - truth) / truth)
+    exceeds = np.mean(vals[:, -1]) > cfg.sigma2_for(16.0)
     ok = max(devs) <= 0.10 and exceeds
     _report(8, ok, f"single-user accuracy (worst dev {max(devs)*100:.2f}%), "
                    f"five-user estimate exceeds truth: {exceeds}")
@@ -373,8 +376,8 @@ def test_criterion_9a_user_count_genie_inputs():
     cfg = ExperimentConfig(runs=8, training_blocks=500, snr_db=(16.0,))
     gaps = {}
     for k in (2, 3, 4):
-        finals = [estimator_kcount_trial(cfg, k, r)["k_float_genie"][-1]
-                  for r in range(cfg.runs)]
+        finals = [res["k_float_genie"][-1]
+                  for res in estimator_kcount_trial(cfg, k, list(range(cfg.runs)))]
         gaps[k] = abs(float(np.mean(finals)) - k)
     ok = all(g <= 1.0 for g in gaps.values())
     _report("9a", ok, "genie-input count gaps " +
@@ -390,8 +393,8 @@ def test_criterion_9b_user_count_estimated_inputs():
     fractions = {}
     for k in (3, 4):
         hits = total = 0
-        for r in range(cfg.runs):
-            ints = estimator_kcount_trial(cfg, k, r)["k_int_est"][-100:]
+        for res in estimator_kcount_trial(cfg, k, list(range(cfg.runs))):
+            ints = res["k_int_est"][-100:]
             hits += int(np.count_nonzero((ints >= k - 1) & (ints <= k + 1)))
             total += ints.size
         fractions[k] = hits / total
@@ -451,14 +454,16 @@ def test_criterion_11_batch_size_invariance(tmp_path):
     base = ["--block-length", "8", "--spreading", "4", "--users", "3",
             "--cir-length", "5", "--cp-chips", "6", "--blocks", "40",
             "--eval-blocks", "20", "--runs", "5", "--seed", "99"]
+    written = {"ber-vs-blocks": [""], "ber-vs-users": [""],
+               "estimators": ["_sigma2", "_kcount"]}
     same = True
-    for experiment in ("ber-vs-blocks", "ber-vs-users"):
+    for experiment, suffixes in written.items():
         outputs = []
         for workers in (1, 2, 3):
-            path = tmp_path / f"{experiment}_{workers}.csv"
+            stem = tmp_path / f"{experiment}_{workers}"
             assert cli_main(["--experiment", experiment, *base,
-                             "--workers", str(workers), "--out", str(path)]) == 0
-            outputs.append(path.read_bytes())
+                             "--workers", str(workers), "--out", f"{stem}.csv"]) == 0
+            outputs.append([Path(f"{stem}{suffix}.csv").read_bytes() for suffix in suffixes])
         same &= outputs[0] == outputs[1] == outputs[2]
     _report(11, same, "byte-identical output across batch sizes 5, 3+2 and 2+2+1")
     assert same

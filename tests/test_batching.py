@@ -1,6 +1,6 @@
-"""Batched runs: synthesis, the six adaptive steps and both detectors advanced
-on an ``(R, ...)`` run axis equal their row-by-row calls without the axis,
-bitwise."""
+"""Batched runs: synthesis, the six adaptive steps, both genie builds, both
+detectors and the estimators advanced on an ``(R, ...)`` run axis equal their
+row-by-row calls without the axis, bitwise."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,14 @@ from scipy.linalg import toeplitz
 
 from uwbfde import da, fdcore, sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
+from uwbfde.estimators import (
+    EstimatorState,
+    GroupCovariance,
+    estimate_user_count,
+    subspace_estimate,
+    update_covariance,
+    update_power,
+)
 
 RUNS, N, NC, TAPS, USERS = 4, 8, 4, 5, 2
 M = N * NC
@@ -168,3 +176,46 @@ def test_pilot_normal_matrix_equals_scipy_toeplitz_per_row():
             lags = (np.fft.ifft(np.abs(xdiag[r]) ** 2) * m)[np.arange(num_taps) % m]
             assert_array_equal(batched[r], toeplitz(lags, lags.conj()))
             assert_array_equal(sce.pilot_normal_matrix(xdiag[r], num_taps), batched[r])
+
+
+@pytest.mark.parametrize("users", range(1, NC + 1))
+def test_genie_builds_match_row_by_row(users):
+    taps = _channels(13)
+    for build in (sce.build_mmse_sce_exact, da.build_mmse_da):
+        _assert_rows_equal(build(taps, CODES[:users], 0.05, N),
+                           [build(t, CODES[:users], 0.05, N) for t in taps])
+
+
+def test_estimators_match_row_by_row():
+    # row 2 receives nothing, so its order and noise floor differ from the
+    # other rows'; row 1 has a null tap estimate, the power inversion's startup
+    taps = _channels(14)
+    h_hat = taps.copy()
+    h_hat[1] = 0
+    cov = GroupCovariance.empty(N, NC, (RUNS,))
+    covs = [GroupCovariance.empty(N, NC) for _ in range(RUNS)]
+    power = EstimatorState()
+    powers = [EstimatorState() for _ in range(RUNS)]
+    for z, _, _ in _blocks(taps, 20, seed=15):
+        z[2] = 0
+        update_covariance(cov, z)
+        update_power(power, z)
+        for r in range(RUNS):
+            update_covariance(covs[r], z[r])
+            update_power(powers[r], z[r])
+        _assert_rows_equal(cov.acc, [c.acc for c in covs])
+        _assert_rows_equal(power.power_sum, [p.power_sum for p in powers])
+        est = subspace_estimate(cov, cap=3)
+        rows = [subspace_estimate(c, cap=3) for c in covs]
+        for field in ("sigma2", "k_float", "k_int"):
+            _assert_rows_equal(getattr(est, field), [getattr(row, field) for row in rows])
+        assert all(row.startup == est.startup for row in rows)
+        count = estimate_user_count(power.received_power, 0.05, h_hat, NC, M, cap=3)
+        rows = [estimate_user_count(p.received_power, 0.05, h, NC, M, cap=3)
+                for p, h in zip(powers, h_hat)]
+        for field in count._fields:
+            _assert_rows_equal(getattr(count, field), [getattr(row, field) for row in rows])
+    assert not est.startup
+    assert est.k_int[2] == 0 and est.sigma2[2] == 0.0
+    assert np.all(est.k_int[[0, 1, 3]] > 0)
+    assert count.startup.tolist() == [False, True, False, False]

@@ -72,6 +72,23 @@ class TestMlNoiseVariance:
             total += ml_noise_variance(z, xdiag, 8)[0]
         assert total / 100 > sigma2
 
+    @pytest.mark.parametrize("n, nc, num_taps", [(32, 8, 34), (8, 2, 3)])
+    def test_matches_dense_tap_basis_fit(self, n, nc, num_taps):
+        # the structured fit against the least-squares fit on the dense
+        # (m, num_taps) pilot-weighted Fourier basis
+        rng = np.random.default_rng(11)
+        taps = generate_cir(ChannelProfile(num_taps, 0.3, seed=12))
+        m = n * nc
+        for _ in range(5):
+            z, xdiag = _pilot_block(rng, n, nc, taps, 0.1, users=2)
+            basis = xdiag[:, None] * fdcore.fourier_tap_basis(m, num_taps)
+            dense_taps = np.linalg.lstsq(basis, z, rcond=None)[0]
+            resid = z - basis @ dense_taps
+            sigma2_hat, taps_hat = ml_noise_variance(z, xdiag, num_taps, ddof_correction=True)
+            assert_allclose(taps_hat, dense_taps, rtol=1e-10, atol=1e-12)
+            assert sigma2_hat == pytest.approx(np.vdot(resid, resid).real / (m - num_taps),
+                                               rel=1e-10)
+
     def test_rank_deficient_pilot_raises_with_condition(self):
         xdiag = np.zeros(8, complex)
         xdiag[0] = 1.0          # one excited bin cannot determine four taps

@@ -89,7 +89,7 @@ class TestExperiments:
             run_ber_vs_blocks(cfg)
         with np.errstate(all="ignore"), pytest.raises(
                 DivergenceError, match=r"^run 3, 12 dB SNR, 2 users, da-lms, block 331 of 400"):
-            _curve_trial((cfg, 12.0, 2, ["da-lms"], [3]))
+            _curve_trial(cfg, 12.0, 2, ["da-lms"], [3])
 
     def test_ber_vs_blocks_shape(self):
         curve = run_ber_vs_blocks(_tiny_config())
@@ -185,12 +185,12 @@ class TestCsvOutput:
         # 5 runs over 3 workers: batches 0-1, 2-3 and 4, merged in run order
         slices = []
 
-        def task_for(runs):
+        def args_for(runs):
             slices.append(runs)
-            return str, runs
+            return ([str(r) for r in runs],)
 
         cfg = _tiny_config(runs=5, workers=3)
-        assert harness._map_runs(cfg, harness._each_run, task_for) == ["0", "1", "2", "3", "4"]
+        assert harness._map_runs(cfg, list, args_for) == ["0", "1", "2", "3", "4"]
         assert slices == [[0, 1], [2, 3], [4]]
 
     def test_workers_do_not_change_output(self, tmp_path):
