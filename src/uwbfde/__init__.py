@@ -15,19 +15,8 @@ active-user-count estimates the first family needs, and
 :mod:`uwbfde.harness` runs seeded Monte-Carlo experiments around it all.
 """
 
-from .channel import ChannelProfile, freq_response, generate_cir, load_cir, synthesize_rx
-from .fdcore import (
-    DivergenceError,
-    add_cp,
-    circulant_apply,
-    despread,
-    dft,
-    expand_symbols,
-    idft,
-    remove_cp,
-    spread,
-    walsh_code_set,
-)
+from .channel import ChannelProfile, generate_cir, load_cir, synthesize_rx
+from .fdcore import DivergenceError, circulant_apply, despread, spread, walsh_code_set
 from .harness import (
     CurveSet,
     ExperimentConfig,
@@ -47,17 +36,11 @@ __all__ = [
     "DivergenceError",
     "ExperimentConfig",
     "OpCounter",
-    "add_cp",
     "circulant_apply",
     "despread",
-    "dft",
-    "expand_symbols",
-    "freq_response",
     "generate_cir",
-    "idft",
     "load_cir",
     "nominal_cost",
-    "remove_cp",
     "run_ber_vs_blocks",
     "run_ber_vs_snr",
     "run_ber_vs_users",

@@ -3,17 +3,18 @@
 The detection algorithms only ever see the chip-spaced equivalent impulse
 response, so this module provides a configurable exponential-decay Rayleigh
 generator as the default channel plus a loader for externally generated tap
-files, along with the frequency response and the received-block synthesizer.
+files, along with the received-block synthesizer, which returns the unitary
+DFT of each received block (the only form the detectors read).
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .fdcore import circulant_apply, spread, tap_spectrum
+from .fdcore import circulant_apply, spread
 
 
 @dataclass
@@ -54,12 +55,11 @@ def generate_cir(profile: ChannelProfile) -> np.ndarray:
     return taps
 
 
-def load_cir(path, num_taps: int | None = None, renormalize: bool = False) -> np.ndarray:
+def load_cir(path, num_taps: int | None = None) -> np.ndarray:
     """Load a tap file: one ``re,im`` pair per line, ``#`` lines ignored.
 
-    ``num_taps`` truncates to the leading taps; ``renormalize`` rescales the
-    kept taps to unit energy (off by default so truncated imports keep their
-    original energy split).
+    ``num_taps`` truncates to the leading taps, which keep their original
+    energy split.
     """
     taps = []
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
@@ -81,23 +81,7 @@ def load_cir(path, num_taps: int | None = None, renormalize: bool = False) -> np
         if num_taps < 1:
             raise ValueError("num_taps must be >= 1")
         out = out[:num_taps]
-    if renormalize:
-        out = out / np.linalg.norm(out)
     return out
-
-
-def freq_response(taps, m: int) -> np.ndarray:
-    """Frequency response of the channel on ``m`` bins.
-
-    Equals the diagonal produced by conjugating the circulant channel matrix
-    with the unitary DFT.
-    """
-    taps = np.asarray(taps, dtype=complex)
-    if taps.ndim != 1 or taps.size == 0:
-        raise ValueError("taps must be a non-empty 1-D vector")
-    if taps.size > m:
-        raise ValueError(f"tap count {taps.size} exceeds bin count {m}")
-    return tap_spectrum(taps, m)
 
 
 def synthesize_rx(symbol_blocks, codes, taps, sigma2: float, rng):
@@ -106,8 +90,7 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2: float, rng):
     All users share the same channel; user ``k`` spreads its symbol block
     with ``codes[k]``. Complex white Gaussian noise with per-sample variance
     ``sigma2`` (split evenly between real and imaginary parts) is added in
-    the time domain. Returns ``(y, z)``: the time-domain chips and their
-    unitary DFT.
+    the time domain. Returns ``z``, the unitary DFT of the received chips.
 
     ``symbol_blocks`` is a (K, n) array, with ``taps`` of shape (L,) and
     ``rng`` one ``np.random.Generator``; a (0, n)-shaped array gives a
@@ -119,22 +102,18 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2: float, rng):
         raise ValueError("sigma2 must be >= 0")
     codes = np.asarray(codes)
     blocks = np.asarray(symbol_blocks, dtype=float)
-    if blocks.ndim == 1:
-        blocks = blocks[None, :]
     if blocks.ndim not in (2, 3) or blocks.shape[-1] == 0:
         raise ValueError("symbol_blocks must be a (K, n) or (R, K, n) array with n >= 1")
     k, n = blocks.shape[-2:]
     if k > codes.shape[0]:
         raise ValueError(f"K exceeds Nc ({k} > {codes.shape[0]}): out of spreading codes")
-    nc = codes.shape[1]
-    m = n * nc
+    m = n * codes.shape[1]
     chips = np.zeros((*blocks.shape[:-2], m), dtype=complex)
     for i in range(k):
         chips += spread(blocks[..., i, :], codes[i])
-    y = circulant_apply(taps, chips) if k else chips
+    y = circulant_apply(taps, chips)
     if sigma2 > 0:
         gens = [rng] if blocks.ndim == 2 else rng
         noise = np.stack([g.standard_normal(m) + 1j * g.standard_normal(m) for g in gens])
         y = y + noise.reshape(y.shape) * np.sqrt(sigma2 / 2.0)
-    z = np.fft.fft(y, norm="ortho")
-    return y, z
+    return np.fft.fft(y, norm="ortho")

@@ -6,6 +6,7 @@ import argparse
 import logging
 import sys
 
+from .fdcore import DivergenceError
 from .harness import (
     ALGORITHMS,
     EXPERIMENTS,
@@ -92,10 +93,22 @@ def config_from_args(args) -> ExperimentConfig:
     )
 
 
+def _reject_ignored_flags(args):
+    """Reject flags that the chosen experiment would ignore."""
+    if args.check and args.experiment != "complexity":
+        raise ValueError("--check applies to the complexity experiment only")
+    if args.experiment in ("estimators", "complexity"):
+        for flag, on in (("--estimated-sigma2", args.estimated_sigma2),
+                         ("--estimated-k", args.estimated_k)):
+            if on:
+                raise ValueError(f"{flag} does not apply to the {args.experiment} experiment")
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        _reject_ignored_flags(args)
         cfg = config_from_args(args)
         cfg.validate()
         if args.experiment == "complexity":
@@ -129,7 +142,7 @@ def main(argv=None) -> int:
         curve.write_csv(out)
         print(f"wrote {out}")
         return 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,8 @@ fold and a small inverse DFT, which keeps every product cheap and gives the
 least-squares normal matrix a sparse block structure: after regrouping bins
 by symbol index (:func:`fdcore.by_symbol`) it is block diagonal with n
 independent Hermitian nc-by-nc blocks, so the RLS solve and the genie MMSE
-build cost O(m*nc^2) instead of O(m^3).
+build cost O(m*nc^2) instead of O(m^3). Neither the explicit n-by-m
+operator nor the m-by-m normal matrix is ever formed.
 
 The operator, the steps and detection also take a leading run axis: an
 ``(R, m)`` received block advances R independent runs at once, each row
@@ -70,16 +71,6 @@ class RxOperator:
         if u.shape[-1:] != (self.n,):
             raise ValueError(f"expected length {self.n}, got shape {u.shape}")
         return self.zconj * tile_segments(np.fft.fft(u, norm="ortho"), self.nc)
-
-    def dense(self) -> np.ndarray:
-        """Explicit (n, m) matrix of a single block (oracle helper)."""
-        cols = np.eye(self.m, dtype=complex)
-        return np.stack([self.matvec(cols[:, j]) for j in range(self.m)], axis=1)
-
-
-def spectral_mask(n: int, nc: int) -> np.ndarray:
-    """Dense (m, m) 0/1 mask of bin pairs sharing the same symbol index (oracle helper)."""
-    return np.kron(np.ones((nc, nc)), np.eye(n))
 
 
 # ---------------------------------------------------------------------------

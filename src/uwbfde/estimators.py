@@ -11,7 +11,8 @@ Two families of estimators live here:
   remaining noise-subspace eigenvalues. It needs no pilot and no tap
   estimate.
 * The per-block maximum-likelihood fit of the short tap vector to the
-  desired user's pilot reads the noise variance off the fit's residual; the
+  desired user's pilot reads the noise variance off the fit's residual,
+  always divided by its degrees of freedom (bins minus fitted taps); the
   power-inversion user count divides the time-averaged received power, less
   the noise floor, by the channel energy. With several active users the
   pilot fit folds their interference into its residual. The harness uses the
@@ -37,15 +38,14 @@ from .fdcore import by_symbol, row_energy, tap_spectrum, tap_spectrum_adjoint
 from .sce import pilot_normal_matrix
 
 
-def ml_noise_variance(z, xdiag, num_taps: int, ddof_correction: bool = False):
+def ml_noise_variance(z, xdiag, num_taps: int):
     """Joint tap / noise-variance fit against one known pilot block.
 
     Fits ``num_taps`` channel taps to the received spectrum by least squares
     on the pilot-weighted tap basis, then reads the noise variance off the
-    residual. The plain estimate divides the residual energy by the bin
-    count; ``ddof_correction`` divides by the residual's actual degrees of
-    freedom (bins minus fitted taps), which removes the downward bias of the
-    plain estimate. Returns ``(sigma2_hat, taps_hat)``.
+    residual: its energy divided by its degrees of freedom, bins minus
+    fitted taps, which makes the estimate unbiased for a single user.
+    Returns ``(sigma2_hat, taps_hat)``.
     """
     z = np.asarray(z, dtype=complex)
     xdiag = np.asarray(xdiag, dtype=complex)
@@ -54,8 +54,8 @@ def ml_noise_variance(z, xdiag, num_taps: int, ddof_correction: bool = False):
         raise ValueError("z and xdiag must have the same length")
     if not 1 <= num_taps:
         raise ValueError("num_taps must be >= 1")
-    if ddof_correction and num_taps >= m:
-        raise ValueError("degrees-of-freedom correction needs num_taps < m")
+    if num_taps >= m:
+        raise ValueError("num_taps must be < m: the residual needs degrees of freedom")
     gram = pilot_normal_matrix(xdiag, num_taps)
     try:
         factor = cho_factor(gram)
@@ -65,8 +65,7 @@ def ml_noise_variance(z, xdiag, num_taps: int, ddof_correction: bool = False):
             f"pilot-weighted basis is rank deficient (condition estimate {cond:.3e})")
     taps_hat = cho_solve(factor, tap_spectrum_adjoint(xdiag.conj() * z, num_taps))
     resid = z - xdiag * tap_spectrum(taps_hat, m)
-    denom = (m - num_taps) if ddof_correction else m
-    sigma2_hat = float(row_energy(resid)) / denom
+    sigma2_hat = float(row_energy(resid)) / (m - num_taps)
     return sigma2_hat, taps_hat
 
 

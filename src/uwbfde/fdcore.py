@@ -1,18 +1,21 @@
 """Deterministic signal-chain primitives shared by both detection schemes.
 
-Everything in this module is a pure function of its inputs: unitary DFTs,
-Walsh spreading/despreading, chip-rate zero stuffing, cyclic-prefix handling,
-circulant channel application, the structured Fourier operators that let
-the adaptive algorithms work on a short tap vector instead of a full
-frequency-domain vector, and the symbol-group kernel. The explicit m-by-m
-matrices are oracle helpers for the tests; no detector builds one.
+Everything in this module is a pure function of its inputs: Walsh
+spreading/despreading, circulant channel application, the structured
+Fourier operators that let the adaptive algorithms work on a short tap
+vector instead of a full frequency-domain vector, and the symbol-group
+kernel. The cyclic prefix is not simulated chip by chip: a prefix at least
+as long as the channel memory makes the channel circular, which is what
+:func:`circulant_apply` computes. Transforms call ``np.fft`` directly, and
+no m-by-m matrix is built here.
 
 Conventions
 -----------
 * Block sizes: ``n`` symbols per block, spreading gain ``nc`` chips per
   symbol, ``m = n * nc`` chips per block.
-* The forward DFT is unitary (scaled by ``1/sqrt(m)``), so it preserves
-  energy and its inverse is its conjugate transpose.
+* The received spectrum is the unitary DFT of the block,
+  ``np.fft.fft(y, norm="ortho")`` (scaled by ``1/sqrt(m)``), so it
+  preserves energy and its inverse is its conjugate transpose.
 * Symbol groups: with a cyclic prefix and orthogonal spreading codes, every
   MMSE covariance couples only bins ``a = a' (mod n)``. :func:`by_symbol`
   regroups the ``m`` bins into ``n`` groups of ``nc``, so such a covariance
@@ -32,7 +35,6 @@ Conventions
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import circulant as _circulant
 from scipy.linalg import hadamard as _hadamard
 
 
@@ -56,39 +58,12 @@ def check_finite(vec, message: str):
         raise DivergenceError(message, rows=np.flatnonzero(bad))
 
 
-def _as_complex_vector(x, name: str = "x") -> np.ndarray:
-    arr = np.asarray(x, dtype=complex)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    return arr
-
-
 def _as_complex_rows(x, name: str = "x") -> np.ndarray:
     """A vector or an ``(R, ...)`` stack of them, as complex; the last axis must not be empty."""
     arr = np.asarray(x, dtype=complex)
     if arr.ndim == 0 or arr.shape[-1] == 0:
         raise ValueError(f"{name} must have a non-empty last axis, got shape {arr.shape}")
     return arr
-
-
-def dft(x) -> np.ndarray:
-    """Unitary discrete Fourier transform of a vector."""
-    return np.fft.fft(_as_complex_vector(x), norm="ortho")
-
-
-def idft(z) -> np.ndarray:
-    """Inverse of :func:`dft` (conjugate-transpose of the unitary DFT)."""
-    return np.fft.ifft(_as_complex_vector(z, "z"), norm="ortho")
-
-
-def dft_matrix(m: int) -> np.ndarray:
-    """Explicit ``m``-by-``m`` unitary DFT matrix (oracle helper)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    a = np.arange(m)
-    return np.exp(-2j * np.pi * np.outer(a, a) / m) / np.sqrt(m)
 
 
 def walsh_code_set(nc: int) -> np.ndarray:
@@ -123,21 +98,6 @@ def despread(chips, code) -> np.ndarray:
     if chips.shape[-1] % nc != 0:
         raise ValueError(f"chip count {chips.shape[-1]} is not a multiple of code length {nc}")
     return chips.reshape(*chips.shape[:-1], -1, nc) @ code.conj()
-
-
-def expand_symbols(symbols, nc: int) -> np.ndarray:
-    """Zero-stuff a symbol block to chip rate: symbol ``i`` lands at index ``i*nc``."""
-    symbols = np.asarray(symbols, dtype=complex)
-    if nc < 1:
-        raise ValueError("nc must be >= 1")
-    out = np.zeros(symbols.size * nc, dtype=complex)
-    out[::nc] = symbols
-    return out
-
-
-def expansion_matrix(n: int, nc: int) -> np.ndarray:
-    """Explicit (m, n) stack of ``nc`` identity blocks (oracle helper)."""
-    return np.tile(np.eye(n), (nc, 1))
 
 
 def fold_segments(v, n: int) -> np.ndarray:
@@ -180,18 +140,6 @@ def tap_spectrum_adjoint(bins, num_taps: int) -> np.ndarray:
     if num_taps <= m:
         return folded[..., :num_taps]
     return folded[..., np.arange(num_taps) % m]
-
-
-def fourier_tap_basis(m: int, num_taps: int) -> np.ndarray:
-    """Explicit (m, num_taps) matrix with entries ``exp(-2j*pi*a*l/m)``.
-
-    Dense counterpart of :func:`tap_spectrum` (oracle helper).
-    """
-    if m < 1 or num_taps < 1:
-        raise ValueError("dimensions must be >= 1")
-    a = np.arange(m)[:, None]
-    l = np.arange(num_taps)[None, :]
-    return np.exp(-2j * np.pi * a * l / m)
 
 
 def row_energy(v):
@@ -277,38 +225,6 @@ def solve_regularized(mats, rhs, delta: float):
             out[idx] = np.linalg.solve(mats[idx], rhs[idx])
             regularized.append(idx)
     return out, regularized
-
-
-def circulant_matrix(taps, m: int) -> np.ndarray:
-    """Explicit circulant matrix with first column ``taps`` zero-padded to ``m``."""
-    taps = _as_complex_vector(taps, "taps")
-    if taps.size > m:
-        raise ValueError(f"tap count {taps.size} exceeds block length {m}")
-    col = np.zeros(m, dtype=complex)
-    col[: taps.size] = taps
-    return _circulant(col)
-
-
-def add_cp(chips, p: int) -> np.ndarray:
-    """Prepend the last ``p`` chips of the block (cyclic prefix)."""
-    chips = _as_complex_vector(chips, "chips")
-    if p < 0:
-        raise ValueError("cyclic prefix length must be >= 0")
-    if p > chips.size:
-        raise ValueError(f"cyclic prefix length {p} exceeds block length {chips.size}")
-    if p == 0:
-        return chips.copy()
-    return np.concatenate([chips[-p:], chips])
-
-
-def remove_cp(rx, p: int) -> np.ndarray:
-    """Drop the first ``p`` received chips (cyclic prefix removal)."""
-    rx = _as_complex_vector(rx, "rx")
-    if p < 0:
-        raise ValueError("cyclic prefix length must be >= 0")
-    if p >= rx.size:
-        raise ValueError(f"cyclic prefix length {p} leaves no payload")
-    return rx[p:].copy()
 
 
 def random_bpsk(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -134,6 +134,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if not any(_ALGORITHMS[key].runner is _SceRunner and _ALGORITHMS[key].genie is None
+                   for key in self.algo_keys()):
+            for flag, on in (("--estimated-sigma2", self.use_estimated_sigma2),
+                             ("--estimated-k", self.use_estimated_k)):
+                if on:
+                    raise ValueError(f"{flag} feeds the adaptive SCE detectors, and scheme "
+                                     f"{self.scheme!r} with algorithm {self.algorithm!r} "
+                                     "runs none")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.k_cap < 0:
@@ -348,8 +356,7 @@ def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks):
     for _ in range(n_blocks):
         bits = np.stack([random_bpsk(g, users * n) for g in gens])
         blocks = bits.reshape(*np.shape(taps)[:-1], users, n)
-        _, z = synthesize_rx(blocks, codes, taps, sigma2, rng)
-        yield blocks, z
+        yield blocks, synthesize_rx(blocks, codes, taps, sigma2, rng)
 
 
 def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
@@ -468,8 +475,7 @@ def _sigma2_trial(cfg, points, runs):
             xdiag = pilot_matrix(spread(blocks[:, 0], codes[0]))
             for row in range(len(runs)):
                 try:
-                    s2, _ = ml_noise_variance(z[row], xdiag[row], cfg.cir_taps,
-                                              ddof_correction=True)
+                    s2, _ = ml_noise_variance(z[row], xdiag[row], cfg.cir_taps)
                 except np.linalg.LinAlgError:
                     continue
                 total[row] += s2

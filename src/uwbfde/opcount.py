@@ -29,10 +29,6 @@ class OpCounter:
     mults: int = 0
     adds: int = 0
 
-    def reset(self):
-        self.mults = 0
-        self.adds = 0
-
     def snapshot(self) -> tuple[int, int]:
         return self.mults, self.adds
 

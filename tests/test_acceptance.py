@@ -1,8 +1,8 @@
 """Acceptance suite: one test per exit criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines as they complete. Criteria 9b (estimated-inputs clause) and 10 check
-the subspace estimator of the per-group received covariance, which feeds
+lines as they complete. Criteria 9b (estimated-inputs clause), 10 and 10b
+check the subspace estimator of the per-group received covariance, which feeds
 the SCE detector its noise variance and user count without the truth or a
 pilot. The assertion messages carry the measured numbers.
 """
@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import circulant_matrix, dft_matrix, fourier_tap_basis, operator_matrix
 from uwbfde import da, fdcore, sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 from uwbfde.cli import main as cli_main
@@ -19,6 +20,7 @@ from uwbfde.harness import (
     ExperimentConfig,
     _curve_trial,
     _sigma2_trial,
+    _steady_trial,
     estimator_kcount_trial,
     verify_complexity,
 )
@@ -97,24 +99,24 @@ def test_criterion_1_oracle_equivalence():
     worst = 0.0
     for n, nc, num_taps in [(4, 2, 3), (4, 4, 5), (8, 2, 6)]:
         m = n * nc
-        fmat = fdcore.dft_matrix(m)
-        basis = fdcore.fourier_tap_basis(m, num_taps)
+        fmat = dft_matrix(m)
+        basis = fourier_tap_basis(m, num_taps)
         code = fdcore.walsh_code_set(nc)[1]
         x = _random_complex(rng, m)
-        worst = max(worst, np.max(np.abs(fdcore.dft(x) - fmat @ x)))
+        worst = max(worst, np.max(np.abs(np.fft.fft(x, norm="ortho") - fmat @ x)))
         b = fdcore.random_bpsk(rng, n)
         d_k = np.zeros((m, n))
         for i in range(n):
             d_k[i * nc:(i + 1) * nc, i] = code
         worst = max(worst, np.max(np.abs(fdcore.spread(b, code) - d_k @ b)))
         taps = _random_complex(rng, num_taps)
-        h_mat = fdcore.circulant_matrix(taps, m)
+        h_mat = circulant_matrix(taps, m)
         worst = max(worst, np.max(np.abs(fdcore.circulant_apply(taps, x) - h_mat @ x)))
         worst = max(worst, np.max(np.abs(sce.pilot_matrix(x) - fmat @ x)))
 
         z = _random_complex(rng, m)
         op = da.RxOperator(z, n)
-        dense_y = op.dense()
+        dense_y = operator_matrix(op)
         v = _random_complex(rng, m)
         u = _random_complex(rng, n)
         worst = max(worst, np.max(np.abs(op.matvec(v) - dense_y @ v)))
@@ -153,7 +155,7 @@ def test_criterion_1_oracle_equivalence():
         for zi, bi in zip(zs, bs):
             opi = da.RxOperator(zi, n)
             da.da_lms_step(dalms, opi, bi)
-            dense_y = opi.dense()
+            dense_y = operator_matrix(opi)
             ref = ref + 0.05 * (dense_y.conj().T @ (bi - dense_y @ ref))
             worst = max(worst, np.max(np.abs(dalms.w_hat - ref)))
 
@@ -163,7 +165,7 @@ def test_criterion_1_oracle_equivalence():
         for zi, bi in zip(zs, bs):
             opi = da.RxOperator(zi, n)
             da.da_rls_step(darls, opi, bi)
-            dense_y = opi.dense()
+            dense_y = operator_matrix(opi)
             ref_corr = 0.95 * ref_corr + dense_y.conj().T @ dense_y
             ref = ref + np.linalg.solve(ref_corr, dense_y.conj().T @ (bi - dense_y @ ref))
             worst = max(worst, np.max(np.abs(darls.w_hat - ref)))
@@ -173,7 +175,7 @@ def test_criterion_1_oracle_equivalence():
         for zi, bi in zip(zs, bs):
             opi = da.RxOperator(zi, n)
             da.da_cg_step(dacg, opi, bi)
-            ref = _dense_cg(ref, bi.astype(complex), opi.dense(), 3)
+            ref = _dense_cg(ref, bi.astype(complex), operator_matrix(opi), 3)
             worst = max(worst, np.max(np.abs(dacg.w_hat - ref)))
 
     ok = worst < 1e-9
@@ -196,7 +198,7 @@ def _genie_agreement(n, nc, users, blocks, seed):
     mismatches = 0
     for _ in range(blocks):
         data = fdcore.random_bpsk(rng, users * n).reshape(users, n)
-        _, z = synthesize_rx(data, codes, taps, sigma2, rng)
+        z = synthesize_rx(data, codes, taps, sigma2, rng)
         lhs = sce.detect_sce(z, dense, codes[0])
         rhs = da.detect_da(da.RxOperator(z, n), weights)
         mismatches += int(np.count_nonzero(lhs != rhs))
@@ -222,7 +224,7 @@ def test_criterion_3_rls_equals_batch():
     m = n * nc
     codes = fdcore.walsh_code_set(nc)
     taps = generate_cir(ChannelProfile(num_taps, 0.2, seed=32))
-    basis = fdcore.fourier_tap_basis(m, num_taps)
+    basis = fourier_tap_basis(m, num_taps)
 
     sce_state = sce.new_rls_state(num_taps, lam=1.0, delta=1e-8)
     da_state = da.new_rls_state(n, nc, lam=1.0, delta=1e-8)
@@ -232,7 +234,7 @@ def test_criterion_3_rls_equals_batch():
     rhs_w = np.zeros(m, complex)
     for _ in range(50):
         b = fdcore.random_bpsk(rng, n)
-        _, z = synthesize_rx(b[None, :], codes, taps, 0.05, rng)
+        z = synthesize_rx(b[None, :], codes, taps, 0.05, rng)
         xdiag = sce.pilot_matrix(fdcore.spread(b, codes[0]))
         op = da.RxOperator(z, n)
         sce.sce_rls_step(sce_state, z, xdiag)
@@ -240,7 +242,7 @@ def test_criterion_3_rls_equals_batch():
         weighted = xdiag[:, None] * basis
         gram_h += weighted.conj().T @ weighted
         rhs_h += weighted.conj().T @ z
-        dense_y = op.dense()
+        dense_y = operator_matrix(op)
         gram_w += dense_y.conj().T @ dense_y
         rhs_w += dense_y.conj().T @ b
 
@@ -264,11 +266,11 @@ def test_criterion_4_cg_termination_and_monotonicity():
     codes = fdcore.walsh_code_set(nc)
     taps = generate_cir(ChannelProfile(num_taps, 0.35, seed=42))
     b = fdcore.random_bpsk(rng, n)
-    _, z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
+    z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
     xdiag = sce.pilot_matrix(fdcore.spread(b, codes[0]))
     state = sce.new_cg_state(num_taps, iters=num_taps)
     sce.sce_cg_step(state, z, xdiag)
-    basis = xdiag[:, None] * fdcore.fourier_tap_basis(m, num_taps)
+    basis = xdiag[:, None] * fourier_tap_basis(m, num_taps)
     gram = basis.conj().T @ basis
     rhs = basis.conj().T @ z
     resid = np.linalg.norm(gram @ state.h_hat - rhs) / np.linalg.norm(rhs)
@@ -278,7 +280,7 @@ def test_criterion_4_cg_termination_and_monotonicity():
     da_state = da.new_cg_state(m, iters=8)
     for _ in range(25):
         data = fdcore.random_bpsk(rng, 3 * n).reshape(3, n)
-        _, z = synthesize_rx(data, codes, taps, sigma2, rng)
+        z = synthesize_rx(data, codes, taps, sigma2, rng)
         trace = []
         da.da_cg_step(da_state, da.RxOperator(z, n), data[0], trace=trace)
         norms = [t[2] for t in trace]
@@ -428,6 +430,31 @@ def test_criterion_10_estimated_vs_genie_detector(ordering_bers):
         f"estimated-input detector BER is {ratio:.1f}x the genie detector "
         "(bound 2.0x); check the subspace noise-variance and user-count "
         "estimates that feed its equalizer")
+
+
+def test_criterion_10b_estimated_inputs_at_low_snr():
+    # At 0 dB the MDL order drops a faded user's eigenvalue in some groups,
+    # so K is underestimated; the detector is noise-limited there, which
+    # keeps the cost small. Ratios measured over seeds 1-7 and 12345:
+    # 0.985-1.014 at 0 dB, 0.992-1.005 at 8 dB. A 4x noise estimate or K
+    # fixed at 1 reads about 1.25-1.3 at 8 dB.
+    points = [(0, 0.0, 3), (1, 8.0, 3)]
+    runs = list(range(8))
+    bers = {}
+    for estimated in (False, True):
+        cfg = ExperimentConfig(runs=len(runs), training_blocks=300, eval_blocks=200,
+                               scheme="sce", algorithm="rls",
+                               use_estimated_sigma2=estimated, use_estimated_k=estimated)
+        results = [res["sce-rls"] for res in _steady_trial(cfg, points, ["sce-rls"], runs)]
+        bers[estimated] = [sum(res[p][0] for res in results) / sum(res[p][1] for res in results)
+                           for p in range(len(points))]
+    ratios = [est / true for est, true in zip(bers[True], bers[False])]
+    ok = all(ratio <= 1.10 for ratio in ratios)
+    _report("10b", ok, "estimated/true-input SCE-RLS BER ratio at 0 and 8 dB: " +
+            ", ".join(f"{r:.3f}" for r in ratios) + " (bound 1.10)")
+    assert ok, (
+        f"estimated-input SCE-RLS BER over true-input BER is {ratios} at 0 and 8 dB "
+        "(bound 1.10); check the subspace noise-variance and user-count estimates")
 
 
 # ---------------------------------------------------------------------------

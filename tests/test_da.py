@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import dft_matrix, expansion_matrix, operator_matrix, spectral_mask
 from uwbfde import da, fdcore
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 
@@ -18,8 +19,8 @@ def _random_complex(rng, n):
 def _dense_rx_matrix(zbins, n):
     m = zbins.size
     nc = m // n
-    fn = fdcore.dft_matrix(n)
-    ie = fdcore.expansion_matrix(n, nc)
+    fn = dft_matrix(n)
+    ie = expansion_matrix(n, nc)
     return fn.conj().T @ ie.T @ np.diag(zbins)
 
 
@@ -27,7 +28,7 @@ def _scene(rng, n=4, nc=2, num_taps=3, sigma2=0.0, users=1):
     codes = fdcore.walsh_code_set(nc)
     taps = generate_cir(ChannelProfile(num_taps, 0.2, seed=rng.integers(1 << 30)))
     blocks = fdcore.random_bpsk(rng, users * n).reshape(users, n)
-    _, z = synthesize_rx(blocks, codes, taps, sigma2, rng)
+    z = synthesize_rx(blocks, codes, taps, sigma2, rng)
     return taps, codes, blocks, da.RxOperator(z, n)
 
 
@@ -71,7 +72,7 @@ class TestRxOperator:
         rng = np.random.default_rng(4)
         z = _random_complex(rng, 8)
         op = da.RxOperator(z, 2)
-        assert_allclose(op.dense(), _dense_rx_matrix(z, 2), atol=1e-12)
+        assert_allclose(operator_matrix(op), _dense_rx_matrix(z, 2), atol=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -93,7 +94,7 @@ class TestDaLms:
     def test_zero_error_fixed_point(self):
         rng = np.random.default_rng(5)
         taps, codes, blocks, op = _scene(rng)
-        w_opt = np.linalg.lstsq(op.dense(), blocks[0].astype(complex), rcond=None)[0]
+        w_opt = np.linalg.lstsq(operator_matrix(op), blocks[0].astype(complex), rcond=None)[0]
         state = da.new_lms_state(op.m, mu=0.3)
         state.w_hat = w_opt.copy()
         da.da_lms_step(state, op, blocks[0])
@@ -109,12 +110,12 @@ class TestDaLms:
         state = da.new_lms_state(n * nc, mu=0.05)
         for _ in range(2000):
             b = fdcore.random_bpsk(rng, n)
-            _, z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
+            z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
             da.da_lms_step(state, da.RxOperator(z, n), b)
         errors = 0
         for _ in range(50):
             b = fdcore.random_bpsk(rng, n)
-            _, z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
+            z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
             errors += int((da.detect_da(da.RxOperator(z, n), state.w_hat) != b).sum())
         assert errors == 0
 
@@ -154,10 +155,10 @@ class TestDaRls:
         rhs = np.zeros(m, complex)
         for _ in range(30):
             b = fdcore.random_bpsk(rng, n)
-            _, z = synthesize_rx(b[None, :], codes, taps, 0.05, rng)
+            z = synthesize_rx(b[None, :], codes, taps, 0.05, rng)
             op = da.RxOperator(z, n)
             da.da_rls_step(state, op, b)
-            dense = op.dense()
+            dense = operator_matrix(op)
             gram += dense.conj().T @ dense
             rhs += dense.conj().T @ b
         batch = np.linalg.lstsq(gram, rhs, rcond=None)[0]
@@ -175,7 +176,7 @@ class TestDaRls:
             da.da_rls_step(state, op, b[0])
             zs.append(op.zbins)
         dense = delta * np.eye(m, dtype=complex)
-        mask = da.spectral_mask(n, nc)
+        mask = spectral_mask(n, nc)
         for z in zs:
             dense = 0.9 * dense + (np.conj(z)[:, None] * z[None, :]) * mask
         rebuilt = np.zeros((m, m), complex)
@@ -250,8 +251,8 @@ class TestGenieWeights:
             m = n * nc
             codes = fdcore.walsh_code_set(nc)
             spectrum = fdcore.tap_spectrum(taps, m)
-            mask = da.spectral_mask(n, nc)
-            ie = fdcore.expansion_matrix(n, nc)
+            mask = spectral_mask(n, nc)
+            ie = expansion_matrix(n, nc)
             cov = np.zeros((m, m), complex)
             for i in range(k):
                 lam = spectrum * fdcore.tap_spectrum(codes[i], m)
@@ -277,7 +278,7 @@ class TestDetectDa:
         w = da.build_mmse_da(taps, codes[:1], 1e-12, n)
         for _ in range(20):
             b = fdcore.random_bpsk(rng, n)
-            _, z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
+            z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
             assert_allclose(da.detect_da(da.RxOperator(z, n), w), b)
 
     def test_zero_weights_resolve_positive(self):
@@ -291,5 +292,5 @@ class TestDetectDa:
         taps = generate_cir(ChannelProfile(3, 0.1, seed=23))
         w = da.build_mmse_da(taps, codes, 1e-12, n)
         blocks = fdcore.random_bpsk(rng, nc * n).reshape(nc, n)
-        _, z = synthesize_rx(blocks, codes, taps, 0.0, rng)
+        z = synthesize_rx(blocks, codes, taps, 0.0, rng)
         assert_allclose(da.detect_da(da.RxOperator(z, n), w), blocks[0])

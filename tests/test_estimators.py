@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import fourier_tap_basis
 from uwbfde import fdcore
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 from uwbfde.estimators import (
@@ -23,7 +24,7 @@ from uwbfde.sce import pilot_matrix
 def _pilot_block(rng, n, nc, taps, sigma2, users=1):
     codes = fdcore.walsh_code_set(nc)
     blocks = fdcore.random_bpsk(rng, users * n).reshape(users, n)
-    _, z = synthesize_rx(blocks, codes, taps, sigma2, rng)
+    z = synthesize_rx(blocks, codes, taps, sigma2, rng)
     return z, pilot_matrix(fdcore.spread(blocks[0], codes[0]))
 
 
@@ -37,8 +38,7 @@ class TestMlNoiseVariance:
         assert_allclose(taps_hat, taps, atol=1e-10)
 
     def test_single_user_mean_close_to_truth(self):
-        # Monte-Carlo oracle with a short tap vector so the plain estimate's
-        # downward bias (tap count over bin count) stays inside the tolerance
+        # Monte-Carlo oracle with a short tap vector
         rng = np.random.default_rng(2)
         n, nc, num_taps = 32, 8, 8
         taps = generate_cir(ChannelProfile(num_taps, 0.3, seed=3))
@@ -52,13 +52,12 @@ class TestMlNoiseVariance:
         rng = np.random.default_rng(4)
         n, nc, num_taps = 32, 8, 34
         taps = generate_cir(ChannelProfile(num_taps, 0.3, seed=5))
-        plain = corrected = 0.0
+        # dividing by the bin count instead would read 0.2 * (m - L) / m,
+        # 13% low here, outside the tolerance
+        corrected = 0.0
         for _ in range(150):
             z, xdiag = _pilot_block(rng, n, nc, taps, 0.2)
-            plain += ml_noise_variance(z, xdiag, num_taps)[0]
-            corrected += ml_noise_variance(z, xdiag, num_taps, ddof_correction=True)[0]
-        m = n * nc
-        assert plain / 150 == pytest.approx(0.2 * (m - num_taps) / m, rel=0.05)
+            corrected += ml_noise_variance(z, xdiag, num_taps)[0]
         assert corrected / 150 == pytest.approx(0.2, rel=0.05)
 
     def test_multiuser_high_snr_overestimates(self):
@@ -81,10 +80,10 @@ class TestMlNoiseVariance:
         m = n * nc
         for _ in range(5):
             z, xdiag = _pilot_block(rng, n, nc, taps, 0.1, users=2)
-            basis = xdiag[:, None] * fdcore.fourier_tap_basis(m, num_taps)
+            basis = xdiag[:, None] * fourier_tap_basis(m, num_taps)
             dense_taps = np.linalg.lstsq(basis, z, rcond=None)[0]
             resid = z - basis @ dense_taps
-            sigma2_hat, taps_hat = ml_noise_variance(z, xdiag, num_taps, ddof_correction=True)
+            sigma2_hat, taps_hat = ml_noise_variance(z, xdiag, num_taps)
             assert_allclose(taps_hat, dense_taps, rtol=1e-10, atol=1e-12)
             assert sigma2_hat == pytest.approx(np.vdot(resid, resid).real / (m - num_taps),
                                                rel=1e-10)
@@ -105,10 +104,14 @@ class TestMlNoiseVariance:
         # reordering bins permutes the basis rows identically, leaving the
         # residual energy unchanged; emulate via direct computation
         m = z.size
-        basis = xdiag[:, None] * fdcore.fourier_tap_basis(m, 3)
+        basis = xdiag[:, None] * fourier_tap_basis(m, 3)
         taps_hat = np.linalg.lstsq(basis[perm], z[perm], rcond=None)[0]
         resid = z[perm] - basis[perm] @ taps_hat
-        assert np.vdot(resid, resid).real / m == pytest.approx(ref, rel=1e-9)
+        assert np.vdot(resid, resid).real / (m - 3) == pytest.approx(ref, rel=1e-9)
+
+    def test_rejects_fit_without_residual_degrees_of_freedom(self):
+        with pytest.raises(ValueError, match="num_taps"):
+            ml_noise_variance(np.ones(4, complex), np.ones(4, complex), 4)
 
     def test_always_nonnegative(self):
         # short blocks can null enough pilot bins to make the fit rank
@@ -171,7 +174,7 @@ class TestUserCount:
         state = EstimatorState()
         for _ in range(1000):
             blocks = fdcore.random_bpsk(rng, nc * n).reshape(nc, n)
-            _, z = synthesize_rx(blocks, codes, taps, 0.0, rng)
+            z = synthesize_rx(blocks, codes, taps, 0.0, rng)
             update_power(state, z)
         est = estimate_user_count(state.received_power, 0.0, taps, nc, m, cap=nc)
         assert est.k_float == pytest.approx(nc, abs=0.15)
@@ -200,7 +203,7 @@ def _covariance(rng, n, nc, taps, sigma2, users, blocks):
     state = GroupCovariance.empty(n, nc)
     for _ in range(blocks):
         data = fdcore.random_bpsk(rng, users * n).reshape(users, n)
-        _, z = synthesize_rx(data, codes, taps, sigma2, rng)
+        z = synthesize_rx(data, codes, taps, sigma2, rng)
         update_covariance(state, z)
     return state
 
@@ -243,7 +246,7 @@ class TestSubspaceEstimate:
         codes = fdcore.walsh_code_set(nc)
         for _ in range(nc):
             data = fdcore.random_bpsk(rng, 2 * n).reshape(2, n)
-            _, z = synthesize_rx(data, codes, taps, 0.1, rng)
+            z = synthesize_rx(data, codes, taps, 0.1, rng)
             update_covariance(state, z)
             est = subspace_estimate(state, cap=3)
             assert est.startup

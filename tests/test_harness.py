@@ -255,3 +255,52 @@ class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["--experiment", "nope"])
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--experiment", "ber-vs-blocks", "--check"], "--check"),
+        (["--experiment", "ber-vs-snr", "--check"], "--check"),
+        (["--experiment", "ber-vs-users", "--check"], "--check"),
+        (["--experiment", "estimators", "--check"], "--check"),
+        (["--experiment", "ber-vs-blocks", "--scheme", "da", "--estimated-sigma2"],
+         "--estimated-sigma2"),
+        (["--experiment", "ber-vs-snr", "--scheme", "da", "--estimated-k"], "--estimated-k"),
+        (["--experiment", "ber-vs-blocks", "--algorithm", "mmse", "--estimated-k"],
+         "--estimated-k"),
+        (["--experiment", "ber-vs-users", "--scheme", "sce", "--algorithm", "mmse",
+          "--estimated-sigma2"], "--estimated-sigma2"),
+        (["--experiment", "estimators", "--estimated-sigma2"], "--estimated-sigma2"),
+        (["--experiment", "estimators", "--estimated-k"], "--estimated-k"),
+        (["--experiment", "complexity", "--estimated-sigma2"], "--estimated-sigma2"),
+        (["--experiment", "complexity", "--estimated-k"], "--estimated-k"),
+    ])
+    def test_ignored_flag_rejected(self, args, flag, tmp_path, capsys):
+        rc = cli_main([*args, *self.BASE, "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("experiment", ["ber-vs-blocks", "estimators"])
+    def test_benchmark_argv_accepted(self, experiment, tmp_path):
+        # the benchmark passes every workload the same flags, --eval-blocks
+        # and --scheme/--algorithm/--users included
+        rc = cli_main(["--experiment", experiment, "--scheme", "both", "--algorithm", "all",
+                       "--users", "2", "--spreading", "4", "--block-length", "8",
+                       "--cir-length", "3", "--cp-chips", "4", "--snr-db", "8,16",
+                       "--blocks", "12", "--eval-blocks", "0", "--runs", "2",
+                       "--cg-iters", "3", "--seed", "1", "--workers", "1",
+                       "--out", str(tmp_path / "bench.csv")])
+        assert rc == 0
+
+    def test_divergence_is_a_cli_error(self, tmp_path, capsys):
+        with np.errstate(all="ignore"):
+            rc = cli_main(["--experiment", "ber-vs-blocks", "--scheme", "da",
+                           "--algorithm", "lms", "--mu-w", "5", "--block-length", "8",
+                           "--spreading", "2", "--users", "2", "--cir-length", "3",
+                           "--cp-chips", "4", "--snr-db", "12", "--blocks", "400",
+                           "--runs", "2", "--seed", "77", "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert ("error: run 0, 12 dB SNR, 2 users, da-lms, block 357 of 400: "
+                "adaptive update diverged") in err
+        assert "Traceback" not in err

@@ -12,7 +12,7 @@ class TestOpCounter:
         ctr = OpCounter()
         ctr.matvec(3, 4)
         assert (ctr.mults, ctr.adds) == (12, 9)
-        ctr.reset()
+        ctr = OpCounter()
         ctr.inner(5)
         assert (ctr.mults, ctr.adds) == (5, 4)
         ctr.diag_product(7)

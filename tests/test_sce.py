@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import dft_matrix, fourier_tap_basis
 from uwbfde import fdcore, sce
 from uwbfde.channel import generate_cir, ChannelProfile, synthesize_rx
 
@@ -30,7 +31,7 @@ def _dense_genie_covariance(taps, codes, sigma2, n):
     k, nc = codes.shape
     m = n * nc
     spectrum = fdcore.tap_spectrum(taps, m)
-    left = spectrum[:, None] * fdcore.dft_matrix(m)
+    left = spectrum[:, None] * dft_matrix(m)
     mix = np.kron(np.eye(n), codes.T @ codes)
     return left @ mix @ left.conj().T + sigma2 * np.eye(m)
 
@@ -39,7 +40,7 @@ def _pilot_scene(rng, n=4, nc=2, num_taps=3, sigma2=0.0, users=1):
     codes = fdcore.walsh_code_set(nc)
     taps = generate_cir(ChannelProfile(num_taps, 0.2, seed=rng.integers(1 << 30)))
     blocks = fdcore.random_bpsk(rng, users * n).reshape(users, n)
-    _, z = synthesize_rx(blocks, codes, taps, sigma2, rng)
+    z = synthesize_rx(blocks, codes, taps, sigma2, rng)
     xdiag = sce.pilot_matrix(fdcore.spread(blocks[0], codes[0]))
     return taps, codes, blocks, z, xdiag
 
@@ -55,13 +56,13 @@ class TestPilotMatrix:
         rng = np.random.default_rng(0)
         code = fdcore.walsh_code_set(2)[1]
         x = fdcore.spread(fdcore.random_bpsk(rng, 4), code)
-        assert_allclose(sce.pilot_matrix(x), fdcore.dft(x), atol=1e-14)
+        assert_allclose(sce.pilot_matrix(x), np.fft.fft(x, norm="ortho"), atol=1e-14)
 
     def test_matches_diag_of_explicit_matrix(self):
         rng = np.random.default_rng(1)
         x = _random_complex(rng, 8)
-        explicit = np.diag(np.diag(fdcore.dft_matrix(8) @ np.diag(x)) * 0 +
-                           fdcore.dft_matrix(8) @ x)
+        explicit = np.diag(np.diag(dft_matrix(8) @ np.diag(x)) * 0 +
+                           dft_matrix(8) @ x)
         assert_allclose(sce.pilot_matrix(x), np.diag(explicit), atol=1e-12)
 
 
@@ -87,7 +88,7 @@ class TestSceLms:
         state = sce.new_lms_state(num_taps, mu=0.01)
         for _ in range(2000):
             b = fdcore.random_bpsk(rng, n)
-            _, z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
+            z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
             xdiag = sce.pilot_matrix(fdcore.spread(b, codes[0]))
             sce.sce_lms_step(state, z, xdiag)
         assert np.linalg.norm(state.h_hat - taps) / np.linalg.norm(taps) < 1e-2
@@ -118,14 +119,14 @@ class TestSceRls:
         n, nc, num_taps = 4, 2, 3
         m = n * nc
         state = sce.new_rls_state(num_taps, lam=1.0, delta=1e-10)
-        basis = fdcore.fourier_tap_basis(m, num_taps)
+        basis = fourier_tap_basis(m, num_taps)
         gram = np.zeros((num_taps, num_taps), complex)
         rhs = np.zeros(num_taps, complex)
         codes = fdcore.walsh_code_set(nc)
         taps = generate_cir(ChannelProfile(num_taps, 0.1, seed=6))
         for _ in range(30):
             b = fdcore.random_bpsk(rng, n)
-            _, z = synthesize_rx(b[None, :], codes, taps, 0.05, rng)
+            z = synthesize_rx(b[None, :], codes, taps, 0.05, rng)
             xdiag = sce.pilot_matrix(fdcore.spread(b, codes[0]))
             sce.sce_rls_step(state, z, xdiag)
             weighted = xdiag[:, None] * basis
@@ -172,7 +173,7 @@ class TestSceCg:
                                                      num_taps=num_taps)
         state = sce.new_cg_state(num_taps, iters=num_taps)
         sce.sce_cg_step(state, z, xdiag)
-        basis = xdiag[:, None] * fdcore.fourier_tap_basis(m, num_taps)
+        basis = xdiag[:, None] * fourier_tap_basis(m, num_taps)
         gram = basis.conj().T @ basis
         rhs = basis.conj().T @ z
         assert np.linalg.norm(gram @ state.h_hat - rhs) <= 1e-6 * np.linalg.norm(rhs)
@@ -292,7 +293,7 @@ class TestDetect:
         taps = generate_cir(ChannelProfile(3, 0.2, seed=20))
         for _ in range(20):
             b = fdcore.random_bpsk(rng, n)
-            _, z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
+            z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
             det = sce.build_mmse_sce(taps, 1, 0.0, nc, n * nc)
             assert_allclose(sce.detect_sce(z, det, codes[0]), b)
 
@@ -304,7 +305,7 @@ class TestDetect:
         dense = _dense_from_blocks(blocks)
         for _ in range(5):
             z = _random_complex(rng, n * nc)
-            soft = fdcore.despread(fdcore.idft(dense.conj().T @ z), codes[0])
+            soft = fdcore.despread(np.fft.ifft(dense.conj().T @ z, norm="ortho"), codes[0])
             assert_allclose(sce.detect_sce(z, blocks, codes[0]),
                             np.where(soft.real >= 0, 1.0, -1.0))
 
@@ -320,6 +321,6 @@ class TestDetect:
         taps = generate_cir(ChannelProfile(3, 0.1, seed=22))
         dense = sce.build_mmse_sce_exact(taps, codes, 1e-12, n)
         blocks = fdcore.random_bpsk(rng, nc * n).reshape(nc, n)
-        _, z = synthesize_rx(blocks, codes, taps, 0.0, rng)
+        z = synthesize_rx(blocks, codes, taps, 0.0, rng)
         for k in range(nc):
             assert_allclose(sce.detect_sce(z, dense, codes[k]), blocks[k])
