@@ -8,7 +8,9 @@ least-squares normal matrix a sparse block structure: after regrouping bins
 by symbol index (:func:`fdcore.by_symbol`) it is block diagonal with n
 independent Hermitian nc-by-nc blocks, so the RLS solve and the genie MMSE
 build cost O(m*nc^2) instead of O(m^3). Neither the explicit n-by-m
-operator nor the m-by-m normal matrix is ever formed.
+operator nor the m-by-m normal matrix is ever formed. Every adaptive step
+fits one least-squares cost ``||b - A w||^2`` on this operator
+:class:`RxOperator`; CG runs the shared :func:`fdcore.cg_least_squares` on it.
 
 The operator, the steps and detection also take a leading run axis: an
 ``(R, m)`` received block advances R independent runs at once, each row
@@ -24,16 +26,17 @@ import numpy as np
 
 from .fdcore import (
     by_symbol,
+    cg_least_squares,
     check_finite,
     fold_segments,
     from_symbol,
     genie_covariance,
-    row_energy,
     solve_regularized,
     tile_segments,
 )
 
 logger = logging.getLogger(__name__)
+_DIVERGED = "adaptive update diverged (non-finite weights)"
 
 
 class RxOperator:
@@ -119,10 +122,6 @@ def new_cg_state(m: int, iters: int = 8, batch=()) -> DaCgState:
     return DaCgState(w_hat=np.zeros((*batch, m), dtype=complex), iters=int(iters))
 
 
-def _check_finite(vec):
-    check_finite(vec, "adaptive update diverged (non-finite weights)")
-
-
 # ---------------------------------------------------------------------------
 # adaptive steps
 # ---------------------------------------------------------------------------
@@ -131,7 +130,7 @@ def da_lms_step(state: DaLmsState, op: RxOperator, b, counter=None) -> DaLmsStat
     """One stochastic-gradient update of the filter from one training block."""
     err = b - op.matvec(state.w_hat)
     state.w_hat += op.rmatvec(state.mu * err)
-    _check_finite(state.w_hat)
+    check_finite(state.w_hat, _DIVERGED)
     if counter is not None:
         m, n = op.m, op.n
         counter.matvec(n, m)        # filter output
@@ -162,7 +161,7 @@ def da_rls_step(state: DaRlsState, op: RxOperator, b, counter=None) -> DaRlsStat
     for block in regularized:
         logger.warning("singular block %s; regularizing with delta=%g", block, state.delta)
     state.w_hat += from_symbol(update[..., 0])
-    _check_finite(state.w_hat)
+    check_finite(state.w_hat, _DIVERGED)
     if counter is not None:
         m = op.m
         counter.matvec(n, m)                              # filter output
@@ -179,41 +178,14 @@ def da_rls_step(state: DaRlsState, op: RxOperator, b, counter=None) -> DaRlsStat
 def da_cg_step(state: DaCgState, op: RxOperator, b, counter=None, trace=None) -> DaCgState:
     """Run the per-block conjugate-gradient inner loop on the filter weights.
 
-    A zero-curvature direction or a vanished gradient ends the loop early,
-    per run: a stopped row takes no further step. ``trace``, when given,
-    collects one ``(grad_energy, neg_dir_grad, residual_norm)`` tuple per
-    iteration (one value per run).
+    The loop is :func:`fdcore.cg_least_squares` on the block's cost
+    ``||b - op w||^2``; ``trace`` is passed through.
     """
-    w = state.w_hat
-    err = b - op.matvec(w)
-    grad = -op.rmatvec(err)
-    direction = -grad
-    grad_energy = row_energy(grad)
-    active = np.ones(grad_energy.shape, dtype=bool)
-    for _ in range(state.iters):
-        active &= grad_energy != 0.0
-        if not active.any():
-            break
-        filtered = op.matvec(direction)
-        curvature = row_energy(filtered)
-        active &= curvature != 0.0
-        if not active.any():
-            break
-        alpha = np.divide(grad_energy, curvature, out=np.zeros(curvature.shape),
-                          where=active)[..., None]
-        w += alpha * direction
-        err -= alpha * filtered
-        new_grad = -op.rmatvec(err)
-        new_energy = row_energy(new_grad)
-        beta = np.divide(new_energy, grad_energy, out=np.zeros(new_energy.shape),
-                         where=active)[..., None]
-        if trace is not None:
-            neg_dir_grad = -np.einsum("...i,...i->...", direction.conj(), grad)
-            trace.append((grad_energy, neg_dir_grad, np.linalg.norm(err, axis=-1)))
-        direction = -new_grad + beta * direction
-        grad, grad_energy = new_grad, new_energy
-        if counter is not None:
-            m, n = op.m, op.n
+    done = cg_least_squares(state.w_hat, op, b, state.iters, trace)
+    check_finite(state.w_hat, _DIVERGED)
+    if counter is not None:
+        m, n = op.m, op.n
+        for _ in range(done):
             counter.matvec(n, m)        # filtered direction
             counter.inner(n)            # curvature
             counter.scalar_div()        # step size
@@ -223,7 +195,6 @@ def da_cg_step(state: DaCgState, op: RxOperator, b, counter=None, trace=None) ->
             counter.inner(m)            # gradient energy
             counter.scalar_div()        # direction ratio
             counter.lump(0, m)          # direction recombination (adds only)
-    _check_finite(w)
     return state
 
 

@@ -34,37 +34,38 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fdcore import by_symbol, row_energy, tap_spectrum, tap_spectrum_adjoint
-from .sce import pilot_normal_matrix
+from .fdcore import by_symbol, row_energy, tap_spectrum
+from .sce import PilotOperator, pilot_normal_matrix
 
 
 def ml_noise_variance(z, xdiag, num_taps: int):
     """Joint tap / noise-variance fit against one known pilot block.
 
     Fits ``num_taps`` channel taps to the received spectrum by least squares
-    on the pilot-weighted tap basis, then reads the noise variance off the
+    on the pilot-weighted tap operator (:class:`sce.PilotOperator`, the one
+    the SCE steps adapt on), then reads the noise variance off the
     residual: its energy divided by its degrees of freedom, bins minus
     fitted taps, which makes the estimate unbiased for a single user.
     Returns ``(sigma2_hat, taps_hat)``.
     """
     z = np.asarray(z, dtype=complex)
-    xdiag = np.asarray(xdiag, dtype=complex)
+    op = PilotOperator(xdiag, num_taps)
     m = z.size
-    if xdiag.size != m:
+    if op.xdiag.size != m:
         raise ValueError("z and xdiag must have the same length")
     if not 1 <= num_taps:
         raise ValueError("num_taps must be >= 1")
     if num_taps >= m:
         raise ValueError("num_taps must be < m: the residual needs degrees of freedom")
-    gram = pilot_normal_matrix(xdiag, num_taps)
+    gram = pilot_normal_matrix(op.xdiag, num_taps)
     try:
         factor = cho_factor(gram)
     except np.linalg.LinAlgError:
         cond = np.linalg.cond(gram)
         raise np.linalg.LinAlgError(
             f"pilot-weighted basis is rank deficient (condition estimate {cond:.3e})")
-    taps_hat = cho_solve(factor, tap_spectrum_adjoint(xdiag.conj() * z, num_taps))
-    resid = z - xdiag * tap_spectrum(taps_hat, m)
+    taps_hat = cho_solve(factor, op.rmatvec(z))
+    resid = z - op.matvec(taps_hat)
     sigma2_hat = float(row_energy(resid)) / (m - num_taps)
     return sigma2_hat, taps_hat
 

@@ -3,11 +3,12 @@
 Everything in this module is a pure function of its inputs: Walsh
 spreading/despreading, circulant channel application, the structured
 Fourier operators that let the adaptive algorithms work on a short tap
-vector instead of a full frequency-domain vector, and the symbol-group
-kernel. The cyclic prefix is not simulated chip by chip: a prefix at least
-as long as the channel memory makes the channel circular, which is what
-:func:`circulant_apply` computes. Transforms call ``np.fft`` directly, and
-no m-by-m matrix is built here.
+vector instead of a full frequency-domain vector, the symbol-group kernel,
+and the conjugate-gradient loop both schemes run on their least-squares
+operators (:func:`cg_least_squares`). The cyclic prefix is not simulated
+chip by chip: a prefix at least as long as the channel memory makes the
+channel circular, which is what :func:`circulant_apply` computes.
+Transforms call ``np.fft`` directly, and no m-by-m matrix is built here.
 
 Conventions
 -----------
@@ -225,6 +226,46 @@ def solve_regularized(mats, rhs, delta: float):
             out[idx] = np.linalg.solve(mats[idx], rhs[idx])
             regularized.append(idx)
     return out, regularized
+
+
+def cg_least_squares(x, op, d, iters: int, trace=None) -> int:
+    """Conjugate-gradient loop on ``||d - A x||^2`` (CGLS, Hestenes and Stiefel
+    1952), updating ``x`` in place; returns the number of completed iterations.
+
+    ``op`` applies ``A`` (``matvec``) and its adjoint (``rmatvec``) row by row.
+    Each step is exact along its direction. A vanished gradient or a zero
+    curvature stops a row; the loop ends when every row has stopped.
+    ``trace``, when given, collects one ``(grad_energy, neg_dir_grad,
+    residual_norm)`` tuple per iteration (one value per run).
+    """
+    err = d - op.matvec(x)
+    grad = -op.rmatvec(err)
+    direction = -grad
+    grad_energy = row_energy(grad)
+    active = np.ones(grad_energy.shape, dtype=bool)
+    for done in range(iters):
+        active &= grad_energy != 0.0
+        if not active.any():
+            return done
+        filtered = op.matvec(direction)
+        curvature = row_energy(filtered)
+        active &= curvature != 0.0
+        if not active.any():
+            return done
+        alpha = np.divide(grad_energy, curvature, out=np.zeros(curvature.shape),
+                          where=active)[..., None]
+        x += alpha * direction
+        err -= alpha * filtered
+        new_grad = -op.rmatvec(err)
+        new_energy = row_energy(new_grad)
+        beta = np.divide(new_energy, grad_energy, out=np.zeros(new_energy.shape),
+                         where=active)[..., None]
+        if trace is not None:
+            neg_dir_grad = -np.einsum("...i,...i->...", direction.conj(), grad)
+            trace.append((grad_energy, neg_dir_grad, np.linalg.norm(err, axis=-1)))
+        direction = -new_grad + beta * direction
+        grad, grad_energy = new_grad, new_energy
+    return iters
 
 
 def random_bpsk(rng: np.random.Generator, n: int) -> np.ndarray:

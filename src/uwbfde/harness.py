@@ -88,7 +88,6 @@ class ExperimentConfig:
     delta_init: float = 1e-2
     use_estimated_sigma2: bool = False
     use_estimated_k: bool = False
-    k_cap: int = 7
     cir_file: str | None = None
     decay_rate: float = 0.35
     workers: int = 1
@@ -144,8 +143,6 @@ class ExperimentConfig:
                                      "runs none")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.k_cap < 0:
-            raise ValueError("k_cap must be >= 0")
 
     def algo_keys(self) -> list[str]:
         return [key for key, algo in _ALGORITHMS.items()
@@ -276,7 +273,7 @@ class _SceRunner(_Runner):
     def observe(self, rx: _Block):
         """Fold a training block into each run's subspace estimate of sigma2 and K."""
         if self.cov is not None:
-            self.est = subspace_estimate(update_covariance(self.cov, rx.z), self.cfg.k_cap)
+            self.est = subspace_estimate(update_covariance(self.cov, rx.z))
 
     def detect(self, rx: _Block):
         if self.state is None:
@@ -362,7 +359,8 @@ def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks):
 def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
                      adapt=True, errors_out=None, where=("run",)) -> dict:
     """Advance every runner over ``n_blocks`` blocks of every run, filling
-    ``errors_out`` (``key -> (..., n_blocks)`` error counts).
+    ``errors_out`` (``key -> (..., n_blocks)`` error counts). Without
+    ``errors_out`` no block is scored, so none is detected.
 
     ``taps`` and ``rng`` are as for :func:`_received_blocks`. Returns the
     first divergence of each diverged run, ``{row: message}``, the message
@@ -384,7 +382,9 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
         for key, runner in runners.items():
             if adapt:
                 runner.observe(rx)
-            bits_hat = runner.detect(rx)
+            if errors_out is not None:
+                errors_out[key][..., i] = np.count_nonzero(runner.detect(rx) != desired,
+                                                           axis=-1)
             if adapt:
                 try:
                     runner.update(rx)
@@ -392,8 +392,6 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
                     for row in exc.rows:
                         diverged.setdefault(
                             int(row), f"{where[row]}, {key}, block {i + 1} of {n_blocks}: {exc}")
-            if errors_out is not None:
-                errors_out[key][..., i] = np.count_nonzero(bits_hat != desired, axis=-1)
     return diverged
 
 
@@ -497,9 +495,9 @@ def estimator_kcount_trial(cfg: ExperimentConfig, users: int, runs) -> list[dict
     power-inversion estimate (true noise variance and channel energy) and
     the estimated-input subspace estimate of the per-group received
     covariance, which reads neither the truth nor a pilot. The estimated
-    traces hold the subspace estimator's startup values (``cfg.k_cap``)
-    until more than ``cfg.spreading`` blocks are accumulated and never
-    exceed ``cfg.k_cap``.
+    traces hold the subspace estimator's startup values (its default cap of
+    7 users) until more than ``cfg.spreading`` blocks are accumulated and
+    never exceed that cap.
     """
     taps, codes = _batch_inputs(cfg, runs)
     sigma2 = cfg.sigma2_for(cfg.snr_db[-1])
@@ -513,9 +511,8 @@ def estimator_kcount_trial(cfg: ExperimentConfig, users: int, runs) -> list[dict
     for i, (_, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rngs,
                                                  cfg.training_blocks)):
         update_power(power, z)
-        genie = estimate_user_count(power.received_power, sigma2, taps, nc, m,
-                                    cap=cfg.k_cap)
-        guess = subspace_estimate(update_covariance(cov, z), cfg.k_cap)
+        genie = estimate_user_count(power.received_power, sigma2, taps, nc, m)
+        guess = subspace_estimate(update_covariance(cov, z))
         k_float_genie[:, i] = genie.k_float
         k_float_est[:, i] = guess.k_float
         k_int_est[:, i] = guess.k_int
@@ -589,6 +586,8 @@ def run_ber_vs_users(cfg: ExperimentConfig) -> CurveSet:
 
 
 def _steady_curve(cfg, algo_keys, points, x_name, x, experiment) -> CurveSet:
+    if cfg.eval_blocks < 1:
+        raise ValueError(f"{experiment} scores steady-state blocks: --eval-blocks must be >= 1")
     results = _map_runs(cfg, _steady_trial, lambda runs: (cfg, points, algo_keys, runs))
     curve = CurveSet(x_name, x, meta={**cfg.metadata(), "experiment": experiment})
     for key in algo_keys:
@@ -675,7 +674,7 @@ class ComplexityReport:
 
     @property
     def all_match(self) -> bool:
-        return all(row.match for row in self.rows)
+        return all(row.match and row.adds_match for row in self.rows)
 
     def mults_for(self, algo: str, nc: int) -> int:
         for row in self.rows:
@@ -698,7 +697,10 @@ class ComplexityReport:
                 f"{'yes' if r.match else 'NO':>4}"
                 f"{r.expected_adds:>13}{r.measured_adds:>12}"
                 f"{'yes' if r.adds_match else 'NO':>4}")
-        lines.append("all multiply counts match: " + ("yes" if self.all_match else "NO"))
+        mults_ok = all(r.match for r in self.rows)
+        adds_ok = all(r.adds_match for r in self.rows)
+        lines.append("all multiply counts match: " + ("yes" if mults_ok else "NO"))
+        lines.append("all add counts match: " + ("yes" if adds_ok else "NO"))
         return "\n".join(lines)
 
 

@@ -7,8 +7,10 @@ time domain. LMS, RLS and conjugate-gradient updates are provided, plus the
 genie MMSE detector used as a performance baseline, which knows the channel
 and every active code and is solved one symbol group at a time.
 
-All adaptive steps realize the operator products structurally (diagonal
-scalings and zero-padded FFTs), never materializing a full m-by-m matrix.
+Every adaptive step fits one least-squares cost ``||z - A h||^2`` on the
+pilot-weighted tap operator :class:`PilotOperator` (diagonal scalings and
+zero-padded FFTs, never an m-by-m matrix); CG runs the shared
+:func:`fdcore.cg_least_squares` loop on it.
 The steps, the equalizer build and detection also take a leading run axis:
 ``(R, m)`` blocks and pilots advance R independent runs at once, each row
 bitwise equal to its own call without the axis.
@@ -23,11 +25,11 @@ import numpy as np
 
 from .fdcore import (
     by_symbol,
+    cg_least_squares,
     check_finite,
     despread,
     from_symbol,
     genie_covariance,
-    row_energy,
     solve_regularized,
     tap_spectrum,
     tap_spectrum_adjoint,
@@ -36,6 +38,7 @@ from .fdcore import (
 logger = logging.getLogger(__name__)
 
 _ZERO_BIN_WARNED = False
+_DIVERGED = "adaptive update diverged (non-finite estimate)"
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +122,22 @@ def pilot_normal_matrix(xdiag, num_taps: int) -> np.ndarray:
     return both[..., num_taps - 1 + taps[:, None] - taps[None, :]]
 
 
-def _predicted_spectrum(h_hat, xdiag):
-    return xdiag * tap_spectrum(h_hat, xdiag.shape[-1])
+class PilotOperator:
+    """Pilot-weighted tap operator: ``matvec(h)`` is the spectrum that taps
+    ``h`` give under the pilot ``xdiag``, ``rmatvec(e)`` its exact adjoint.
+    ``(R, m)`` pilots act row by row, as :class:`da.RxOperator` does."""
 
+    def __init__(self, xdiag, num_taps: int):
+        self.xdiag = np.asarray(xdiag, dtype=complex)
+        self.xconj = self.xdiag.conj()
+        self.num_taps = num_taps
+        self.m = self.xdiag.shape[-1]
 
-def _fold_gradient(xdiag, err, num_taps):
-    return tap_spectrum_adjoint(xdiag.conj() * err, num_taps)
+    def matvec(self, h) -> np.ndarray:
+        return self.xdiag * tap_spectrum(h, self.m)
 
-
-def _check_finite(vec):
-    check_finite(vec, "adaptive update diverged (non-finite estimate)")
+    def rmatvec(self, e) -> np.ndarray:
+        return tap_spectrum_adjoint(self.xconj * e, self.num_taps)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +148,10 @@ def sce_lms_step(state: SceLmsState, z, xdiag, counter=None) -> SceLmsState:
     """One stochastic-gradient update of the tap estimate from one pilot block."""
     num_taps = state.h_hat.shape[-1]
     m = z.shape[-1]
-    err = z - _predicted_spectrum(state.h_hat, xdiag)
-    state.h_hat += state.mu * _fold_gradient(xdiag, err, num_taps)
-    _check_finite(state.h_hat)
+    op = PilotOperator(xdiag, num_taps)
+    err = z - op.matvec(state.h_hat)
+    state.h_hat += state.mu * op.rmatvec(err)
+    check_finite(state.h_hat, _DIVERGED)
     if counter is not None:
         counter.matvec(m, num_taps)      # spectrum of current estimate
         counter.diag_product(m)          # pilot scaling
@@ -160,16 +170,16 @@ def sce_rls_step(state: SceRlsState, z, xdiag, counter=None) -> SceRlsState:
     """
     num_taps = state.h_hat.shape[-1]
     m = z.shape[-1]
+    op = PilotOperator(xdiag, num_taps)
     state.corr *= state.lam
     state.corr += pilot_normal_matrix(xdiag, num_taps)
-    err = z - _predicted_spectrum(state.h_hat, xdiag)
-    grad = _fold_gradient(xdiag, err, num_taps)
+    grad = op.rmatvec(z - op.matvec(state.h_hat))
     update, regularized = solve_regularized(state.corr, grad[..., None], state.delta)
     for run in regularized:
         logger.warning("normal matrix %s singular; regularizing with delta=%g",
                        run, state.delta)
     state.h_hat += update[..., 0]
-    _check_finite(state.h_hat)
+    check_finite(state.h_hat, _DIVERGED)
     if counter is not None:
         counter.lump(m * num_taps, 0)            # weighted basis columns
         counter.matvec(m, num_taps)              # predicted spectrum
@@ -186,44 +196,15 @@ def sce_rls_step(state: SceRlsState, z, xdiag, counter=None) -> SceRlsState:
 def sce_cg_step(state: SceCgState, z, xdiag, counter=None, trace=None) -> SceCgState:
     """Run the per-block conjugate-gradient inner loop on the tap estimate.
 
-    Each inner iteration takes the exact minimizing step along the current
-    direction of the block's least-squares cost; directions are recombined
-    with the gradient-energy ratio. A zero-curvature direction or a vanished
-    gradient ends the loop early, per run: a stopped row takes no further
-    step. ``trace``, when given, collects one ``(grad_energy, neg_dir_grad,
-    residual_norm)`` tuple per iteration (one value per run).
+    The loop is :func:`fdcore.cg_least_squares` on the block's cost
+    ``||z - PilotOperator(xdiag) h||^2``; ``trace`` is passed through.
     """
     num_taps = state.h_hat.shape[-1]
     m = z.shape[-1]
-    h = state.h_hat
-    err = z - _predicted_spectrum(h, xdiag)
-    grad = -_fold_gradient(xdiag, err, num_taps)
-    direction = -grad
-    grad_energy = row_energy(grad)
-    active = np.ones(grad_energy.shape, dtype=bool)
-    for _ in range(state.iters):
-        active &= grad_energy != 0.0
-        if not active.any():
-            break
-        filtered = xdiag * tap_spectrum(direction, m)
-        curvature = row_energy(filtered)
-        active &= curvature != 0.0
-        if not active.any():
-            break
-        alpha = np.divide(grad_energy, curvature, out=np.zeros(curvature.shape),
-                          where=active)[..., None]
-        h += alpha * direction
-        err -= alpha * filtered
-        new_grad = -_fold_gradient(xdiag, err, num_taps)
-        new_energy = row_energy(new_grad)
-        beta = np.divide(new_energy, grad_energy, out=np.zeros(new_energy.shape),
-                         where=active)[..., None]
-        if trace is not None:
-            neg_dir_grad = -np.einsum("...i,...i->...", direction.conj(), grad)
-            trace.append((grad_energy, neg_dir_grad, np.linalg.norm(err, axis=-1)))
-        direction = -new_grad + beta * direction
-        grad, grad_energy = new_grad, new_energy
-        if counter is not None:
+    done = cg_least_squares(state.h_hat, PilotOperator(xdiag, num_taps), z, state.iters, trace)
+    check_finite(state.h_hat, _DIVERGED)
+    if counter is not None:
+        for _ in range(done):
             counter.inner(num_taps)          # gradient energy
             counter.matvec(m, num_taps)      # direction spectrum
             counter.diag_product(m)          # pilot scaling
@@ -235,7 +216,6 @@ def sce_cg_step(state: SceCgState, z, xdiag, counter=None, trace=None) -> SceCgS
             counter.matvec(num_taps, m)      # new gradient fold
             counter.inner(num_taps)          # new gradient energy
             counter.scaled_update(num_taps)  # direction recombination
-    _check_finite(h)
     return state
 
 

@@ -353,3 +353,56 @@ class TestSymbolGroups:
     def test_negative_noise_variance(self):
         with pytest.raises(ValueError):
             fdcore.genie_covariance([1.0], fdcore.walsh_code_set(2), -0.1, 2)
+
+
+class _DenseOperator:
+    """A dense complex matrix behind the ``matvec``/``rmatvec`` protocol,
+    applied row by row to ``(R, k)`` inputs."""
+
+    def __init__(self, mat):
+        self.mat = mat
+
+    def matvec(self, x):
+        return x @ self.mat.T
+
+    def rmatvec(self, e):
+        return e @ self.mat.conj()
+
+
+class TestCgLeastSquares:
+    def _problem(self, seed, rows=12, k=5):
+        rng = np.random.default_rng(seed)
+        mat = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
+        return _DenseOperator(mat), _random_complex(rng, rows)
+
+    def test_k_iterations_reach_the_least_squares_solution(self):
+        op, d = self._problem(31)
+        k = op.mat.shape[1]
+        x = np.zeros(k, complex)
+        assert fdcore.cg_least_squares(x, op, d, k) == k
+        expected = np.linalg.lstsq(op.mat, d, rcond=None)[0]
+        assert_allclose(x, expected, rtol=1e-8, atol=1e-10)
+
+    def test_zero_row_untouched_while_other_row_advances(self):
+        op, d = self._problem(32)
+        k = op.mat.shape[1]
+        x = np.zeros((2, k), complex)
+        trace = []
+        assert fdcore.cg_least_squares(x, op, np.stack([np.zeros_like(d), d]), k, trace) == k
+        assert not x[0].any()
+        assert_allclose(x[1], np.linalg.lstsq(op.mat, d, rcond=None)[0], rtol=1e-8, atol=1e-10)
+        assert len(trace) == k
+        assert all(energy[0] == 0 and energy[1] > 0 for energy, _, _ in trace)
+
+    def test_returns_completed_iterations(self):
+        op, d = self._problem(34)
+        k = op.mat.shape[1]
+        assert fdcore.cg_least_squares(np.zeros(k, complex), op, d, 3) == 3
+        # a zero right-hand side stops before the first step
+        x = np.zeros(k, complex)
+        assert fdcore.cg_least_squares(x, op, np.zeros_like(d), 4) == 0
+        # a consistent system is solved exactly in at most k steps; the loop
+        # stops on the vanished gradient (or zero curvature) after that
+        square = _DenseOperator(np.eye(3, dtype=complex))
+        assert fdcore.cg_least_squares(np.zeros(3, complex), square,
+                                       np.ones(3, complex), 5) == 1

@@ -20,6 +20,7 @@ from uwbfde.harness import (
     run_ber_vs_users,
     run_estimator_curves,
 )
+from uwbfde.opcount import nominal_cost
 from uwbfde.sce import build_mmse_sce
 
 
@@ -160,8 +161,10 @@ class TestEstimatedInputs:
         def equalizer_inputs(users_seen, sigma2_seen):
             inputs.clear()
             runners = _new_runners(cfg, users_seen, sigma2_seen, taps, codes, keys)
+            errors = {key: np.zeros(cfg.training_blocks, dtype=np.int64) for key in keys}
             _simulate_blocks(cfg, cfg.users, sigma2, taps, codes, runners,
-                             np.random.default_rng(6), cfg.training_blocks)
+                             np.random.default_rng(6), cfg.training_blocks,
+                             errors_out=errors)
             return list(inputs)
 
         truth = equalizer_inputs(cfg.users, sigma2)
@@ -235,6 +238,28 @@ class TestCli:
         assert rc == 0
         text = (tmp_path / "report.txt").read_text()
         assert "all multiply counts match: yes" in text
+
+    def test_complexity_check_fails_on_an_add_mismatch(self, monkeypatch, capsys, tmp_path):
+        def one_add_too_many(*args, **kwargs):
+            mults, adds = nominal_cost(*args, **kwargs)
+            return mults, adds + 1
+
+        monkeypatch.setattr(harness, "nominal_cost", one_add_too_many)
+        rc = cli_main(["--experiment", "complexity", "--check",
+                       "--out", str(tmp_path / "report.txt")])
+        assert rc == 1
+        text = (tmp_path / "report.txt").read_text()
+        assert "all multiply counts match: yes" in text
+        assert "all add counts match: NO" in text
+
+    @pytest.mark.parametrize("experiment", ["ber-vs-snr", "ber-vs-users"])
+    def test_sweep_without_eval_blocks_rejected(self, experiment, tmp_path, capsys):
+        rc = cli_main(["--experiment", experiment, *self.BASE, "--eval-blocks", "0",
+                       "--out", str(tmp_path / "s.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--eval-blocks" in err
+        assert not list(tmp_path.iterdir())
 
     def test_estimators_writes_two_files(self, tmp_path):
         rc = cli_main(["--experiment", "estimators", "--block-length", "8",

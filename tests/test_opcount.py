@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uwbfde import da, sce
 from uwbfde.harness import ExperimentConfig, verify_complexity
 from uwbfde.opcount import OpCounter, nominal_cost
 
@@ -67,3 +68,19 @@ class TestCostModel:
         rls = report.mults_for("da-rls", 1)
         lms = report.mults_for("da-lms", 1)
         assert abs(rls - lms) <= 8 * m
+
+
+class TestCgEarlyStop:
+    def test_all_zero_block_charges_nothing(self):
+        # a zero block leaves a zero gradient, so the shared loop completes
+        # no iteration and neither step charges an operation
+        n, nc, taps = 8, 2, 3
+        m = n * nc
+        zeros = np.zeros(m, complex)
+        xdiag = np.fft.fft(np.ones(m), norm="ortho")
+        counter = OpCounter()
+        sce.sce_cg_step(sce.new_cg_state(taps, 4), zeros, xdiag, counter)
+        assert counter.snapshot() == (0, 0)
+        counter = OpCounter()
+        da.da_cg_step(da.new_cg_state(m, 4), da.RxOperator(zeros, n), np.zeros(n), counter)
+        assert counter.snapshot() == (0, 0)

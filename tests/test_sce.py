@@ -66,6 +66,18 @@ class TestPilotMatrix:
         assert_allclose(sce.pilot_matrix(x), np.diag(explicit), atol=1e-12)
 
 
+class TestPilotOperator:
+    def test_matches_weighted_dense_basis_and_its_adjoint(self):
+        rng = np.random.default_rng(3)
+        m, num_taps = 8, 3
+        xdiag = _random_complex(rng, m)
+        op = sce.PilotOperator(xdiag, num_taps)
+        dense = xdiag[:, None] * fourier_tap_basis(m, num_taps)
+        h, e = _random_complex(rng, num_taps), _random_complex(rng, m)
+        assert_allclose(op.matvec(h), dense @ h, atol=1e-12)
+        assert_allclose(op.rmatvec(e), dense.conj().T @ e, atol=1e-12)
+
+
 class TestSceLms:
     def test_scalar_case(self):
         state = sce.new_lms_state(1, mu=0.5)
