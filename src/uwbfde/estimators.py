@@ -20,9 +20,9 @@ Two families of estimators live here:
   inversion, fed the true noise variance and taps, for the genie-input
   user-count trace.
 
-The accumulators and the estimates read from them take a leading run axis,
-each run's value bitwise equal to its own call without the axis. The pilot
-fit works on one block through the structured tap operators.
+The pilot fit, the accumulators and the estimates read from them take a
+leading run axis, each run's value bitwise equal to its own call without the
+axis.
 """
 
 from __future__ import annotations
@@ -32,42 +32,45 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .fdcore import by_symbol, row_energy, tap_spectrum
 from .sce import PilotOperator, pilot_normal_matrix
 
 
 def ml_noise_variance(z, xdiag, num_taps: int):
-    """Joint tap / noise-variance fit against one known pilot block.
+    """Joint tap / noise-variance fit against a known pilot block.
 
     Fits ``num_taps`` channel taps to the received spectrum by least squares
     on the pilot-weighted tap operator (:class:`sce.PilotOperator`, the one
     the SCE steps adapt on), then reads the noise variance off the
     residual: its energy divided by its degrees of freedom, bins minus
     fitted taps, which makes the estimate unbiased for a single user.
-    Returns ``(sigma2_hat, taps_hat)``.
+    Returns ``(sigma2_hat, taps_hat)``; ``(R, m)`` blocks and pilots give
+    one of each per row, bitwise equal to that row's own call. A pilot that
+    excites too few bins to determine the taps raises ``LinAlgError``; in a
+    batch, one such row fails the whole call.
     """
     z = np.asarray(z, dtype=complex)
     op = PilotOperator(xdiag, num_taps)
-    m = z.size
-    if op.xdiag.size != m:
-        raise ValueError("z and xdiag must have the same length")
+    m = z.shape[-1]
+    if op.xdiag.shape != z.shape:
+        raise ValueError("z and xdiag must have the same shape")
     if not 1 <= num_taps:
         raise ValueError("num_taps must be >= 1")
     if num_taps >= m:
         raise ValueError("num_taps must be < m: the residual needs degrees of freedom")
     gram = pilot_normal_matrix(op.xdiag, num_taps)
     try:
-        factor = cho_factor(gram)
+        # the factor only tests positive definiteness; numpy has no triangular solve
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        cond = np.linalg.cond(gram)
+        cond = np.max(np.linalg.cond(gram))
         raise np.linalg.LinAlgError(
             f"pilot-weighted basis is rank deficient (condition estimate {cond:.3e})")
-    taps_hat = cho_solve(factor, op.rmatvec(z))
+    taps_hat = np.linalg.solve(gram, op.rmatvec(z)[..., None])[..., 0]
     resid = z - op.matvec(taps_hat)
-    sigma2_hat = float(row_energy(resid)) / (m - num_taps)
-    return sigma2_hat, taps_hat
+    sigma2_hat = row_energy(resid) / (m - num_taps)
+    return sigma2_hat[()], taps_hat
 
 
 @dataclass

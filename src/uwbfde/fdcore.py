@@ -36,7 +36,6 @@ Conventions
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import hadamard as _hadamard
 
 
 class DivergenceError(RuntimeError):
@@ -75,7 +74,10 @@ def walsh_code_set(nc: int) -> np.ndarray:
     """
     if nc < 1 or (nc & (nc - 1)) != 0:
         raise ValueError(f"spreading gain must be a power of two, got {nc}")
-    return _hadamard(nc).astype(float) / np.sqrt(nc)
+    codes = np.ones((1, 1))
+    while codes.shape[0] < nc:
+        codes = np.block([[codes, codes], [codes, -codes]])
+    return codes / np.sqrt(nc)
 
 
 def spread(symbols, code) -> np.ndarray:

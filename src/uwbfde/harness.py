@@ -129,6 +129,10 @@ class ExperimentConfig:
             raise ValueError("runs/training_blocks/eval_blocks out of range")
         if not self.snr_db:
             raise ValueError("at least one SNR point is required")
+        for snr_db in self.snr_db:
+            if np.isnan(snr_db) or snr_db == -np.inf:
+                raise ValueError(f"SNR {snr_db} dB has no noise variance; "
+                                 "+inf (noiseless) is the only infinite SNR")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.algorithm not in ALGORITHMS:
@@ -356,6 +360,8 @@ def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks):
         yield blocks, synthesize_rx(blocks, codes, taps, sigma2, rng)
 
 
+# check_finite reports a diverging row with its context; numpy's warnings would repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
                      adapt=True, errors_out=None, where=("run",)) -> dict:
     """Advance every runner over ``n_blocks`` blocks of every run, filling
@@ -459,8 +465,10 @@ def _sigma2_trial(cfg, points, runs):
     degrees-of-freedom corrected maximum-likelihood pilot fit. Returns one
     list of estimates, one per point, per run.
 
-    A degenerate pilot block (tiny scales only) is left out of its run's
-    mean; a run with no usable block raises ``LinAlgError``.
+    Each block's pilots are fitted in one call. A degenerate pilot block
+    (tiny scales only) fails that call; the block is then refitted row by
+    row and the degenerate rows are left out of their runs' means. A run
+    with no usable block raises ``LinAlgError``.
     """
     taps, codes = _batch_inputs(cfg, runs)
     out = [[] for _ in runs]
@@ -471,13 +479,19 @@ def _sigma2_trial(cfg, points, runs):
         for blocks, z in _received_blocks(users, cfg.block_length, codes, taps,
                                           cfg.sigma2_for(snr_db), rngs, cfg.training_blocks):
             xdiag = pilot_matrix(spread(blocks[:, 0], codes[0]))
-            for row in range(len(runs)):
-                try:
-                    s2, _ = ml_noise_variance(z[row], xdiag[row], cfg.cir_taps)
-                except np.linalg.LinAlgError:
-                    continue
-                total[row] += s2
-                used[row] += 1
+            try:
+                s2, _ = ml_noise_variance(z, xdiag, cfg.cir_taps)
+                ok = np.ones(len(runs), dtype=bool)
+            except np.linalg.LinAlgError:
+                s2, ok = np.zeros(len(runs)), np.zeros(len(runs), dtype=bool)
+                for row in range(len(runs)):
+                    try:
+                        s2[row], _ = ml_noise_variance(z[row], xdiag[row], cfg.cir_taps)
+                        ok[row] = True
+                    except np.linalg.LinAlgError:
+                        pass
+            total[ok] += s2[ok]
+            used += ok
         if not used.all():
             raise np.linalg.LinAlgError(
                 f"run {runs[int(np.argmin(used))]}, {snr_db:g} dB SNR, {users} users: "

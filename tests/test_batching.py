@@ -13,6 +13,7 @@ from uwbfde.estimators import (
     EstimatorState,
     GroupCovariance,
     estimate_user_count,
+    ml_noise_variance,
     subspace_estimate,
     update_covariance,
     update_power,
@@ -175,6 +176,15 @@ def test_pilot_normal_matrix_equals_scipy_toeplitz_per_row():
             lags = (np.fft.ifft(np.abs(xdiag[r]) ** 2) * m)[np.arange(num_taps) % m]
             assert_array_equal(batched[r], toeplitz(lags, lags.conj()))
             assert_array_equal(sce.pilot_normal_matrix(xdiag[r], num_taps), batched[r])
+
+
+def test_ml_noise_variance_matches_row_by_row():
+    taps = _channels(14)
+    for z, xdiag, _ in _blocks(taps, 5, seed=15):
+        sigma2_hat, taps_hat = ml_noise_variance(z, xdiag, TAPS)
+        rows = [ml_noise_variance(z[r], xdiag[r], TAPS) for r in range(RUNS)]
+        _assert_rows_equal(sigma2_hat, [s2 for s2, _ in rows])
+        _assert_rows_equal(taps_hat, [h for _, h in rows])
 
 
 @pytest.mark.parametrize("users", range(1, NC + 1))

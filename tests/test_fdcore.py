@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import hadamard
 
 from oracles import (
     add_cp,
@@ -87,6 +88,10 @@ class TestWalshCodes:
     def test_order_eight_orthonormal(self):
         codes = fdcore.walsh_code_set(8)
         assert_allclose(codes @ codes.T, np.eye(8), atol=1e-15)
+
+    @pytest.mark.parametrize("nc", [2 ** k for k in range(8)])
+    def test_equals_scipy_hadamard(self, nc):
+        assert_array_equal(fdcore.walsh_code_set(nc), hadamard(nc) / np.sqrt(nc), strict=True)
 
     @pytest.mark.parametrize("bad", [0, 3, 6, -4])
     def test_rejects_non_powers_of_two(self, bad):

@@ -1,6 +1,11 @@
 """Experiment harness: configuration, experiments, CSV output and the CLI."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,8 @@ import pytest
 from uwbfde.channel import ChannelProfile, generate_cir
 from uwbfde import harness
 from uwbfde.cli import main as cli_main
-from uwbfde.fdcore import DivergenceError, walsh_code_set
+from uwbfde.estimators import ml_noise_variance
+from uwbfde.fdcore import DivergenceError, spread, walsh_code_set
 from uwbfde.harness import (
     CurveSet,
     ExperimentConfig,
@@ -21,7 +27,7 @@ from uwbfde.harness import (
     run_estimator_curves,
 )
 from uwbfde.opcount import nominal_cost
-from uwbfde.sce import build_mmse_sce
+from uwbfde.sce import build_mmse_sce, pilot_matrix
 
 
 def _tiny_config(**overrides):
@@ -136,6 +142,76 @@ class TestExperiments:
         assert kc.x.size == 30
         assert "k_float_genie_k2" in kc.columns
         assert "k_int_est_k3" in kc.columns
+
+
+# 101 of the 360 one-row pilot fits of this sweep are rank deficient
+_DEGENERATE = dict(users=1, block_length=4, spreading=2, cir_taps=3, cp_chips=2,
+                   snr_db=(0.0, 8.0, 16.0), training_blocks=20, runs=6, base_seed=3)
+
+
+def _one_row_fits(cfg, point_idx, snr_db, users, runs):
+    """Each run's one-row pilot fits at a sweep point, ``None`` where the
+    pilot is rank deficient."""
+    taps, codes = harness._batch_inputs(cfg, runs)
+    rngs = [harness._data_rng(cfg, r, point_idx) for r in runs]
+    fits = [[] for _ in runs]
+    for blocks, z in harness._received_blocks(users, cfg.block_length, codes, taps,
+                                              cfg.sigma2_for(snr_db), rngs,
+                                              cfg.training_blocks):
+        xdiag = pilot_matrix(spread(blocks[:, 0], codes[0]))
+        for row, run_fits in enumerate(fits):
+            try:
+                run_fits.append(ml_noise_variance(z[row], xdiag[row], cfg.cir_taps)[0])
+            except np.linalg.LinAlgError:
+                run_fits.append(None)
+    return fits
+
+
+class TestSigma2Sweep:
+    def test_degenerate_pilots_are_left_out_of_their_runs(self, monkeypatch):
+        cfg = ExperimentConfig(**_DEGENERATE)
+        runs = list(range(cfg.runs))
+        points = [(idx, snr, 1) for idx, snr in enumerate(cfg.snr_db)]
+        expected, skipped, failed_blocks = [[] for _ in runs], 0, 0
+        for point in points:
+            fits = _one_row_fits(cfg, *point, runs)
+            failed_blocks += sum(None in block for block in zip(*fits))
+            for row, run_fits in enumerate(fits):
+                total, used = 0.0, 0
+                for s2 in run_fits:
+                    if s2 is None:
+                        skipped += 1
+                    else:
+                        total += s2
+                        used += 1
+                expected[row].append(total / used)
+        assert skipped == 101
+        calls = []
+
+        def counting_fit(z, xdiag, num_taps):
+            calls.append(np.ndim(z))
+            return ml_noise_variance(z, xdiag, num_taps)
+
+        monkeypatch.setattr(harness, "ml_noise_variance", counting_fit)
+        assert harness._sigma2_trial(cfg, points, runs) == expected
+        # one batched fit per block; a block with a degenerate pilot is refitted row by row
+        assert calls.count(2) == len(points) * cfg.training_blocks
+        assert calls.count(1) == failed_blocks * cfg.runs
+
+    def test_run_without_a_usable_pilot_raises_naming_it(self):
+        cfg = ExperimentConfig(**{**_DEGENERATE, "training_blocks": 1})
+        runs = list(range(2, 10))
+        points = [(idx, snr, 1) for idx, snr in enumerate(cfg.snr_db)]
+        for point in points:
+            dead = [r for r, fits in zip(runs, _one_row_fits(cfg, *point, runs))
+                    if fits == [None]]
+            if dead:
+                break
+        assert dead
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"^run {dead[0]}, {point[1]:g} dB SNR, 1 users: "
+                                 "every pilot block was rank deficient"):
+            harness._sigma2_trial(cfg, points, runs)
 
 
 class TestEstimatedInputs:
@@ -316,6 +392,51 @@ class TestCli:
                        "--cg-iters", "3", "--seed", "1", "--workers", "1",
                        "--out", str(tmp_path / "bench.csv")])
         assert rc == 0
+
+    def test_runs_without_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: a fresh interpreter in which
+        # every scipy import fails runs both experiment kinds
+        tiny = ["--block-length", "8", "--spreading", "2", "--users", "1",
+                "--cir-length", "3", "--cp-chips", "2", "--blocks", "4", "--runs", "2"]
+        calls = [["--experiment", "estimators", *tiny, "--out", "est.csv"],
+                 ["--experiment", "ber-vs-blocks", *tiny, "--out", "blocks.csv"]]
+        code = ("import sys\nsys.modules['scipy'] = None\nfrom uwbfde.cli import main\n"
+                f"sys.exit(max(main(argv) for argv in {calls!r}))")
+        src = Path(harness.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert {p.name for p in tmp_path.iterdir()} == {
+            "est_sigma2.csv", "est_kcount.csv", "blocks.csv"}
+
+    @pytest.mark.parametrize("snr", ["nan", "-inf", "8,nan"])
+    def test_snr_without_a_noise_variance_rejected(self, snr, tmp_path, capsys):
+        rc = cli_main(["--experiment", "ber-vs-blocks", "--algorithm", "mmse", *self.BASE,
+                       f"--snr-db={snr}", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SNR ") and "dB" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_noiseless_snr_accepted(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert cli_main(["--experiment", "ber-vs-blocks", "--algorithm", "mmse", *self.BASE,
+                         "--snr-db", "inf", "--out", str(out)]) == 0
+        assert out.exists()
+
+    def test_divergence_warns_only_through_its_error_line(self, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = cli_main(["--experiment", "ber-vs-blocks", "--scheme", "da",
+                           "--algorithm", "lms", "--mu-w", "5", "--block-length", "8",
+                           "--spreading", "2", "--users", "2", "--cir-length", "3",
+                           "--cp-chips", "4", "--snr-db", "12", "--blocks", "400",
+                           "--runs", "2", "--seed", "77", "--out", str(tmp_path / "d.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("error: run 0, 12 dB SNR, 2 users, da-lms, block 357 of 400: "
+                       "adaptive update diverged (non-finite weights)\n")
 
     def test_divergence_is_a_cli_error(self, tmp_path, capsys):
         with np.errstate(all="ignore"):
