@@ -10,7 +10,11 @@ independent Hermitian nc-by-nc blocks, so the RLS solve and the genie MMSE
 build cost O(m*nc^2) instead of O(m^3). Neither the explicit n-by-m
 operator nor the m-by-m normal matrix is ever formed. Every adaptive step
 fits one least-squares cost ``||b - A w||^2`` on this operator
-:class:`RxOperator`; CG runs the shared :func:`fdcore.cg_least_squares` on it.
+:class:`RxOperator`. Its last factor, an n-point inverse DFT, is unitary,
+so DA-CG and DA-RLS fit ``||DFT_n(b) - fold(z * w)||^2`` on
+:class:`SymbolDftOperator` instead, with no transform in the loop. DA-CG
+stays CGLS (:func:`fdcore.cg_least_squares`): the block's cost has rank
+n < m, and its normal equations would square the conditioning.
 
 The operator, the steps and detection also take a leading run axis: an
 ``(R, m)`` received block advances R independent runs at once, each row
@@ -32,11 +36,28 @@ from .fdcore import (
     from_symbol,
     genie_covariance,
     solve_regularized,
-    tile_segments,
 )
 
 logger = logging.getLogger(__name__)
 _DIVERGED = "adaptive update diverged (non-finite weights)"
+
+
+class SymbolDftOperator:
+    """:class:`RxOperator` without its n-point inverse DFT: ``matvec(w) =
+    fold(z * w)`` and its adjoint ``rmatvec(u) = conj(z) * tile(u)``, tiled
+    by broadcasting. The target of symbols ``b`` is ``fft(b, norm="ortho")``."""
+
+    def __init__(self, zbins, n: int):
+        self.zbins = zbins = np.asarray(zbins, dtype=complex)
+        self.n = n
+        self.zconj_segments = zbins.conj().reshape(*zbins.shape[:-1], -1, n)
+
+    def matvec(self, w) -> np.ndarray:
+        return fold_segments(self.zbins * w, self.n)
+
+    def rmatvec(self, u) -> np.ndarray:
+        out = self.zconj_segments * u[..., None, :]
+        return out.reshape(*out.shape[:-2], -1)
 
 
 class RxOperator:
@@ -55,25 +76,21 @@ class RxOperator:
         if zbins.shape[-1] % n != 0:
             raise ValueError(f"bin count {zbins.shape[-1]} is not a multiple of {n}")
         self.zbins = zbins
-        self.zconj = zbins.conj()
-        self.n = n
-        self.nc = zbins.shape[-1] // n
-
-    @property
-    def m(self) -> int:
-        return self.zbins.shape[-1]
+        self.n, self.m = n, zbins.shape[-1]
+        self.nc = self.m // n
+        self.symbol_dft = SymbolDftOperator(zbins, n)
 
     def matvec(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=complex)
         if w.shape[-1:] != (self.m,):
             raise ValueError(f"expected length {self.m}, got shape {w.shape}")
-        return np.fft.ifft(fold_segments(self.zbins * w, self.n), norm="ortho")
+        return np.fft.ifft(self.symbol_dft.matvec(w), norm="ortho")
 
     def rmatvec(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
         if u.shape[-1:] != (self.n,):
             raise ValueError(f"expected length {self.n}, got shape {u.shape}")
-        return self.zconj * tile_segments(np.fft.fft(u, norm="ortho"), self.nc)
+        return self.symbol_dft.rmatvec(np.fft.fft(u, norm="ortho"))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +172,8 @@ def da_rls_step(state: DaRlsState, op: RxOperator, b, counter=None) -> DaRlsStat
     state.corr *= state.lam
     for j in range(nc):         # column by column: no (..., n, nc, nc) temporary
         state.corr[..., j] += zg_conj * zg[..., j, None]
-    err = b - op.matvec(state.w_hat)
-    folded = by_symbol(op.rmatvec(err), n)[..., None]
+    err = np.fft.fft(b, norm="ortho") - op.symbol_dft.matvec(state.w_hat)
+    folded = by_symbol(op.symbol_dft.rmatvec(err), n)[..., None]
     update, regularized = solve_regularized(state.corr, folded, state.delta)
     for block in regularized:
         logger.warning("singular block %s; regularizing with delta=%g", block, state.delta)
@@ -179,9 +196,11 @@ def da_cg_step(state: DaCgState, op: RxOperator, b, counter=None, trace=None) ->
     """Run the per-block conjugate-gradient inner loop on the filter weights.
 
     The loop is :func:`fdcore.cg_least_squares` on the block's cost
-    ``||b - op w||^2``; ``trace`` is passed through.
+    ``||b - op w||^2`` in the symbol-DFT domain; ``trace`` is passed
+    through, with the residual norms of ``b - op w`` (the DFT is unitary).
     """
-    done = cg_least_squares(state.w_hat, op, b, state.iters, trace)
+    done = cg_least_squares(state.w_hat, op.symbol_dft, np.fft.fft(b, norm="ortho"),
+                            state.iters, trace)
     check_finite(state.w_hat, _DIVERGED)
     if counter is not None:
         m, n = op.m, op.n

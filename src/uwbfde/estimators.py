@@ -34,15 +34,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .fdcore import by_symbol, row_energy, tap_spectrum
-from .sce import PilotOperator, pilot_normal_matrix
+from .sce import NormalEquations
 
 
 def ml_noise_variance(z, xdiag, num_taps: int):
     """Joint tap / noise-variance fit against a known pilot block.
 
-    Fits ``num_taps`` channel taps to the received spectrum by least squares
-    on the pilot-weighted tap operator (:class:`sce.PilotOperator`, the one
-    the SCE steps adapt on), then reads the noise variance off the
+    Fits ``num_taps`` channel taps to the received spectrum by solving the
+    block's normal equations (:class:`sce.NormalEquations`, the ones the SCE
+    steps adapt on), then reads the noise variance off the
     residual: its energy divided by its degrees of freedom, bins minus
     fitted taps, which makes the estimate unbiased for a single user.
     Returns ``(sigma2_hat, taps_hat)``; ``(R, m)`` blocks and pilots give
@@ -51,24 +51,23 @@ def ml_noise_variance(z, xdiag, num_taps: int):
     batch, one such row fails the whole call.
     """
     z = np.asarray(z, dtype=complex)
-    op = PilotOperator(xdiag, num_taps)
     m = z.shape[-1]
-    if op.xdiag.shape != z.shape:
+    if np.shape(xdiag) != z.shape:
         raise ValueError("z and xdiag must have the same shape")
     if not 1 <= num_taps:
         raise ValueError("num_taps must be >= 1")
     if num_taps >= m:
         raise ValueError("num_taps must be < m: the residual needs degrees of freedom")
-    gram = pilot_normal_matrix(op.xdiag, num_taps)
+    normal = NormalEquations(z, xdiag, num_taps)
     try:
         # the factor only tests positive definiteness; numpy has no triangular solve
-        np.linalg.cholesky(gram)
+        np.linalg.cholesky(normal.gram)
     except np.linalg.LinAlgError:
-        cond = np.max(np.linalg.cond(gram))
+        cond = np.max(np.linalg.cond(normal.gram))
         raise np.linalg.LinAlgError(
             f"pilot-weighted basis is rank deficient (condition estimate {cond:.3e})")
-    taps_hat = np.linalg.solve(gram, op.rmatvec(z)[..., None])[..., 0]
-    resid = z - op.matvec(taps_hat)
+    taps_hat = np.linalg.solve(normal.gram, normal.rhs[..., None])[..., 0]
+    resid = z - normal.op.matvec(taps_hat)
     sigma2_hat = row_energy(resid) / (m - num_taps)
     return sigma2_hat[()], taps_hat
 

@@ -4,10 +4,10 @@ Everything in this module is a pure function of its inputs: Walsh
 spreading/despreading, circulant channel application, the structured
 Fourier operators that let the adaptive algorithms work on a short tap
 vector instead of a full frequency-domain vector, the symbol-group kernel,
-and the conjugate-gradient loop both schemes run on their least-squares
-operators (:func:`cg_least_squares`). The cyclic prefix is not simulated
-chip by chip: a prefix at least as long as the channel memory makes the
-channel circular, which is what :func:`circulant_apply` computes.
+and the one CG loop (:func:`cg_least_squares`: CGLS, or CG on normal
+equations for an operator with a curvature hook). The cyclic prefix is not
+simulated chip by chip: a prefix at least as long as the channel memory
+makes the channel circular, which is what :func:`circulant_apply` computes.
 Transforms call ``np.fft`` directly, and no m-by-m matrix is built here.
 
 Conventions
@@ -235,11 +235,16 @@ def cg_least_squares(x, op, d, iters: int, trace=None) -> int:
     1952), updating ``x`` in place; returns the number of completed iterations.
 
     ``op`` applies ``A`` (``matvec``) and its adjoint (``rmatvec``) row by row.
-    Each step is exact along its direction. A vanished gradient or a zero
-    curvature stops a row; the loop ends when every row has stopped.
-    ``trace``, when given, collects one ``(grad_energy, neg_dir_grad,
-    residual_norm)`` tuple per iteration (one value per run).
+    Each step is exact along its direction, of curvature ``||A p||^2`` unless
+    ``op`` supplies ``curvature(p, A p)``: with ``A = G``, ``d = b``, an
+    identity ``rmatvec`` and ``p^H G p`` the loop is CG on the normal
+    equations ``G x = b`` (Bjorck, *Numerical Methods for Least Squares
+    Problems*, SIAM 1996). A vanished gradient or a zero curvature stops a
+    row; the loop ends when every row has stopped. ``trace``, when given,
+    collects one ``(grad_energy, neg_dir_grad, residual_norm)`` tuple per
+    iteration (one value per run), the residual being ``d - A x``.
     """
+    curvature_of = getattr(op, "curvature", lambda direction, filtered: row_energy(filtered))
     err = d - op.matvec(x)
     grad = -op.rmatvec(err)
     direction = -grad
@@ -250,7 +255,7 @@ def cg_least_squares(x, op, d, iters: int, trace=None) -> int:
         if not active.any():
             return done
         filtered = op.matvec(direction)
-        curvature = row_energy(filtered)
+        curvature = curvature_of(direction, filtered)
         active &= curvature != 0.0
         if not active.any():
             return done

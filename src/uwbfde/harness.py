@@ -220,7 +220,7 @@ class _Block:
 
     z: np.ndarray                   # (..., m) received spectrum
     desired: np.ndarray             # (..., n) desired user's symbols
-    xdiag: np.ndarray | None        # (..., m) pilot spectrum, for SCE
+    normal: sce.NormalEquations | None  # pilot fit's normal equations, for adaptive SCE
     op: da.RxOperator | None        # received-data operator, for DA
 
 
@@ -272,7 +272,7 @@ class _SceRunner(_Runner):
 
     @staticmethod
     def step_args(rx: _Block):
-        return rx.z, rx.xdiag
+        return rx.z, rx.normal
 
     def observe(self, rx: _Block):
         """Fold a training block into each run's subspace estimate of sigma2 and K."""
@@ -375,16 +375,18 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
     its later divergences are not recorded.
     """
     n = cfg.block_length
-    need_sce = any(isinstance(r, _SceRunner) for r in runners.values())
+    # the SCE genie reads no pilot; only the adaptive SCE steps do
+    need_pilot = adapt and any(isinstance(r, _SceRunner) and r.state is not None
+                               for r in runners.values())
     need_da = any(isinstance(r, _DaRunner) for r in runners.values())
     code0 = codes[0]
     diverged = {}
     for i, (blocks, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rng,
                                                       n_blocks)):
         desired = blocks[..., 0, :]
-        rx = _Block(z, desired,
-                    pilot_matrix(spread(desired, code0)) if need_sce else None,
-                    da.RxOperator(z, n) if need_da else None)
+        normal = (sce.NormalEquations(z, pilot_matrix(spread(desired, code0)), cfg.cir_taps)
+                  if need_pilot else None)
+        rx = _Block(z, desired, normal, da.RxOperator(z, n) if need_da else None)
         for key, runner in runners.items():
             if adapt:
                 runner.observe(rx)
@@ -728,7 +730,7 @@ def _measured_step_cost(algo, n, nc, num_taps, iters, rng) -> tuple[int, int]:
         raise ValueError(f"unknown adaptive algorithm {algo!r}")
     # the tallies depend on the sizes only, not on step sizes or forgetting factors
     cfg = ExperimentConfig(block_length=n, spreading=nc, cir_taps=num_taps, cg_iters=iters)
-    rx = _Block(z, b, xdiag, da.RxOperator(z, n))
+    rx = _Block(z, b, sce.NormalEquations(z, xdiag, num_taps), da.RxOperator(z, n))
     counter = OpCounter()
     entry.step(entry.new_state(cfg, ()), *entry.runner.step_args(rx), counter)
     return counter.snapshot()

@@ -14,7 +14,7 @@ fixed reference cost model (closed forms in :func:`nominal_cost`):
 
 FFT/IFFT costs are excluded throughout: the transforms are common to every
 algorithm, so the dense charges above are used for the operator products
-even where the runtime code takes an FFT shortcut.
+even where the runtime code takes a shortcut (FFTs, per-block normal equations).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ and every active code and is solved one symbol group at a time.
 
 Every adaptive step fits one least-squares cost ``||z - A h||^2`` on the
 pilot-weighted tap operator :class:`PilotOperator` (diagonal scalings and
-zero-padded FFTs, never an m-by-m matrix); CG runs the shared
-:func:`fdcore.cg_least_squares` loop on it.
+zero-padded FFTs), in normal form: ``G = A^H A``, ``b = A^H z``
+(:class:`NormalEquations`), formed once per block. LMS and RLS step along
+``b - G h``; CG runs :func:`fdcore.cg_least_squares` on ``G h = b``.
 The steps, the equalizer build and detection also take a leading run axis:
 ``(R, m)`` blocks and pilots advance R independent runs at once, each row
 bitwise equal to its own call without the axis.
@@ -140,17 +141,44 @@ class PilotOperator:
         return tap_spectrum_adjoint(self.xconj * e, self.num_taps)
 
 
+class NormalEquations:
+    """A block's cost ``||z - A h||^2`` on :class:`PilotOperator` in normal
+    form, ``gram = A^H A`` and ``rhs = A^H z``. As a CG operator it poses
+    ``gram h = rhs``: an identity ``rmatvec`` and the curvature ``d^H gram d``.
+    ``(R, L, L)`` grams apply by ``einsum``, each row bitwise as alone."""
+
+    def __init__(self, z, xdiag, num_taps: int):
+        self.op = PilotOperator(xdiag, num_taps)
+        self.gram = pilot_normal_matrix(self.op.xdiag, num_taps)
+        self.rhs = self.op.rmatvec(z)
+
+    def matvec(self, h) -> np.ndarray:
+        return np.einsum("...ij,...j->...i", self.gram, h)
+
+    @staticmethod
+    def rmatvec(r) -> np.ndarray:
+        return r
+
+    @staticmethod
+    def curvature(direction, filtered) -> np.ndarray:
+        return np.einsum("...i,...i->...", direction.conj(), filtered).real
+
+
+def _normal(z, xdiag, num_taps: int) -> NormalEquations:
+    """A step's ``xdiag`` slot holds the pilot spectrum or prepared equations."""
+    return xdiag if isinstance(xdiag, NormalEquations) else NormalEquations(z, xdiag, num_taps)
+
+
 # ---------------------------------------------------------------------------
 # adaptive steps
 # ---------------------------------------------------------------------------
 
 def sce_lms_step(state: SceLmsState, z, xdiag, counter=None) -> SceLmsState:
-    """One stochastic-gradient update of the tap estimate from one pilot block."""
+    """One stochastic-gradient update of the tap estimate: ``h += mu * (b - G h)``."""
     num_taps = state.h_hat.shape[-1]
     m = z.shape[-1]
-    op = PilotOperator(xdiag, num_taps)
-    err = z - op.matvec(state.h_hat)
-    state.h_hat += state.mu * op.rmatvec(err)
+    normal = _normal(z, xdiag, num_taps)
+    state.h_hat += state.mu * (normal.rhs - normal.matvec(state.h_hat))
     check_finite(state.h_hat, _DIVERGED)
     if counter is not None:
         counter.matvec(m, num_taps)      # spectrum of current estimate
@@ -170,10 +198,10 @@ def sce_rls_step(state: SceRlsState, z, xdiag, counter=None) -> SceRlsState:
     """
     num_taps = state.h_hat.shape[-1]
     m = z.shape[-1]
-    op = PilotOperator(xdiag, num_taps)
+    normal = _normal(z, xdiag, num_taps)
     state.corr *= state.lam
-    state.corr += pilot_normal_matrix(xdiag, num_taps)
-    grad = op.rmatvec(z - op.matvec(state.h_hat))
+    state.corr += normal.gram
+    grad = normal.rhs - normal.matvec(state.h_hat)
     update, regularized = solve_regularized(state.corr, grad[..., None], state.delta)
     for run in regularized:
         logger.warning("normal matrix %s singular; regularizing with delta=%g",
@@ -196,12 +224,13 @@ def sce_rls_step(state: SceRlsState, z, xdiag, counter=None) -> SceRlsState:
 def sce_cg_step(state: SceCgState, z, xdiag, counter=None, trace=None) -> SceCgState:
     """Run the per-block conjugate-gradient inner loop on the tap estimate.
 
-    The loop is :func:`fdcore.cg_least_squares` on the block's cost
-    ``||z - PilotOperator(xdiag) h||^2``; ``trace`` is passed through.
+    The loop is :func:`fdcore.cg_least_squares` on the block's normal equations
+    ``G h = b``; ``trace`` is passed through (residual ``||b - G h||``).
     """
     num_taps = state.h_hat.shape[-1]
     m = z.shape[-1]
-    done = cg_least_squares(state.h_hat, PilotOperator(xdiag, num_taps), z, state.iters, trace)
+    normal = _normal(z, xdiag, num_taps)
+    done = cg_least_squares(state.h_hat, normal, normal.rhs, state.iters, trace)
     check_finite(state.h_hat, _DIVERGED)
     if counter is not None:
         for _ in range(done):

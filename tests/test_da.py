@@ -294,3 +294,30 @@ class TestDetectDa:
         blocks = fdcore.random_bpsk(rng, nc * n).reshape(nc, n)
         z = synthesize_rx(blocks, codes, taps, 0.0, rng)
         assert_allclose(da.detect_da(da.RxOperator(z, n), w), blocks[0])
+
+
+class TestSymbolDftOperator:
+    def test_is_the_rx_operator_without_its_inverse_dft(self):
+        rng = np.random.default_rng(24)
+        for shape in [(8,), (3, 8)]:
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            op, sym = da.RxOperator(z, 4), da.SymbolDftOperator(z, 4)
+            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            u = rng.standard_normal((*shape[:-1], 4)) + 1j * rng.standard_normal((*shape[:-1], 4))
+            assert_allclose(sym.matvec(w), np.fft.fft(op.matvec(w), norm="ortho"), atol=1e-12)
+            assert_allclose(sym.rmatvec(u), op.rmatvec(np.fft.ifft(u, norm="ortho")),
+                            atol=1e-12)
+            lhs = np.einsum("...i,...i->...", u.conj(), sym.matvec(w))
+            rhs = np.einsum("...i,...i->...", sym.rmatvec(u).conj(), w)
+            assert_allclose(lhs, rhs, rtol=1e-12)
+
+    def test_cg_trace_residual_is_the_rx_residual(self):
+        rng = np.random.default_rng(25)
+        _, _, blocks, op = _scene(rng, n=4, nc=2, sigma2=0.1, users=2)
+        for iters in range(1, 7):
+            state = da.new_cg_state(op.m, iters=iters)
+            trace = []
+            da.da_cg_step(state, op, blocks[0], trace=trace)
+            assert len(trace) == iters
+            assert trace[-1][2] == pytest.approx(
+                np.linalg.norm(blocks[0] - op.matvec(state.w_hat)), rel=1e-10, abs=1e-13)

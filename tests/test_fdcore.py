@@ -411,3 +411,44 @@ class TestCgLeastSquares:
         square = _DenseOperator(np.eye(3, dtype=complex))
         assert fdcore.cg_least_squares(np.zeros(3, complex), square,
                                        np.ones(3, complex), 5) == 1
+
+
+class _DenseNormal:
+    """The normal equations ``G x = A^H d`` of a dense matrix ``A``, posed to
+    the CG loop through its curvature hook."""
+
+    def __init__(self, mat):
+        self.gram = mat.conj().T @ mat
+
+    def matvec(self, x):
+        return x @ self.gram.T
+
+    @staticmethod
+    def rmatvec(r):
+        return r
+
+    @staticmethod
+    def curvature(direction, filtered):
+        return np.einsum("...i,...i->...", direction.conj(), filtered).real
+
+
+class TestCgNormalForm:
+    def test_curvature_hook_solves_the_normal_equations_like_cgls(self):
+        rng = np.random.default_rng(35)
+        mat = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+        d = _random_complex(rng, 12)
+        k = mat.shape[1]
+        cgls, normal = np.zeros(k, complex), np.zeros(k, complex)
+        cgls_trace, normal_trace = [], []
+        assert fdcore.cg_least_squares(cgls, _DenseOperator(mat), d, 3, cgls_trace) == 3
+        assert fdcore.cg_least_squares(normal, _DenseNormal(mat), mat.conj().T @ d, 3,
+                                       normal_trace) == 3
+        # the same iterates, and the normal form's residual is the CGLS gradient
+        assert_allclose(normal, cgls, rtol=1e-10)
+        for (e_cgls, _, _), (e_normal, _, _) in zip(cgls_trace, normal_trace):
+            assert e_normal == pytest.approx(e_cgls, rel=1e-10)
+        assert normal_trace[-1][2] == pytest.approx(
+            np.linalg.norm(mat.conj().T @ (d - mat @ normal)), rel=1e-8)
+        x = np.zeros(k, complex)
+        fdcore.cg_least_squares(x, _DenseNormal(mat), mat.conj().T @ d, k)
+        assert_allclose(x, np.linalg.lstsq(mat, d, rcond=None)[0], rtol=1e-8, atol=1e-10)

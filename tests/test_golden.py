@@ -1,0 +1,34 @@
+"""The eight detectors' BER curves, pinned byte for byte.
+
+``tests/golden/`` holds the CLI's CSVs for all eight detectors on a small
+scenario (n=16, nc=4, L=9, 4 runs x 60 training blocks): a training curve
+and a three-point SNR sweep. They were written with numpy 2.4.6; the output
+is byte-identical across reruns, worker counts and batch sizes, but another
+numpy may round differently (see ``golden/README.md``). A change that moves
+any BER, or the CSV layout, fails here.
+"""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from uwbfde.cli import main as cli_main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SMALL = ["--block-length", "16", "--spreading", "4", "--cir-length", "9",
+         "--runs", "4", "--blocks", "60"]
+CASES = {
+    "ber_vs_blocks_n16_nc4_l9.csv": ["--experiment", "ber-vs-blocks", *SMALL],
+    "ber_vs_snr_n16_nc4_l9.csv": ["--experiment", "ber-vs-snr", "--snr-db", "0,8,16",
+                                  *SMALL, "--eval-blocks", "40"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    out = tmp_path / name
+    assert cli_main([*CASES[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes(), (
+        f"{name} differs from the golden file (written with numpy 2.4.6, "
+        f"running numpy {np.__version__})")

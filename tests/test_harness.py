@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from uwbfde.channel import ChannelProfile, generate_cir
-from uwbfde import harness
+from uwbfde import harness, sce
 from uwbfde.cli import main as cli_main
 from uwbfde.estimators import ml_noise_variance
 from uwbfde.fdcore import DivergenceError, spread, walsh_code_set
@@ -450,3 +450,30 @@ class TestCli:
         assert ("error: run 0, 12 dB SNR, 2 users, da-lms, block 357 of 400: "
                 "adaptive update diverged") in err
         assert "Traceback" not in err
+
+
+class TestPilotGate:
+    """Only the adaptive SCE steps read the pilot, through the block's normal
+    equations, which are formed once per block for all of them."""
+
+    def test_genie_only_run_builds_no_pilot(self, monkeypatch):
+        def no_pilot(chips):
+            raise AssertionError("pilot spectrum built for a run that reads none")
+
+        monkeypatch.setattr(harness, "pilot_matrix", no_pilot)
+        run_ber_vs_blocks(_tiny_config(scheme="sce", algorithm="mmse"))
+        run_ber_vs_users(_tiny_config(algorithm="mmse", training_blocks=10, eval_blocks=5))
+
+    def test_adaptive_sce_steps_share_one_pilot_fit_per_block(self, monkeypatch):
+        built = []
+
+        class CountingNormal(sce.NormalEquations):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(sce, "NormalEquations", CountingNormal)
+        cfg = _tiny_config(scheme="sce", algorithm="all")
+        run_ber_vs_blocks(cfg)
+        assert len(built) == cfg.training_blocks
+        assert all(z.shape == (cfg.runs, cfg.chips_per_block) for z, _, _ in built)

@@ -336,3 +336,81 @@ class TestDetect:
         z = synthesize_rx(blocks, codes, taps, 0.0, rng)
         for k in range(nc):
             assert_allclose(sce.detect_sce(z, dense, codes[k]), blocks[k])
+
+
+class TestNormalEquations:
+    """Every SCE step adapts on the block's normal equations (G, b); CG runs
+    on ``G h = b``. The batch holds two degenerate pilots: all-equal bits
+    excite one bin and alternating bits two, fewer than the three taps."""
+
+    N, NC, TAPS = 4, 2, 3
+
+    def _batch(self):
+        rng = np.random.default_rng(24)
+        codes = fdcore.walsh_code_set(self.NC)
+        bits = np.stack([fdcore.random_bpsk(rng, self.N), np.ones(self.N),
+                         np.array([1.0, -1.0, 1.0, -1.0]), fdcore.random_bpsk(rng, self.N)])
+        taps = np.stack([generate_cir(ChannelProfile(self.TAPS, 0.2, seed=[25, r]))
+                         for r in range(len(bits))])
+        rngs = [np.random.default_rng([26, r]) for r in range(len(bits))]
+        z = synthesize_rx(bits[:, None, :], codes, taps, 0.1, rngs)
+        xdiag = sce.pilot_matrix(fdcore.spread(bits, codes[0]))
+        return z, xdiag
+
+    def _basis(self, xdiag):
+        return xdiag[:, None] * fourier_tap_basis(self.N * self.NC, self.TAPS)
+
+    def test_gram_and_rhs_equal_the_dense_basis_products(self):
+        z, xdiag = self._batch()
+        normal = sce.NormalEquations(z, xdiag, self.TAPS)
+        ranks = []
+        for r in range(len(z)):
+            basis = self._basis(xdiag[r])
+            assert_allclose(normal.gram[r], basis.conj().T @ basis, atol=1e-12)
+            assert_allclose(normal.rhs[r], basis.conj().T @ z[r], atol=1e-12)
+            ranks.append(np.linalg.matrix_rank(basis))
+        assert ranks == [self.TAPS, 1, 2, self.TAPS]
+
+    def test_cg_matches_least_squares_and_one_row_calls(self):
+        z, xdiag = self._batch()
+        iters = 2 * self.TAPS + 2
+        batched = sce.new_cg_state(self.TAPS, iters, batch=(len(z),))
+        sce.sce_cg_step(batched, z, sce.NormalEquations(z, xdiag, self.TAPS))
+        assert np.all(np.isfinite(batched.h_hat))
+        for r in range(len(z)):
+            single = sce.new_cg_state(self.TAPS, iters)
+            sce.sce_cg_step(single, z[r], xdiag[r])
+            np.testing.assert_array_equal(batched.h_hat[r], single.h_hat)
+            # CG from zero stays in the gram's range: the minimum-norm solution
+            expected = np.linalg.lstsq(self._basis(xdiag[r]), z[r], rcond=None)[0]
+            assert_allclose(batched.h_hat[r], expected, atol=1e-9)
+
+    def test_cg_matches_cgls_on_the_pilot_operator(self):
+        # default scenario: n=32, nc=8, L=34, three users at 16 dB
+        rng = np.random.default_rng(27)
+        n, nc, num_taps = 32, 8, 34
+        codes = fdcore.walsh_code_set(nc)
+        taps = generate_cir(ChannelProfile(num_taps, 0.35, seed=28))
+        blocks = fdcore.random_bpsk(rng, 3 * n).reshape(3, n)
+        z = synthesize_rx(blocks, codes, taps, 10 ** -1.6, rng)
+        xdiag = sce.pilot_matrix(fdcore.spread(blocks[0], codes[0]))
+        for iters in (8, 60):
+            state = sce.new_cg_state(num_taps, iters)
+            sce.sce_cg_step(state, z, xdiag)
+            cgls = np.zeros(num_taps, complex)
+            fdcore.cg_least_squares(cgls, sce.PilotOperator(xdiag, num_taps), z, iters)
+            assert_allclose(state.h_hat, cgls, rtol=1e-8)
+
+    def test_every_step_accepts_the_prepared_equations(self):
+        z, xdiag = self._batch()
+        normal = sce.NormalEquations(z, xdiag, self.TAPS)
+        for new_state, step in ((lambda: sce.new_lms_state(self.TAPS, 0.05, batch=(4,)),
+                                 sce.sce_lms_step),
+                                (lambda: sce.new_rls_state(self.TAPS, 0.9, batch=(4,)),
+                                 sce.sce_rls_step),
+                                (lambda: sce.new_cg_state(self.TAPS, 3, batch=(4,)),
+                                 sce.sce_cg_step)):
+            prepared, raw = new_state(), new_state()
+            step(prepared, z, normal)
+            step(raw, z, xdiag)
+            np.testing.assert_array_equal(prepared.h_hat, raw.h_hat)
