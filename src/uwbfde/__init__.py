@@ -8,9 +8,9 @@ Two detector families share the signal-chain primitives in :mod:`fdcore`:
 * :mod:`uwbfde.da` adapts a single frequency-domain filter that suppresses
   intersymbol and multiple-access interference jointly.
 
-Both come with LMS, RLS and conjugate-gradient updates plus genie MMSE
-baselines, solved one symbol group at a time through the kernel in
-:mod:`fdcore`; :mod:`uwbfde.estimators` supplies the noise-variance and
+Both come with LMS, RLS and conjugate-gradient updates plus a genie MMSE
+baseline, one weight vector that serves both families, solved one symbol
+group at a time through the kernel in :mod:`fdcore`; :mod:`uwbfde.estimators` supplies the noise-variance and
 active-user-count estimates the first family needs, and
 :mod:`uwbfde.harness` runs seeded Monte-Carlo experiments around it all.
 """

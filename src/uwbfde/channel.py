@@ -4,7 +4,9 @@ The detection algorithms only ever see the chip-spaced equivalent impulse
 response, so this module provides a configurable exponential-decay Rayleigh
 generator as the default channel plus a loader for externally generated tap
 files, along with the received-block synthesizer, which returns the unitary
-DFT of each received block (the only form the detectors read).
+DFT of each received block (the only form the detectors read). The
+synthesizer takes a leading row axis with one noise variance per row, so
+rows of different sweep points share one call.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def load_cir(path, num_taps: int | None = None) -> np.ndarray:
     return out
 
 
-def synthesize_rx(symbol_blocks, codes, taps, sigma2: float, rng):
+def synthesize_rx(symbol_blocks, codes, taps, sigma2, rng):
     """Synthesize one noisy downlink block, or one per run of a batch.
 
     All users share the same channel; user ``k`` spreads its symbol block
@@ -94,11 +96,15 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2: float, rng):
 
     ``symbol_blocks`` is a (K, n) array, with ``taps`` of shape (L,) and
     ``rng`` one ``np.random.Generator``; a (0, n)-shaped array gives a
-    pure-noise block. A leading run axis batches R runs: (R, K, n) symbol
-    blocks, (R, L) or shared (L,) taps and a sequence of R generators, each
-    drawing its run's noise (real parts, then imaginary parts).
+    pure-noise block. A leading row axis batches R rows: (R, K, n) symbol
+    blocks, (R, L) or shared (L,) taps, a sequence of R generators and
+    ``sigma2`` a scalar or one value per row. Each row with a positive
+    ``sigma2`` draws its noise (real parts, then imaginary parts) from its
+    own generator; a noiseless row draws nothing. Rows with fewer users
+    carry all-zero symbol blocks for the missing ones, which add nothing.
     """
-    if sigma2 < 0:
+    sigma2 = np.asarray(sigma2, dtype=float)
+    if np.any(sigma2 < 0):
         raise ValueError("sigma2 must be >= 0")
     codes = np.asarray(codes)
     blocks = np.asarray(symbol_blocks, dtype=float)
@@ -108,12 +114,19 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2: float, rng):
     if k > codes.shape[0]:
         raise ValueError(f"K exceeds Nc ({k} > {codes.shape[0]}): out of spreading codes")
     m = n * codes.shape[1]
-    chips = np.zeros((*blocks.shape[:-2], m), dtype=complex)
+    # real codes sum in real arithmetic: the same adds as on complex chips
+    chips = np.zeros((*blocks.shape[:-2], m), dtype=np.result_type(blocks, codes))
     for i in range(k):
         chips += spread(blocks[..., i, :], codes[i])
     y = circulant_apply(taps, chips)
-    if sigma2 > 0:
-        gens = [rng] if blocks.ndim == 2 else rng
-        noise = np.stack([g.standard_normal(m) + 1j * g.standard_normal(m) for g in gens])
-        y = y + noise.reshape(y.shape) * np.sqrt(sigma2 / 2.0)
+    gens = [rng] if blocks.ndim == 2 else rng
+    sigma2 = np.broadcast_to(sigma2, len(gens))
+    noisy = np.flatnonzero(sigma2 > 0)
+    if noisy.size:
+        re, im = np.empty((2, noisy.size, m))
+        for row, dest_re, dest_im in zip(noisy, re, im):
+            gens[row].standard_normal(out=dest_re)
+            gens[row].standard_normal(out=dest_im)
+        rows = y.reshape(-1, m)
+        rows[noisy] += (re + 1j * im) * np.sqrt(sigma2[noisy] / 2.0)[:, None]
     return np.fft.fft(y, norm="ortho")

@@ -16,13 +16,16 @@ so DA-CG and DA-RLS fit ``||DFT_n(b) - fold(z * w)||^2`` on
 stays CGLS (:func:`fdcore.cg_least_squares`): the block's cost has rank
 n < m, and its normal equations would square the conditioning.
 
-The operator, the steps and detection also take a leading run axis: an
-``(R, m)`` received block advances R independent runs at once, each row
-bitwise equal to its own call without the axis.
+The operator, the steps, the genie build and detection also take a leading
+row axis: an ``(R, m)`` received block advances R independent rows at once,
+each row bitwise equal to its own call without the axis. The genie weights
+of :func:`build_mmse_da` also serve as the SCE genie (see :mod:`uwbfde.sce`),
+so one build per sweep point feeds both genie detectors.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -48,9 +51,14 @@ class SymbolDftOperator:
     by broadcasting. The target of symbols ``b`` is ``fft(b, norm="ortho")``."""
 
     def __init__(self, zbins, n: int):
-        self.zbins = zbins = np.asarray(zbins, dtype=complex)
+        self.zbins = np.asarray(zbins, dtype=complex)
         self.n = n
-        self.zconj_segments = zbins.conj().reshape(*zbins.shape[:-1], -1, n)
+
+    @functools.cached_property
+    def zconj_segments(self) -> np.ndarray:
+        """``conj(z)`` as ``(..., nc, n)`` segments; formed on the first
+        adjoint, so detection alone never conjugates the block."""
+        return self.zbins.conj().reshape(*self.zbins.shape[:-1], -1, self.n)
 
     def matvec(self, w) -> np.ndarray:
         return fold_segments(self.zbins * w, self.n)
@@ -228,7 +236,10 @@ def build_mmse_da(taps, codes, sigma2: float, n: int) -> np.ndarray:
     composite response, ``w_g = conj(R_g^-1 lam_0,g) / sqrt(nc)`` (see
     :func:`fdcore.genie_covariance`): the per-bin row sums of the masked
     m-by-m solution. Returns the weight vector ready for :func:`detect_da`;
-    ``(R, L)`` taps give one weight vector per run, ``(R, m)``.
+    ``(R, L)`` taps give one weight vector per row, ``(R, m)``. Applied by
+    :func:`detect_da`, it takes the decisions of the SCE genie, the
+    per-group equalizer ``R_g^-1 diag(hbar_g)`` followed by despreading
+    with the desired code.
     """
     cov, lam = genie_covariance(taps, codes, sigma2, n)
     solution = np.linalg.solve(cov, lam[..., 0, :, :, None])[..., 0]

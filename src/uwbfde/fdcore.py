@@ -22,7 +22,7 @@ Conventions
   regroups the ``m`` bins into ``n`` groups of ``nc``, so such a covariance
   is ``n`` independent ``nc``-by-``nc`` blocks.
 * Leading run axis: the helpers the detectors and the block synthesis use
-  (spreading, despreading, segment folding and tiling, the tap spectrum
+  (spreading, despreading, segment folding, the tap spectrum
   and its adjoint, circulant application, row energy, the genie
   covariance) act on the last axis and accept
   ``(R, ...)`` arrays, one row per Monte-Carlo run. Each row's result is
@@ -109,11 +109,6 @@ def fold_segments(v, n: int) -> np.ndarray:
     if v.shape[-1] % n != 0:
         raise ValueError(f"length {v.shape[-1]} is not a multiple of {n}")
     return v.reshape(*v.shape[:-1], -1, n).sum(axis=-2)
-
-
-def tile_segments(u, nc: int) -> np.ndarray:
-    """Stack ``nc`` copies of ``u`` end to end along the last axis."""
-    return np.tile(np.asarray(u, dtype=complex), nc)
 
 
 def tap_spectrum(taps, m: int) -> np.ndarray:

@@ -15,15 +15,22 @@ Protocol notes
   is held constant for the whole run and shared across sweep points.
 * Runs are batched: the runs one process owns advance together, as the rows
   of ``(R, ...)`` arrays, through synthesis, the adaptive steps, the genie
-  builds, detection and the estimators, each run drawing from its own
-  generator. ``--workers`` splits
-  the runs into contiguous slices, one per worker process. Every row is
-  computed as it would be alone and results merge in run order, so output
-  is byte-identical for any worker count and batch size.
-* A diverging run is recorded at its first non-finite update. Its row
-  stays non-finite, which touches no other row, and its later divergences
-  are not recorded while the other runs finish. The experiment then raises
-  for the lowest-index diverged run, naming its point, algorithm and block.
+  builds, detection and the estimators, each row drawing from its own
+  generator. In the steady-state sweeps (``ber-vs-snr``, ``ber-vs-users``)
+  a row is one (run, point) pair, with its own user count and noise
+  variance, so a process trains and scores every point of its runs in one
+  pass. ``--workers`` splits the runs into contiguous slices, one per
+  worker process. Every row is computed as it would be alone and results
+  merge in run order, so output is byte-identical for any worker count and
+  batch size.
+* Both genies apply one MMSE weight vector per row (:func:`da.build_mmse_da`,
+  built once per sweep point); the SCE genie's per-group equalizer with
+  time-domain despreading takes the same decisions.
+* A diverging row is recorded at its first non-finite update. It stays
+  non-finite, which touches no other row, and its later divergences are not
+  recorded while the other rows finish. The experiment then raises for the
+  lowest-index diverged run at its first diverged point, naming the point,
+  algorithm and block.
 """
 
 from __future__ import annotations
@@ -137,7 +144,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not any(_ALGORITHMS[key].runner is _SceRunner and _ALGORITHMS[key].genie is None
+        if not any(_ALGORITHMS[key].runner is _SceRunner and _ALGORITHMS[key].step is not None
                    for key in self.algo_keys()):
             for flag, on in (("--estimated-sigma2", self.use_estimated_sigma2),
                              ("--estimated-k", self.use_estimated_k)):
@@ -216,37 +223,37 @@ def _data_rng(cfg: ExperimentConfig, run_idx: int, point_idx: int) -> np.random.
 
 @dataclass
 class _Block:
-    """One received block per run and what the detectors read from it."""
+    """One received block per row and what the detectors read from it."""
 
     z: np.ndarray                   # (..., m) received spectrum
     desired: np.ndarray             # (..., n) desired user's symbols
     normal: sce.NormalEquations | None  # pilot fit's normal equations, for adaptive SCE
-    op: da.RxOperator | None        # received-data operator, for DA
+    op: da.RxOperator               # received-data operator, for DA and both genies
 
 
 class _Runner:
-    """One algorithm advanced over a batch of runs: adapt, estimate, detect.
+    """One algorithm advanced over a batch of rows: adapt, estimate, detect.
 
-    ``taps`` holds one channel per run, ``(R, L)``, or a single run's,
-    ``(L,)``; the adaptive state or genie detector gets the same leading
-    shape. Subclasses name their scheme and step inputs.
+    ``batch`` is the leading shape of the rows, ``(R,)`` or ``()`` for a
+    single run; ``users`` and ``sigma2`` are scalars or one value per row.
+    An adaptive algorithm gets state of that leading shape; a genie reads
+    ``genie``, the MMSE weights of :func:`_genie_weights`. Subclasses name
+    their scheme and step inputs.
     """
 
     scheme = ""
 
-    def __init__(self, algo, cfg, users, sigma2, taps, codes):
-        taps = np.asarray(taps)
+    def __init__(self, algo, cfg, users, sigma2, batch, codes, genie):
         self.kind = algo.kind
         self.step = algo.step
         self.cfg = cfg
         self.users, self.sigma2 = users, sigma2
-        self.batch = taps.shape[:-1]
+        self.batch = batch
         self.state = self.detector = None
-        if algo.genie is not None:
-            self.detector = algo.genie(taps, codes[:users], max(sigma2, _GENIE_RIDGE),
-                                       cfg.block_length)
+        if algo.step is None:
+            self.detector = genie
         else:
-            self.state = algo.new_state(cfg, self.batch)
+            self.state = algo.new_state(cfg, batch)
 
     def observe(self, rx: _Block):
         """Fold a training block into the runner's estimates (none by default)."""
@@ -257,13 +264,15 @@ class _Runner:
 
 
 class _SceRunner(_Runner):
-    """An SCE algorithm; with estimated inputs it also tracks each run's
-    subspace estimate of sigma2 and K."""
+    """An SCE algorithm; with estimated inputs it also tracks each row's
+    subspace estimate of sigma2 and K. Its genie is the DA genie: the
+    per-group MMSE detector ``R_g^-1 diag(hbar_g)`` acts on a received
+    block as the weight vector ``conj(R_g^-1 lam_0,g) / sqrt(nc)`` does."""
 
     scheme = "sce"
 
-    def __init__(self, algo, cfg, users, sigma2, taps, codes):
-        super().__init__(algo, cfg, users, sigma2, taps, codes)
+    def __init__(self, algo, cfg, users, sigma2, batch, codes, genie):
+        super().__init__(algo, cfg, users, sigma2, batch, codes, genie)
         self.nc, self.m = cfg.spreading, cfg.chips_per_block
         self.code = codes[0]
         self.cov = self.est = None
@@ -275,13 +284,13 @@ class _SceRunner(_Runner):
         return rx.z, rx.normal
 
     def observe(self, rx: _Block):
-        """Fold a training block into each run's subspace estimate of sigma2 and K."""
+        """Fold a training block into each row's subspace estimate of sigma2 and K."""
         if self.cov is not None:
             self.est = subspace_estimate(update_covariance(self.cov, rx.z))
 
     def detect(self, rx: _Block):
         if self.state is None:
-            return detect_sce(rx.z, self.detector, self.code)
+            return da.detect_da(rx.op, self.detector)
         sigma2 = self.est.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
         k_used = self.est.k_int if self.cfg.use_estimated_k else self.users
         det = build_mmse_sce(self.state.h_hat, k_used, sigma2, self.nc, self.m)
@@ -304,9 +313,9 @@ class _DaRunner(_Runner):
 
 @dataclass(frozen=True)
 class _Algorithm:
-    """One detector: its runner class and either its state constructor
-    ``new_state(cfg, batch)`` and block step ``step(state, *step_args,
-    counter=None)`` or its genie build ``genie(taps, codes, sigma2, n)``. The
+    """One detector: its runner class and, for an adaptive algorithm, its
+    state constructor ``new_state(cfg, batch)`` and block step ``step(state,
+    *step_args, counter=None)``; without them it is its scheme's genie. The
     lambdas look the module functions up at call time, so wrappers installed
     on the modules apply."""
 
@@ -314,7 +323,6 @@ class _Algorithm:
     runner: type
     new_state: Callable | None = None
     step: Callable | None = None
-    genie: Callable | None = None
 
 
 _ALGORITHMS = {f"{algo.runner.scheme}-{algo.kind}": algo for algo in (
@@ -328,7 +336,7 @@ _ALGORITHMS = {f"{algo.runner.scheme}-{algo.kind}": algo for algo in (
     _Algorithm("cg", _SceRunner,
                lambda cfg, batch: sce.new_cg_state(cfg.cir_taps, cfg.cg_iters, batch),
                lambda *args: sce.sce_cg_step(*args)),
-    _Algorithm("mmse", _SceRunner, genie=lambda *args: sce.build_mmse_sce_exact(*args)),
+    _Algorithm("mmse", _SceRunner),
     _Algorithm("lms", _DaRunner,
                lambda cfg, batch: da.new_lms_state(cfg.chips_per_block, cfg.mu_w, batch),
                lambda *args: da.da_lms_step(*args)),
@@ -339,24 +347,53 @@ _ALGORITHMS = {f"{algo.runner.scheme}-{algo.kind}": algo for algo in (
     _Algorithm("cg", _DaRunner,
                lambda cfg, batch: da.new_cg_state(cfg.chips_per_block, cfg.cg_iters, batch),
                lambda *args: da.da_cg_step(*args)),
-    _Algorithm("mmse", _DaRunner, genie=lambda *args: da.build_mmse_da(*args)),
+    _Algorithm("mmse", _DaRunner),
 )}
 
 
+def _genie_weights(cfg, users, sigma2, taps, codes) -> np.ndarray:
+    """MMSE weights of both genies for every row, ``(..., m)``: one
+    :func:`da.build_mmse_da` call per distinct (users, sigma2) point, on that
+    point's rows, with a noiseless point floored at ``_GENIE_RIDGE``."""
+    batch = taps.shape[:-1]
+    users, sigma2 = np.broadcast_to(users, batch), np.broadcast_to(sigma2, batch)
+    weights = np.empty((*batch, cfg.chips_per_block), dtype=complex)
+    for k, s2 in sorted(set(zip(users.flat, sigma2.flat))):
+        rows = (users == k) & (sigma2 == s2)
+        weights[rows] = da.build_mmse_da(taps[rows], codes[:k], max(s2, _GENIE_RIDGE),
+                                         cfg.block_length)
+    return weights
+
+
 def _new_runners(cfg, users, sigma2, taps, codes, algo_keys):
-    return {key: _ALGORITHMS[key].runner(_ALGORITHMS[key], cfg, users, sigma2, taps, codes)
+    """One runner per algorithm over the rows of ``taps``; the genies share
+    one weight array."""
+    taps = np.asarray(taps)
+    genie = None
+    if any(_ALGORITHMS[key].step is None for key in algo_keys):
+        genie = _genie_weights(cfg, users, sigma2, taps, codes)
+    return {key: _ALGORITHMS[key].runner(_ALGORITHMS[key], cfg, users, sigma2,
+                                         taps.shape[:-1], codes, genie)
             for key in algo_keys}
 
 
 def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks):
-    """Yield ``(blocks, z)``, the ``(..., users, n)`` symbols and ``(..., m)``
+    """Yield ``(blocks, z)``, the ``(..., K, n)`` symbols and ``(..., m)``
     spectrum, for each of ``n_blocks`` blocks. ``taps`` is ``(R, L)`` with
-    ``rng`` a list of R generators, or ``(L,)`` with one generator; each run
-    draws its bits, then its noise, from its own generator."""
+    ``rng`` a list of R generators, or ``(L,)`` with one generator; ``users``
+    and ``sigma2`` are scalars or one value per row. Each row draws its bits,
+    then its noise, from its own generator; ``K`` is the largest user count,
+    and a row with fewer users has all-zero symbols for the others."""
     gens = rng if np.ndim(taps) == 2 else [rng]
+    counts = np.broadcast_to(users, len(gens)) * n
+    width = int(counts.max())
+    drawn = np.arange(width) < counts[:, None]
+    ints = np.zeros((len(gens), width), dtype=np.int64)
     for _ in range(n_blocks):
-        bits = np.stack([random_bpsk(g, users * n) for g in gens])
-        blocks = bits.reshape(*np.shape(taps)[:-1], users, n)
+        for g, row, count in zip(gens, ints, counts):
+            row[:count] = g.integers(0, 2, count)
+        bits = np.where(drawn, ints * 2.0 - 1.0, 0.0)     # as fdcore.random_bpsk
+        blocks = bits.reshape(*np.shape(taps)[:-1], -1, n)
         yield blocks, synthesize_rx(blocks, codes, taps, sigma2, rng)
 
 
@@ -364,21 +401,21 @@ def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks):
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
                      adapt=True, errors_out=None, where=("run",)) -> dict:
-    """Advance every runner over ``n_blocks`` blocks of every run, filling
+    """Advance every runner over ``n_blocks`` blocks of every row, filling
     ``errors_out`` (``key -> (..., n_blocks)`` error counts). Without
     ``errors_out`` no block is scored, so none is detected.
 
-    ``taps`` and ``rng`` are as for :func:`_received_blocks`. Returns the
-    first divergence of each diverged run, ``{row: message}``, the message
-    naming ``where[row]``, the algorithm and the block. A diverged row keeps
-    its non-finite state, which every later update leaves non-finite, and
-    its later divergences are not recorded.
+    ``users``, ``sigma2``, ``taps`` and ``rng`` are as for
+    :func:`_received_blocks`. Returns the first divergence of each diverged
+    row, ``{row: message}``, the message naming ``where[row]``, the
+    algorithm and the block. A diverged row keeps its non-finite state,
+    which every later update leaves non-finite, and its later divergences
+    are not recorded.
     """
     n = cfg.block_length
-    # the SCE genie reads no pilot; only the adaptive SCE steps do
+    # the genies read no pilot; only the adaptive SCE steps do
     need_pilot = adapt and any(isinstance(r, _SceRunner) and r.state is not None
                                for r in runners.values())
-    need_da = any(isinstance(r, _DaRunner) for r in runners.values())
     code0 = codes[0]
     diverged = {}
     for i, (blocks, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rng,
@@ -386,7 +423,7 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
         desired = blocks[..., 0, :]
         normal = (sce.NormalEquations(z, pilot_matrix(spread(desired, code0)), cfg.cir_taps)
                   if need_pilot else None)
-        rx = _Block(z, desired, normal, da.RxOperator(z, n) if need_da else None)
+        rx = _Block(z, desired, normal, da.RxOperator(z, n))
         for key, runner in runners.items():
             if adapt:
                 runner.observe(rx)
@@ -414,8 +451,10 @@ def _batch_inputs(cfg, runs):
     return np.stack([_channel_for_run(cfg, r) for r in runs]), walsh_code_set(cfg.spreading)
 
 
-def _where(runs, snr_db, users):
-    return [f"run {r}, {snr_db:g} dB SNR, {users} users" for r in runs]
+def _where(runs, points):
+    """Each (run, point) row's context, runs outermost."""
+    return [f"run {r}, {snr_db:g} dB SNR, {users} users" for r in runs
+            for _, snr_db, users in points]
 
 
 def _curve_trial(cfg, snr_db, users, algo_keys, runs):
@@ -429,36 +468,36 @@ def _curve_trial(cfg, snr_db, users, algo_keys, runs):
               for key in algo_keys}
     _raise_first(_simulate_blocks(cfg, users, sigma2, taps, codes, runners, rngs,
                                   cfg.training_blocks, adapt=True, errors_out=errors,
-                                  where=_where(runs, snr_db, users)))
+                                  where=_where(runs, [(0, snr_db, users)])))
     return [{key: errors[key][row] for key in algo_keys} for row in range(len(runs))]
 
 
 def _steady_trial(cfg, points, algo_keys, runs):
-    """Sweeps of a batch of runs: at each point train, then measure
+    """Sweeps of a batch of runs: train at each point, then measure
     steady-state errors with frozen filters. Returns one ``{key: [(errors,
-    bits) per point]}`` dict per run."""
+    bits) per point]}`` dict per run.
+
+    Every (run, point) pair is one row, runs outermost: it draws from its
+    own generator, keeps its run's channel, and all rows train and are
+    scored together. A diverged run raises at its first diverged point."""
     taps, codes = _batch_inputs(cfg, runs)
-    out = [{key: [] for key in algo_keys} for _ in runs]
-    diverged = {}
-    for point_idx, snr_db, users in points:
-        sigma2 = cfg.sigma2_for(snr_db)
-        rngs = [_data_rng(cfg, r, point_idx) for r in runs]
-        runners = _new_runners(cfg, users, sigma2, taps, codes, algo_keys)
-        first = _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rngs,
-                                 cfg.training_blocks, adapt=True,
-                                 where=_where(runs, snr_db, users))
-        for row, message in first.items():
-            diverged.setdefault(row, message)
-        errors = {key: np.zeros((len(runs), cfg.eval_blocks), dtype=np.int64)
-                  for key in algo_keys}
-        _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rngs,
-                         cfg.eval_blocks, adapt=False, errors_out=errors)
-        for row, res in enumerate(out):
-            for key in algo_keys:
-                res[key].append((int(errors[key][row].sum()),
-                                 cfg.eval_blocks * cfg.block_length))
-    _raise_first(diverged)
-    return out
+    row_taps = np.repeat(taps, len(points), axis=0)
+    users = np.tile([k for _, _, k in points], len(runs))
+    sigma2 = np.tile([cfg.sigma2_for(snr_db) for _, snr_db, _ in points], len(runs))
+    rngs = [_data_rng(cfg, r, point_idx) for r in runs for point_idx, _, _ in points]
+    runners = _new_runners(cfg, users, sigma2, row_taps, codes, algo_keys)
+    _raise_first(_simulate_blocks(cfg, users, sigma2, row_taps, codes, runners, rngs,
+                                  cfg.training_blocks, adapt=True,
+                                  where=_where(runs, points)))
+    errors = {key: np.zeros((len(rngs), cfg.eval_blocks), dtype=np.int64)
+              for key in algo_keys}
+    _simulate_blocks(cfg, users, sigma2, row_taps, codes, runners, rngs,
+                     cfg.eval_blocks, adapt=False, errors_out=errors)
+    bits = cfg.eval_blocks * cfg.block_length
+    totals = {key: errors[key].sum(axis=-1).reshape(len(runs), len(points))
+              for key in algo_keys}
+    return [{key: [(int(e), bits) for e in totals[key][row]] for key in algo_keys}
+            for row in range(len(runs))]
 
 
 def _sigma2_trial(cfg, points, runs):

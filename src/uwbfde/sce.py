@@ -3,18 +3,23 @@
 The receiver adaptively estimates the short chip-spaced channel tap vector in
 the frequency domain from the desired user's pilot blocks, builds a diagonal
 per-bin MMSE equalizer from the estimate, equalizes, and despreads in the
-time domain. LMS, RLS and conjugate-gradient updates are provided, plus the
-genie MMSE detector used as a performance baseline, which knows the channel
-and every active code and is solved one symbol group at a time.
+time domain. LMS, RLS and conjugate-gradient updates are provided. The genie
+MMSE baseline, which knows the channel and every active code, is the DA
+genie: its per-group blocks ``R_g^-1 diag(hbar_g)``, followed by
+despreading with the desired code, act on a received block as the weight
+vector ``conj(R_g^-1 lam_0,g) / sqrt(nc)`` of :func:`da.build_mmse_da` does,
+so the simulator builds and applies that vector for both schemes.
 
 Every adaptive step fits one least-squares cost ``||z - A h||^2`` on the
 pilot-weighted tap operator :class:`PilotOperator` (diagonal scalings and
 zero-padded FFTs), in normal form: ``G = A^H A``, ``b = A^H z``
 (:class:`NormalEquations`), formed once per block. LMS and RLS step along
 ``b - G h``; CG runs :func:`fdcore.cg_least_squares` on ``G h = b``.
-The steps, the equalizer build and detection also take a leading run axis:
-``(R, m)`` blocks and pilots advance R independent runs at once, each row
-bitwise equal to its own call without the axis.
+The steps, the equalizer build and detection also take a leading row axis:
+``(R, m)`` blocks and pilots advance R independent rows at once, each row
+bitwise equal to its own call without the axis. :func:`build_mmse_sce`
+takes one user count and noise variance per row, so rows of different
+sweep points share a batch.
 """
 
 from __future__ import annotations
@@ -25,12 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdcore import (
-    by_symbol,
     cg_least_squares,
     check_finite,
     despread,
-    from_symbol,
-    genie_covariance,
     solve_regularized,
     tap_spectrum,
     tap_spectrum_adjoint,
@@ -279,36 +281,12 @@ def build_mmse_sce(h_hat, k_est: float, sigma2_est: float, nc: int, m: int) -> n
     return hbar / denom
 
 
-def build_mmse_sce_exact(taps, codes, sigma2: float, n: int) -> np.ndarray:
-    """Genie MMSE detector from the true channel and all active codes.
-
-    The input covariance couples only the bins of one symbol group, so the
-    detector ``R^-1 diag(hbar)`` is returned as its ``(n, nc, nc)`` group
-    blocks ``R_g^-1 diag(hbar_g)`` (see :func:`fdcore.genie_covariance`);
-    ``(R, L)`` taps give ``(R, n, nc, nc)``. Raises ``LinAlgError`` when the
-    noiseless system is rank deficient.
-    """
-    cov, _ = genie_covariance(taps, codes, sigma2, n)
-    hbar = by_symbol(tap_spectrum(taps, n * cov.shape[-1]), n)
-    return np.linalg.inv(cov) * hbar[..., None, :]
-
-
 def detect_sce(z, detector, code) -> np.ndarray:
     """Equalize, transform back and despread; hard BPSK decisions.
 
-    ``detector`` is either the per-bin weights from :func:`build_mmse_sce`
-    (shaped like ``z``) or the ``(n, nc, nc)`` group blocks from
-    :func:`build_mmse_sce_exact` (with ``z``'s leading axes, if any); it is
-    applied conjugate-transposed. ``sign(0)`` resolves to +1.
+    ``detector`` is the per-bin weights from :func:`build_mmse_sce`, shaped
+    like ``z``, applied conjugated. ``sign(0)`` resolves to +1.
     """
-    z = np.asarray(z)
-    detector = np.asarray(detector)
-    if detector.ndim == z.ndim:
-        eq = detector.conj() * z
-    else:
-        zg = by_symbol(z, detector.shape[-3])[..., None, :]   # (..., n, 1, nc)
-        # conj(conj(zg) @ D) == zg @ conj(D) without copying the blocks D
-        eq = from_symbol(np.conj(zg.conj() @ detector)[..., 0, :])
-    chips = np.fft.ifft(eq, norm="ortho")
+    chips = np.fft.ifft(np.conj(detector) * z, norm="ortho")
     soft = despread(chips, code)
     return np.where(soft.real >= 0, 1.0, -1.0)

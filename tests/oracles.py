@@ -3,12 +3,16 @@
 The simulator works on structured frequency-domain operators and never
 builds these. The tests check the structured operators against them: the
 m-by-m DFT, circulant and mask matrices, the dense tap basis, the explicit
-matrix of a received-data operator, chip-rate zero stuffing and the cyclic
-prefix that the circular channel stands in for.
+matrix of a received-data operator, chip-rate zero stuffing, segment
+tiling, the cyclic prefix that the circular channel stands in for, and the
+paper's SCE genie receiver (per-group MMSE equalization, then despreading
+in the time domain), which the simulator runs as the DA genie's weights.
 """
 
 import numpy as np
 from scipy.linalg import circulant
+
+from uwbfde.fdcore import by_symbol, despread, from_symbol, genie_covariance, tap_spectrum
 
 
 def _as_complex_vector(x, name: str = "x") -> np.ndarray:
@@ -41,6 +45,12 @@ def expand_symbols(symbols, nc: int) -> np.ndarray:
 def expansion_matrix(n: int, nc: int) -> np.ndarray:
     """Explicit (m, n) stack of ``nc`` identity blocks."""
     return np.tile(np.eye(n), (nc, 1))
+
+
+def tile_segments(u, nc: int) -> np.ndarray:
+    """Stack ``nc`` copies of ``u`` end to end along the last axis (adjoint
+    of ``fdcore.fold_segments``)."""
+    return np.tile(np.asarray(u, dtype=complex), nc)
 
 
 def fourier_tap_basis(m: int, num_taps: int) -> np.ndarray:
@@ -94,3 +104,30 @@ def remove_cp(rx, p: int) -> np.ndarray:
     if p >= rx.size:
         raise ValueError(f"cyclic prefix length {p} leaves no payload")
     return rx[p:].copy()
+
+
+def build_mmse_sce_exact(taps, codes, sigma2: float, n: int) -> np.ndarray:
+    """Genie MMSE equalizer of the SCE receiver from the true channel and all
+    active codes.
+
+    The input covariance couples only the bins of one symbol group, so the
+    equalizer ``R^-1 diag(hbar)`` is returned as its ``(n, nc, nc)`` group
+    blocks ``R_g^-1 diag(hbar_g)`` (see ``fdcore.genie_covariance``);
+    ``(R, L)`` taps give ``(R, n, nc, nc)``. Raises ``LinAlgError`` when the
+    noiseless system is rank deficient.
+    """
+    cov, _ = genie_covariance(taps, codes, sigma2, n)
+    hbar = by_symbol(tap_spectrum(taps, n * cov.shape[-1]), n)
+    return np.linalg.inv(cov) * hbar[..., None, :]
+
+
+def detect_sce_exact(z, blocks, code) -> np.ndarray:
+    """Equalize with the group blocks of :func:`build_mmse_sce_exact` (applied
+    conjugate-transposed, ``z``'s leading axes kept), transform back and
+    despread; hard BPSK decisions, ``sign(0)`` resolving to +1."""
+    blocks = np.asarray(blocks)
+    zg = by_symbol(np.asarray(z), blocks.shape[-3])[..., None, :]   # (..., n, 1, nc)
+    # conj(conj(zg) @ D) == zg @ conj(D) without copying the blocks D
+    eq = from_symbol(np.conj(zg.conj() @ blocks)[..., 0, :])
+    soft = despread(np.fft.ifft(eq, norm="ortho"), code)
+    return np.where(soft.real >= 0, 1.0, -1.0)

@@ -12,7 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import circulant_matrix, dft_matrix, fourier_tap_basis, operator_matrix
+from oracles import (
+    build_mmse_sce_exact,
+    circulant_matrix,
+    detect_sce_exact,
+    dft_matrix,
+    fourier_tap_basis,
+    operator_matrix,
+)
 from uwbfde import da, fdcore, sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 from uwbfde.cli import main as cli_main
@@ -192,14 +199,14 @@ def _genie_agreement(n, nc, users, blocks, seed):
     sigma2 = 10 ** (-1.6)
     taps = generate_cir(ChannelProfile(34, 0.35, seed=[seed, 1]))
     codes = fdcore.walsh_code_set(nc)
-    dense = sce.build_mmse_sce_exact(taps, codes[:users], sigma2, n)
+    dense = build_mmse_sce_exact(taps, codes[:users], sigma2, n)
     weights = da.build_mmse_da(taps, codes[:users], sigma2, n)
     rng = np.random.default_rng([seed, 2])
     mismatches = 0
     for _ in range(blocks):
         data = fdcore.random_bpsk(rng, users * n).reshape(users, n)
         z = synthesize_rx(data, codes, taps, sigma2, rng)
-        lhs = sce.detect_sce(z, dense, codes[0])
+        lhs = detect_sce_exact(z, dense, codes[0])
         rhs = da.detect_da(da.RxOperator(z, n), weights)
         mismatches += int(np.count_nonzero(lhs != rhs))
     return mismatches, blocks * n

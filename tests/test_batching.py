@@ -1,14 +1,17 @@
 """Batched runs: synthesis, the six adaptive steps, both genie builds, both
 detectors and the estimators advanced on an ``(R, ...)`` run axis equal their
-row-by-row calls without the axis, bitwise."""
+row-by-row calls without the axis, bitwise; so do a steady-state sweep's
+(run, point) rows against one call per pair."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 from scipy.linalg import toeplitz
 
+from oracles import build_mmse_sce_exact, detect_sce_exact
 from uwbfde import da, fdcore, sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
+from uwbfde.harness import ExperimentConfig, _steady_trial
 from uwbfde.estimators import (
     EstimatorState,
     GroupCovariance,
@@ -74,15 +77,15 @@ def test_sce_steps_and_detection_match_row_by_row(kind):
     taps = _channels(3)
     batched = SCE_STATES[kind]((RUNS,))
     singles = [SCE_STATES[kind](()) for _ in range(RUNS)]
-    genie = np.stack([sce.build_mmse_sce_exact(t, CODES[:USERS], 0.05, N) for t in taps])
+    genie = np.stack([build_mmse_sce_exact(t, CODES[:USERS], 0.05, N) for t in taps])
     for z, xdiag, _ in _blocks(taps, 20, seed=4):
         det = sce.build_mmse_sce(batched.h_hat, USERS, 0.05, NC, M)
         _assert_rows_equal(det, [sce.build_mmse_sce(s.h_hat, USERS, 0.05, NC, M)
                                  for s in singles])
         _assert_rows_equal(sce.detect_sce(z, det, CODES[0]),
                            [sce.detect_sce(z[r], det[r], CODES[0]) for r in range(RUNS)])
-        _assert_rows_equal(sce.detect_sce(z, genie, CODES[0]),
-                           [sce.detect_sce(z[r], genie[r], CODES[0]) for r in range(RUNS)])
+        _assert_rows_equal(detect_sce_exact(z, genie, CODES[0]),
+                           [detect_sce_exact(z[r], genie[r], CODES[0]) for r in range(RUNS)])
         SCE_STEPS[kind](batched, z, xdiag)
         for r, single in enumerate(singles):
             SCE_STEPS[kind](single, z[r], xdiag[r])
@@ -190,7 +193,7 @@ def test_ml_noise_variance_matches_row_by_row():
 @pytest.mark.parametrize("users", range(1, NC + 1))
 def test_genie_builds_match_row_by_row(users):
     taps = _channels(13)
-    for build in (sce.build_mmse_sce_exact, da.build_mmse_da):
+    for build in (build_mmse_sce_exact, da.build_mmse_da):
         _assert_rows_equal(build(taps, CODES[:users], 0.05, N),
                            [build(t, CODES[:users], 0.05, N) for t in taps])
 
@@ -228,3 +231,45 @@ def test_estimators_match_row_by_row():
     assert est.k_int[2] == 0 and est.sigma2[2] == 0.0
     assert np.all(est.k_int[[0, 1, 3]] > 0)
     assert count.startup.tolist() == [False, True, False, False]
+
+
+# users 1-3 at 8 dB and noiseless, so rows of different K and sigma2 share a batch
+SWEEP_POINTS = [(0, 8.0, 1), (1, np.inf, 2), (2, 8.0, 3), (3, np.inf, 3)]
+
+
+def _sweep_config(**overrides):
+    return ExperimentConfig(**{**dict(block_length=N, spreading=NC, cir_taps=TAPS, cp_chips=6,
+                                      training_blocks=30, eval_blocks=10, runs=3,
+                                      base_seed=21, decay_rate=0.2, cg_iters=3), **overrides})
+
+
+def test_steady_sweep_rows_equal_one_call_per_run_and_point():
+    cfg = _sweep_config()
+    keys = cfg.algo_keys()
+    assert len(keys) == 8
+    runs = list(range(cfg.runs))
+    swept = _steady_trial(cfg, SWEEP_POINTS, keys, runs)
+    for row, run in enumerate(runs):
+        for col, point in enumerate(SWEEP_POINTS):
+            alone = _steady_trial(cfg, [point], keys, [run])[0]
+            assert {key: swept[row][key][col] for key in keys} == \
+                {key: alone[key][0] for key in keys}
+
+
+def test_steady_sweep_raises_the_divergence_of_the_point_loop():
+    # run 0 diverges at points 1, 2 and 3, earliest in blocks at point 2;
+    # the error names its first diverged point, as walking the points does
+    cfg = _sweep_config(scheme="da", algorithm="lms", mu_w=5.0, training_blocks=400)
+    runs = list(range(cfg.runs))
+    expected = None
+    with np.errstate(all="ignore"):
+        for run in runs:
+            for point in SWEEP_POINTS:
+                try:
+                    _steady_trial(cfg, [point], ["da-lms"], [run])
+                except fdcore.DivergenceError as exc:
+                    expected = expected or str(exc)
+        assert expected is not None
+        with pytest.raises(fdcore.DivergenceError) as info:
+            _steady_trial(cfg, SWEEP_POINTS, ["da-lms"], runs)
+    assert str(info.value) == expected

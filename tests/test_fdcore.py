@@ -16,6 +16,7 @@ from oracles import (
     expansion_matrix,
     fourier_tap_basis,
     remove_cp,
+    tile_segments,
 )
 from uwbfde import fdcore
 
@@ -180,7 +181,7 @@ class TestExpandSymbols:
             rng = np.random.default_rng(n * 10 + nc)
             b = fdcore.random_bpsk(rng, n)
             lhs = _dft(expand_symbols(b, nc))
-            rhs = fdcore.tile_segments(np.fft.fft(b, norm="ortho"), nc) / np.sqrt(nc)
+            rhs = tile_segments(np.fft.fft(b, norm="ortho"), nc) / np.sqrt(nc)
             assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_all_ones_small_case(self):

@@ -1,8 +1,9 @@
 """The eight detectors' BER curves, pinned byte for byte.
 
 ``tests/golden/`` holds the CLI's CSVs for all eight detectors on a small
-scenario (n=16, nc=4, L=9, 4 runs x 60 training blocks): a training curve
-and a three-point SNR sweep. They were written with numpy 2.4.6; the output
+scenario (n=16, nc=4, L=9, 4 runs x 60 training blocks): a training curve,
+a three-point SNR sweep, a user-count sweep and a sweep that puts a
+noiseless point beside a noisy one. They were written with numpy 2.4.6; the output
 is byte-identical across reruns, worker counts and batch sizes, but another
 numpy may round differently (see ``golden/README.md``). A change that moves
 any BER, or the CSV layout, fails here.
@@ -22,6 +23,10 @@ CASES = {
     "ber_vs_blocks_n16_nc4_l9.csv": ["--experiment", "ber-vs-blocks", *SMALL],
     "ber_vs_snr_n16_nc4_l9.csv": ["--experiment", "ber-vs-snr", "--snr-db", "0,8,16",
                                   *SMALL, "--eval-blocks", "40"],
+    "ber_vs_snr_noiseless_n16_nc4_l9.csv": ["--experiment", "ber-vs-snr", "--snr-db", "8,inf",
+                                            *SMALL, "--eval-blocks", "40"],
+    "ber_vs_users_n16_nc4_l9.csv": ["--experiment", "ber-vs-users", *SMALL,
+                                    "--eval-blocks", "40"],
 }
 
 

