@@ -20,7 +20,8 @@ The operator, the steps, the genie build and detection also take a leading
 row axis: an ``(R, m)`` received block advances R independent rows at once,
 each row bitwise equal to its own call without the axis. The genie weights
 of :func:`build_mmse_da` also serve as the SCE genie (see :mod:`uwbfde.sce`),
-so one build per sweep point feeds both genie detectors.
+so one build per sweep point feeds both genie detectors, and
+:func:`detect_da` is the one detection kernel of all eight detectors.
 """
 
 from __future__ import annotations

@@ -1,10 +1,9 @@
 """Deterministic signal-chain primitives shared by both detection schemes.
 
 Everything in this module is a pure function of its inputs: Walsh
-spreading/despreading, circulant channel application, the structured
-Fourier operators that let the adaptive algorithms work on a short tap
-vector instead of a full frequency-domain vector, the symbol-group kernel,
-and the one CG loop (:func:`cg_least_squares`: CGLS, or CG on normal
+spreading, circulant channel application, the structured Fourier operators
+that let the adaptive algorithms work on a short tap vector instead of a
+full frequency-domain vector, the symbol-group kernel, and the one CG loop (:func:`cg_least_squares`: CGLS, or CG on normal
 equations for an operator with a curvature hook). The cyclic prefix is not
 simulated chip by chip: a prefix at least as long as the channel memory
 makes the channel circular, which is what :func:`circulant_apply` computes.
@@ -22,10 +21,9 @@ Conventions
   regroups the ``m`` bins into ``n`` groups of ``nc``, so such a covariance
   is ``n`` independent ``nc``-by-``nc`` blocks.
 * Leading run axis: the helpers the detectors and the block synthesis use
-  (spreading, despreading, segment folding, the tap spectrum
-  and its adjoint, circulant application, row energy, the genie
-  covariance) act on the last axis and accept
-  ``(R, ...)`` arrays, one row per Monte-Carlo run. Each row's result is
+  (spreading, segment folding, the tap spectrum and its adjoint, circulant
+  application, row energy, the genie covariance) act on the last axis and
+  accept ``(R, ...)`` arrays, one row per Monte-Carlo run. Each row's result is
   bitwise equal to the result of a call with that row alone.
 * ``tap_spectrum`` absorbs the ``sqrt(m)`` factor, i.e. bin ``a`` of
   ``tap_spectrum(h, m)`` is ``sum_l h[l] * exp(-2j*pi*a*l/m)``, which is the
@@ -87,20 +85,6 @@ def spread(symbols, code) -> np.ndarray:
     if symbols.ndim < 1 or code.ndim != 1:
         raise ValueError("symbols must have a last axis and code must be 1-D")
     return (symbols[..., :, None] * code).reshape(*symbols.shape[:-1], -1)
-
-
-def despread(chips, code) -> np.ndarray:
-    """Correlate each symbol-length chip group against ``code``.
-
-    Exact inverse of :func:`spread` for a unit-norm code; orthogonal codes
-    despread to zero.
-    """
-    chips = _as_complex_rows(chips, "chips")
-    code = np.asarray(code)
-    nc = code.size
-    if chips.shape[-1] % nc != 0:
-        raise ValueError(f"chip count {chips.shape[-1]} is not a multiple of code length {nc}")
-    return chips.reshape(*chips.shape[:-1], -1, nc) @ code.conj()
 
 
 def fold_segments(v, n: int) -> np.ndarray:

@@ -23,9 +23,12 @@ Protocol notes
   worker process. Every row is computed as it would be alone and results
   merge in run order, so output is byte-identical for any worker count and
   batch size.
-* Both genies apply one MMSE weight vector per row (:func:`da.build_mmse_da`,
-  built once per sweep point); the SCE genie's per-group equalizer with
-  time-domain despreading takes the same decisions.
+* All eight detectors decide through one kernel, :func:`da.detect_da`: each
+  runner supplies one length-m weight vector per row. An SCE detector's
+  per-bin equalizer followed by time-domain despreading with the desired
+  code is the weight vector ``conj(d) * conj(FFT_m(c_0)) / sqrt(nc)``.
+  Both genies apply one MMSE weight vector per row (:func:`da.build_mmse_da`,
+  built once per sweep point).
 * A diverging row is recorded at its first non-finite update. It stays
   non-finite, which touches no other row, and its later divergences are not
   recorded while the other rows finish. The experiment then raises for the
@@ -55,7 +58,7 @@ from .estimators import (
 )
 from .fdcore import DivergenceError, random_bpsk, spread, walsh_code_set
 from .opcount import OpCounter, nominal_cost
-from .sce import build_mmse_sce, detect_sce, pilot_matrix
+from .sce import build_mmse_sce, pilot_matrix
 
 _CHAN_STREAM = 7919
 _DATA_STREAM = 104729
@@ -228,7 +231,7 @@ class _Block:
     z: np.ndarray                   # (..., m) received spectrum
     desired: np.ndarray             # (..., n) desired user's symbols
     normal: sce.NormalEquations | None  # pilot fit's normal equations, for adaptive SCE
-    op: da.RxOperator               # received-data operator, for DA and both genies
+    op: da.RxOperator               # received-data operator, for DA and every detection
 
 
 class _Runner:
@@ -237,8 +240,10 @@ class _Runner:
     ``batch`` is the leading shape of the rows, ``(R,)`` or ``()`` for a
     single run; ``users`` and ``sigma2`` are scalars or one value per row.
     An adaptive algorithm gets state of that leading shape; a genie reads
-    ``genie``, the MMSE weights of :func:`_genie_weights`. Subclasses name
-    their scheme and step inputs.
+    ``genie``, the MMSE weights of :func:`_genie_weights`. Every detector
+    decides by applying its length-m weights to the block's
+    :class:`da.RxOperator`; subclasses name their scheme, step inputs and
+    weights.
     """
 
     scheme = ""
@@ -262,19 +267,25 @@ class _Runner:
         if self.state is not None:
             self.step(self.state, *self.step_args(rx))
 
+    def detect(self, rx: _Block):
+        return da.detect_da(rx.op, self.weights())
+
 
 class _SceRunner(_Runner):
     """An SCE algorithm; with estimated inputs it also tracks each row's
-    subspace estimate of sigma2 and K. Its genie is the DA genie: the
-    per-group MMSE detector ``R_g^-1 diag(hbar_g)`` acts on a received
-    block as the weight vector ``conj(R_g^-1 lam_0,g) / sqrt(nc)`` does."""
+    subspace estimate of sigma2 and K. Its per-bin equalizer ``d``,
+    followed by despreading with the desired code ``c_0``, acts on a
+    received block as the weight vector ``conj(d) * despread_bins`` does,
+    with ``despread_bins = conj(FFT_m(c_0)) / sqrt(nc)``. Its genie is the
+    DA genie: the per-group MMSE detector ``R_g^-1 diag(hbar_g)`` collapses
+    the same way to ``conj(R_g^-1 lam_0,g) / sqrt(nc)``."""
 
     scheme = "sce"
 
     def __init__(self, algo, cfg, users, sigma2, batch, codes, genie):
         super().__init__(algo, cfg, users, sigma2, batch, codes, genie)
         self.nc, self.m = cfg.spreading, cfg.chips_per_block
-        self.code = codes[0]
+        self.despread_bins = np.conj(np.fft.fft(codes[0], self.m)) / np.sqrt(self.nc)
         self.cov = self.est = None
         if self.state is not None and (cfg.use_estimated_sigma2 or cfg.use_estimated_k):
             self.cov = GroupCovariance.empty(cfg.block_length, cfg.spreading, self.batch)
@@ -288,13 +299,13 @@ class _SceRunner(_Runner):
         if self.cov is not None:
             self.est = subspace_estimate(update_covariance(self.cov, rx.z))
 
-    def detect(self, rx: _Block):
+    def weights(self):
         if self.state is None:
-            return da.detect_da(rx.op, self.detector)
+            return self.detector
         sigma2 = self.est.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
         k_used = self.est.k_int if self.cfg.use_estimated_k else self.users
         det = build_mmse_sce(self.state.h_hat, k_used, sigma2, self.nc, self.m)
-        return detect_sce(rx.z, det, self.code)
+        return np.conj(det) * self.despread_bins
 
 
 class _DaRunner(_Runner):
@@ -306,9 +317,8 @@ class _DaRunner(_Runner):
     def step_args(rx: _Block):
         return rx.op, rx.desired
 
-    def detect(self, rx: _Block):
-        w = self.detector if self.state is None else self.state.w_hat
-        return da.detect_da(rx.op, w)
+    def weights(self):
+        return self.detector if self.state is None else self.state.w_hat
 
 
 @dataclass(frozen=True)
@@ -781,15 +791,17 @@ def verify_complexity(cfg: ExperimentConfig, spreading_gains=(1, 2, 4, 8),
     compare the measured operation tallies against the closed-form model."""
     n, num_taps = cfg.block_length, cfg.cir_taps
     rng = np.random.default_rng(cfg.base_seed)
+    direct = [key for key, a in _ALGORITHMS.items() if a.step is not None and a.kind != "cg"]
+    iterative = [key for key, a in _ALGORITHMS.items() if a.step is not None and a.kind == "cg"]
     rows = []
     for nc in spreading_gains:
         m = n * nc
-        for algo in ("sce-lms", "sce-rls", "da-lms", "da-rls"):
+        for algo in direct:
             exp_m, exp_a = nominal_cost(algo, m=m, n=n, nc=nc, taps=num_taps)
             got_m, got_a = _measured_step_cost(algo, n, nc, num_taps, 0, rng)
             rows.append(ComplexityRow(algo, nc, 0, m, exp_m, got_m, exp_a, got_a))
         for c in cg_iters:
-            for algo in ("sce-cg", "da-cg"):
+            for algo in iterative:
                 exp_m, exp_a = nominal_cost(algo, m=m, n=n, nc=nc, taps=num_taps, iters=c)
                 got_m, got_a = _measured_step_cost(algo, n, nc, num_taps, c, rng)
                 rows.append(ComplexityRow(algo, nc, c, m, exp_m, got_m, exp_a, got_a))

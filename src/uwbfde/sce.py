@@ -1,21 +1,23 @@
 """Structured channel estimation (SCE) detector.
 
 The receiver adaptively estimates the short chip-spaced channel tap vector in
-the frequency domain from the desired user's pilot blocks, builds a diagonal
-per-bin MMSE equalizer from the estimate, equalizes, and despreads in the
-time domain. LMS, RLS and conjugate-gradient updates are provided. The genie
-MMSE baseline, which knows the channel and every active code, is the DA
-genie: its per-group blocks ``R_g^-1 diag(hbar_g)``, followed by
-despreading with the desired code, act on a received block as the weight
-vector ``conj(R_g^-1 lam_0,g) / sqrt(nc)`` of :func:`da.build_mmse_da` does,
-so the simulator builds and applies that vector for both schemes.
+the frequency domain from the desired user's pilot blocks and builds a
+diagonal per-bin MMSE equalizer ``d`` from the estimate. The paper's receiver
+equalizes and then despreads in the time domain; being linear, that is the
+length-m weight vector ``conj(d) * conj(FFT_m(c_0)) / sqrt(nc)`` applied
+through :func:`da.detect_da`, which is how the simulator detects (the
+FDE-then-despread form is kept as a test oracle). LMS, RLS and
+conjugate-gradient updates are provided. The genie MMSE baseline, which
+knows the channel and every active code, is the DA genie: its per-group
+blocks ``R_g^-1 diag(hbar_g)`` collapse the same way to
+``conj(R_g^-1 lam_0,g) / sqrt(nc)``, the weights of :func:`da.build_mmse_da`.
 
 Every adaptive step fits one least-squares cost ``||z - A h||^2`` on the
 pilot-weighted tap operator :class:`PilotOperator` (diagonal scalings and
 zero-padded FFTs), in normal form: ``G = A^H A``, ``b = A^H z``
 (:class:`NormalEquations`), formed once per block. LMS and RLS step along
 ``b - G h``; CG runs :func:`fdcore.cg_least_squares` on ``G h = b``.
-The steps, the equalizer build and detection also take a leading row axis:
+The steps and the equalizer build also take a leading row axis:
 ``(R, m)`` blocks and pilots advance R independent rows at once, each row
 bitwise equal to its own call without the axis. :func:`build_mmse_sce`
 takes one user count and noise variance per row, so rows of different
@@ -32,7 +34,6 @@ import numpy as np
 from .fdcore import (
     cg_least_squares,
     check_finite,
-    despread,
     solve_regularized,
     tap_spectrum,
     tap_spectrum_adjoint,
@@ -279,14 +280,3 @@ def build_mmse_sce(h_hat, k_est: float, sigma2_est: float, nc: int, m: int) -> n
         denom = np.where(dead, 1.0, denom)
         return np.where(dead, 0.0, hbar / denom)
     return hbar / denom
-
-
-def detect_sce(z, detector, code) -> np.ndarray:
-    """Equalize, transform back and despread; hard BPSK decisions.
-
-    ``detector`` is the per-bin weights from :func:`build_mmse_sce`, shaped
-    like ``z``, applied conjugated. ``sign(0)`` resolves to +1.
-    """
-    chips = np.fft.ifft(np.conj(detector) * z, norm="ortho")
-    soft = despread(chips, code)
-    return np.where(soft.real >= 0, 1.0, -1.0)

@@ -5,14 +5,16 @@ builds these. The tests check the structured operators against them: the
 m-by-m DFT, circulant and mask matrices, the dense tap basis, the explicit
 matrix of a received-data operator, chip-rate zero stuffing, segment
 tiling, the cyclic prefix that the circular channel stands in for, and the
-paper's SCE genie receiver (per-group MMSE equalization, then despreading
-in the time domain), which the simulator runs as the DA genie's weights.
+paper's SCE receiver in its FDE-then-despread form: per-bin (or, for the
+genie, per-group) MMSE equalization, an inverse DFT, then despreading in
+the time domain. The simulator applies that receiver as one length-m
+weight vector through ``da.detect_da``.
 """
 
 import numpy as np
 from scipy.linalg import circulant
 
-from uwbfde.fdcore import by_symbol, despread, from_symbol, genie_covariance, tap_spectrum
+from uwbfde.fdcore import by_symbol, from_symbol, genie_covariance, tap_spectrum
 
 
 def _as_complex_vector(x, name: str = "x") -> np.ndarray:
@@ -22,6 +24,31 @@ def _as_complex_vector(x, name: str = "x") -> np.ndarray:
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
     return arr
+
+
+def despread(chips, code) -> np.ndarray:
+    """Correlate each symbol-length chip group against ``code``.
+
+    Exact inverse of ``fdcore.spread`` for a unit-norm code; orthogonal codes
+    despread to zero.
+    """
+    chips = np.asarray(chips, dtype=complex)
+    code = np.asarray(code)
+    if chips.ndim == 0 or chips.shape[-1] == 0 or chips.shape[-1] % code.size:
+        raise ValueError(f"chips of shape {chips.shape} do not split into codes of "
+                         f"length {code.size}")
+    return chips.reshape(*chips.shape[:-1], -1, code.size) @ code.conj()
+
+
+def detect_sce(z, detector, code) -> np.ndarray:
+    """Equalize, transform back and despread; hard BPSK decisions.
+
+    ``detector`` is the per-bin weights from ``sce.build_mmse_sce``, shaped
+    like ``z``, applied conjugated. ``sign(0)`` resolves to +1.
+    """
+    chips = np.fft.ifft(np.conj(detector) * z, norm="ortho")
+    soft = despread(chips, code)
+    return np.where(soft.real >= 0, 1.0, -1.0)
 
 
 def dft_matrix(m: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy.linalg import toeplitz
 
-from oracles import build_mmse_sce_exact, detect_sce_exact
+from oracles import build_mmse_sce_exact, detect_sce, detect_sce_exact
 from uwbfde import da, fdcore, sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 from uwbfde.harness import ExperimentConfig, _steady_trial
@@ -82,8 +82,8 @@ def test_sce_steps_and_detection_match_row_by_row(kind):
         det = sce.build_mmse_sce(batched.h_hat, USERS, 0.05, NC, M)
         _assert_rows_equal(det, [sce.build_mmse_sce(s.h_hat, USERS, 0.05, NC, M)
                                  for s in singles])
-        _assert_rows_equal(sce.detect_sce(z, det, CODES[0]),
-                           [sce.detect_sce(z[r], det[r], CODES[0]) for r in range(RUNS)])
+        _assert_rows_equal(detect_sce(z, det, CODES[0]),
+                           [detect_sce(z[r], det[r], CODES[0]) for r in range(RUNS)])
         _assert_rows_equal(detect_sce_exact(z, genie, CODES[0]),
                            [detect_sce_exact(z[r], genie[r], CODES[0]) for r in range(RUNS)])
         SCE_STEPS[kind](batched, z, xdiag)

@@ -40,3 +40,21 @@ def test_opcount_guard_matches_model_on_every_workload(bench):
         counts, mismatches = checks.opcount_guard(spec, seed=1)
         assert mismatches == [], name
         assert set(counts) == {"sce-lms", "sce-rls", "sce-cg", "da-lms", "da-rls", "da-cg"}
+
+
+def test_tracer_attributes_every_runner_method_and_uninstalls(monkeypatch):
+    # the layer targets the package no longer defines are named in
+    # ``missing``; every detector's runner methods stay wrapped
+    tracing = _load(monkeypatch, "uwbfde_contract_bench_tracing", "tracing.py")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        missing = set(tracer.missing)
+        installed = set(tracing.find_wrappers())
+    finally:
+        tracer.uninstall()
+    assert missing == {"sce.build_mmse_sce_exact", "sce.detect_sce"}
+    assert not [name for name in missing if name.startswith("harness.")]
+    for cls_name, _, methods in tracing.RUNNER_METHODS:
+        assert {f"harness.{cls_name}.{method}" for method in methods} <= installed
+    assert tracing.find_wrappers() == []

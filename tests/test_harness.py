@@ -9,12 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose, assert_array_equal
 
-from uwbfde.channel import ChannelProfile, generate_cir
-from uwbfde import harness, sce
+from oracles import despread, detect_sce
+from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
+from uwbfde import da, harness, sce
 from uwbfde.cli import main as cli_main
 from uwbfde.estimators import ml_noise_variance
-from uwbfde.fdcore import DivergenceError, spread, walsh_code_set
+from uwbfde.fdcore import DivergenceError, random_bpsk, spread, walsh_code_set
 from uwbfde.harness import (
     CurveSet,
     ExperimentConfig,
@@ -477,3 +479,54 @@ class TestPilotGate:
         run_ber_vs_blocks(cfg)
         assert len(built) == cfg.training_blocks
         assert all(z.shape == (cfg.runs, cfg.chips_per_block) for z, _, _ in built)
+
+
+class TestSceKernel:
+    """An adaptive SCE runner decides through ``da.detect_da`` on the weight
+    vector ``conj(d) * despread_bins``; the paper's receiver, per-bin
+    equalization then time-domain despreading (``oracles.detect_sce``), is
+    the reference."""
+
+    CFG = _tiny_config(block_length=8, spreading=4, users=3, cir_taps=3)
+
+    def _runner(self, key, users, sigma2, h_hat):
+        codes = walsh_code_set(self.CFG.spreading)
+        runner = _new_runners(self.CFG, users, sigma2, np.asarray(h_hat), codes, [key])[key]
+        runner.state.h_hat[...] = h_hat
+        return runner, codes
+
+    def _block(self, z):
+        return harness._Block(z, None, None, da.RxOperator(z, self.CFG.block_length))
+
+    @pytest.mark.parametrize("key", ["sce-lms", "sce-rls", "sce-cg"])
+    def test_weights_decide_as_equalizer_then_despreading(self, key):
+        rng = np.random.default_rng(31)
+        rows, m, nc = 5, self.CFG.chips_per_block, self.CFG.spreading
+        h_hat = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+        h_hat[2] = [1.0, -1.0, 0.0]     # bin 0 dead, and with sigma2 = 0 zero-forced
+        users = np.array([1, 2, 3, 4, 2])
+        sigma2 = np.array([0.5, 0.1, 0.0, 1e-3, 2.0])
+        runner, codes = self._runner(key, users, sigma2, h_hat)
+        det = build_mmse_sce(h_hat, users, sigma2, nc, m)
+        assert det[2, 0] == 0
+        for _ in range(10):
+            z = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+            rx = self._block(z)
+            assert_array_equal(runner.detect(rx), detect_sce(z, det, codes[0]))
+            soft = despread(np.fft.ifft(np.conj(det) * z, norm="ortho"), codes[0])
+            assert_allclose(rx.op.matvec(runner.weights()), soft, rtol=0, atol=1e-12)
+
+    def test_noiseless_single_user_perfect_estimate(self):
+        rng = np.random.default_rng(19)
+        taps = generate_cir(ChannelProfile(3, 0.2, seed=20))
+        runner, codes = self._runner("sce-lms", 1, 0.0, taps)
+        for _ in range(20):
+            b = random_bpsk(rng, self.CFG.block_length)
+            z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
+            assert_array_equal(runner.detect(self._block(z)), b)
+
+    def test_zero_input_resolves_positive(self):
+        runner, _ = self._runner("sce-rls", 2, 0.1, np.ones((2, 3), complex))
+        z = np.zeros((2, self.CFG.chips_per_block), complex)
+        assert_array_equal(runner.detect(self._block(z)),
+                           np.ones((2, self.CFG.block_length)))
