@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -33,64 +34,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte-Carlo simulator for multiuser spread-spectrum downlink "
                     "detection with frequency-domain equalization.")
     p.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    p.add_argument("--scheme", default="both", choices=SCHEMES)
-    p.add_argument("--algorithm", default="all", choices=ALGORITHMS)
-    p.add_argument("--users", type=int, default=3, help="active users K")
-    p.add_argument("--spreading", type=int, default=8, help="chips per symbol Nc")
-    p.add_argument("--block-length", type=int, default=32, help="symbols per block N")
-    p.add_argument("--cir-length", type=int, default=34, help="channel taps L")
-    p.add_argument("--cir-file", default=None, help="load channel taps from a re,im file")
-    p.add_argument("--snr-db", type=_snr_list, default=(16.0,),
-                   help="SNR point or comma-separated sweep")
-    p.add_argument("--blocks", type=int, default=1000, help="training blocks per run")
-    p.add_argument("--eval-blocks", type=int, default=200,
+    p.add_argument("--scheme", choices=SCHEMES)
+    p.add_argument("--algorithm", choices=ALGORITHMS)
+    p.add_argument("--users", type=int, help="active users K")
+    p.add_argument("--spreading", type=int, help="chips per symbol Nc")
+    p.add_argument("--block-length", type=int, help="symbols per block N")
+    p.add_argument("--cir-length", dest="cir_taps", type=int, help="channel taps L")
+    p.add_argument("--cir-file", help="load channel taps from a re,im file")
+    p.add_argument("--snr-db", type=_snr_list, help="SNR point or comma-separated sweep")
+    p.add_argument("--blocks", dest="training_blocks", type=int,
+                   help="training blocks per run")
+    p.add_argument("--eval-blocks", type=int,
                    help="steady-state measurement blocks for sweeps")
-    p.add_argument("--runs", type=int, default=20, help="independent Monte-Carlo runs")
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--cg-iters", type=int, default=8)
-    p.add_argument("--mu-h", type=float, default=None)
-    p.add_argument("--mu-w", type=float, default=0.0012)
-    p.add_argument("--lambda-h", type=float, default=0.998)
-    p.add_argument("--lambda-w", type=float, default=0.85)
-    p.add_argument("--delta", type=float, default=1e-2)
-    p.add_argument("--cp-chips", type=int, default=35)
-    p.add_argument("--estimated-sigma2", action="store_true",
+    p.add_argument("--runs", type=int, help="independent Monte-Carlo runs")
+    p.add_argument("--seed", dest="base_seed", type=int)
+    p.add_argument("--cg-iters", type=int)
+    p.add_argument("--mu-h", type=float)
+    p.add_argument("--mu-w", type=float)
+    p.add_argument("--lambda-h", type=float)
+    p.add_argument("--lambda-w", type=float)
+    p.add_argument("--delta", dest="delta_init", type=float)
+    p.add_argument("--cp-chips", type=int)
+    p.add_argument("--estimated-sigma2", dest="use_estimated_sigma2", action="store_true",
                    help="feed the detector the estimated noise variance")
-    p.add_argument("--estimated-k", action="store_true",
+    p.add_argument("--estimated-k", dest="use_estimated_k", action="store_true",
                    help="feed the detector the estimated user count")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=int,
                    help="worker processes, each advancing a contiguous slice of the runs")
     p.add_argument("--check", action="store_true",
                    help="complexity experiment: exit nonzero unless all counts match")
     p.add_argument("--out", default=None, help="output path (default <experiment>.csv)")
+    # each experiment flag stores into, and defaults to, the config field of its dest
+    p.set_defaults(**dataclasses.asdict(ExperimentConfig()))
     return p
 
 
 def config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        block_length=args.block_length,
-        spreading=args.spreading,
-        users=args.users,
-        cir_taps=args.cir_length,
-        cp_chips=args.cp_chips,
-        snr_db=tuple(args.snr_db),
-        training_blocks=args.blocks,
-        eval_blocks=args.eval_blocks,
-        runs=args.runs,
-        base_seed=args.seed,
-        scheme=args.scheme,
-        algorithm=args.algorithm,
-        cg_iters=args.cg_iters,
-        mu_h=args.mu_h,
-        mu_w=args.mu_w,
-        lambda_h=args.lambda_h,
-        lambda_w=args.lambda_w,
-        delta_init=args.delta,
-        use_estimated_sigma2=args.estimated_sigma2,
-        use_estimated_k=args.estimated_k,
-        cir_file=args.cir_file,
-        workers=args.workers,
-    )
+    return ExperimentConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(ExperimentConfig)})
 
 
 def _reject_ignored_flags(args):
@@ -98,8 +79,8 @@ def _reject_ignored_flags(args):
     if args.check and args.experiment != "complexity":
         raise ValueError("--check applies to the complexity experiment only")
     if args.experiment in ("estimators", "complexity"):
-        for flag, on in (("--estimated-sigma2", args.estimated_sigma2),
-                         ("--estimated-k", args.estimated_k)):
+        for flag, on in (("--estimated-sigma2", args.use_estimated_sigma2),
+                         ("--estimated-k", args.use_estimated_k)):
             if on:
                 raise ValueError(f"{flag} does not apply to the {args.experiment} experiment")
 

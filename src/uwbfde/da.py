@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdcore import (
+    add_group_outer,
     by_symbol,
     cg_least_squares,
     check_finite,
@@ -171,16 +172,15 @@ def da_rls_step(state: DaRlsState, op: RxOperator, b, counter=None) -> DaRlsStat
     """One recursive-least-squares update using the blockwise sparse solve.
 
     The per-block normal-matrix increment is the outer product of each
-    symbol's bin group with itself, so the accumulator stays block diagonal
-    in the regrouped ordering and each nc-by-nc block is solved directly. A
-    singular block is regularized with ``delta * I``, that block only.
+    symbol's bin group with itself (:func:`fdcore.add_group_outer`), so the
+    accumulator stays block diagonal in the regrouped ordering and each
+    nc-by-nc block is solved directly. A singular block is regularized with
+    ``delta * I``, that block only.
     """
     n, nc = op.n, op.nc
     zg = by_symbol(op.zbins, n)                           # (..., n, nc)
-    zg_conj = zg.conj()
     state.corr *= state.lam
-    for j in range(nc):         # column by column: no (..., n, nc, nc) temporary
-        state.corr[..., j] += zg_conj * zg[..., j, None]
+    add_group_outer(state.corr, zg.conj(), zg)
     err = np.fft.fft(b, norm="ortho") - op.symbol_dft.matvec(state.w_hat)
     folded = by_symbol(op.symbol_dft.rmatvec(err), n)[..., None]
     update, regularized = solve_regularized(state.corr, folded, state.delta)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fdcore import by_symbol, row_energy, tap_spectrum
+from .fdcore import add_group_outer, by_symbol, row_energy, tap_spectrum
 from .sce import NormalEquations
 
 
@@ -151,9 +151,10 @@ class GroupCovariance:
 
 
 def update_covariance(state: GroupCovariance, z) -> GroupCovariance:
-    """Fold one received block, or one per run, into the per-group covariance sums."""
+    """Fold one received block, or one per run, into the per-group covariance
+    sums, through :func:`fdcore.add_group_outer`."""
     zg = by_symbol(z, state.acc.shape[-3])                     # (..., n, nc)
-    state.acc += zg[..., :, None] * zg[..., None, :].conj()
+    add_group_outer(state.acc, zg, zg.conj())
     state.blocks += 1
     return state
 

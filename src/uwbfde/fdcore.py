@@ -19,7 +19,8 @@ Conventions
 * Symbol groups: with a cyclic prefix and orthogonal spreading codes, every
   MMSE covariance couples only bins ``a = a' (mod n)``. :func:`by_symbol`
   regroups the ``m`` bins into ``n`` groups of ``nc``, so such a covariance
-  is ``n`` independent ``nc``-by-``nc`` blocks.
+  is ``n`` independent ``nc``-by-``nc`` blocks, and :func:`add_group_outer`
+  accumulates one block's per-group outer products into such a covariance.
 * Leading run axis: the helpers the detectors and the block synthesis use
   (spreading, segment folding, the tap spectrum and its adjoint, circulant
   application, row energy, the genie covariance) act on the last axis and
@@ -142,6 +143,15 @@ def from_symbol(grouped) -> np.ndarray:
     """Inverse of :func:`by_symbol`: flatten ``(..., n, nc)`` groups back to bins."""
     grouped = np.asarray(grouped)
     return np.swapaxes(grouped, -1, -2).reshape(*grouped.shape[:-2], -1)
+
+
+def add_group_outer(acc, left, right):
+    """Add each symbol group's outer product ``left_g right_g^T`` to ``acc``
+    in place: ``acc`` is ``(..., n, nc, nc)``, ``left`` and ``right`` are
+    ``(..., n, nc)``. Column by column, so no ``(..., n, nc, nc)``
+    temporary is built; each entry is bitwise ``left[i] * right[j]``."""
+    for j in range(acc.shape[-1]):
+        acc[..., j] += left * right[..., j, None]
 
 
 def genie_covariance(taps, codes, sigma2: float, n: int):

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +64,6 @@ _DATA_STREAM = 104729
 _GENIE_RIDGE = 1e-12         # noise floor substituted for exactly noiseless genie runs
 _CHIP_SECONDS = 0.375e-9
 
-SCHEMES = ("sce", "da", "both")
-ALGORITHMS = ("lms", "rls", "cg", "mmse", "all")
 EXPERIMENTS = ("ber-vs-blocks", "ber-vs-snr", "ber-vs-users", "estimators", "complexity")
 
 
@@ -272,8 +269,9 @@ class _Runner:
 
 
 class _SceRunner(_Runner):
-    """An SCE algorithm; with estimated inputs it also tracks each row's
-    subspace estimate of sigma2 and K. Its per-bin equalizer ``d``,
+    """An SCE algorithm; with estimated inputs it also accumulates each row's
+    per-group received covariance, and reads its subspace estimate of sigma2
+    and K when it builds the weights. Its per-bin equalizer ``d``,
     followed by despreading with the desired code ``c_0``, acts on a
     received block as the weight vector ``conj(d) * despread_bins`` does,
     with ``despread_bins = conj(FFT_m(c_0)) / sqrt(nc)``. Its genie is the
@@ -286,7 +284,7 @@ class _SceRunner(_Runner):
         super().__init__(algo, cfg, users, sigma2, batch, codes, genie)
         self.nc, self.m = cfg.spreading, cfg.chips_per_block
         self.despread_bins = np.conj(np.fft.fft(codes[0], self.m)) / np.sqrt(self.nc)
-        self.cov = self.est = None
+        self.cov = None
         if self.state is not None and (cfg.use_estimated_sigma2 or cfg.use_estimated_k):
             self.cov = GroupCovariance.empty(cfg.block_length, cfg.spreading, self.batch)
 
@@ -295,15 +293,16 @@ class _SceRunner(_Runner):
         return rx.z, rx.normal
 
     def observe(self, rx: _Block):
-        """Fold a training block into each row's subspace estimate of sigma2 and K."""
+        """Fold a training block into each row's per-group covariance."""
         if self.cov is not None:
-            self.est = subspace_estimate(update_covariance(self.cov, rx.z))
+            update_covariance(self.cov, rx.z)
 
     def weights(self):
         if self.state is None:
             return self.detector
-        sigma2 = self.est.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
-        k_used = self.est.k_int if self.cfg.use_estimated_k else self.users
+        est = None if self.cov is None else subspace_estimate(self.cov)
+        sigma2 = est.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
+        k_used = est.k_int if self.cfg.use_estimated_k else self.users
         det = build_mmse_sce(self.state.h_hat, k_used, sigma2, self.nc, self.m)
         return np.conj(det) * self.despread_bins
 
@@ -359,6 +358,8 @@ _ALGORITHMS = {f"{algo.runner.scheme}-{algo.kind}": algo for algo in (
                lambda *args: da.da_cg_step(*args)),
     _Algorithm("mmse", _DaRunner),
 )}
+SCHEMES = (*dict.fromkeys(algo.runner.scheme for algo in _ALGORITHMS.values()), "both")
+ALGORITHMS = (*dict.fromkeys(algo.kind for algo in _ALGORITHMS.values()), "all")
 
 
 def _genie_weights(cfg, users, sigma2, taps, codes) -> np.ndarray:
@@ -601,6 +602,7 @@ def _map_runs(cfg, fn, args_for):
     slices = np.array_split(np.arange(cfg.runs), min(cfg.workers, cfg.runs))
     tasks = [args_for([int(r) for r in part]) for part in slices]
     if len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a split run needs the pool
         with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
             parts = list(ex.map(fn, *zip(*tasks)))
     else:

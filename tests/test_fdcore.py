@@ -319,6 +319,16 @@ class TestSymbolGroups:
         with pytest.raises(ValueError):
             fdcore.by_symbol(np.zeros(10), 4)
 
+    @pytest.mark.parametrize("rows, n, nc", [(1, 4, 2), (3, 8, 4), (9, 32, 8)])
+    def test_group_outer_equals_one_shot_product_bitwise(self, rows, n, nc):
+        rng = np.random.default_rng(rows + n + nc)
+        acc, left, right = (rng.standard_normal((rows, *shape)) +
+                            1j * rng.standard_normal((rows, *shape))
+                            for shape in ((n, nc, nc), (n, nc), (n, nc)))
+        expected = acc + left[..., :, None] * right[..., None, :]
+        fdcore.add_group_outer(acc, left, right)
+        assert_array_equal(acc, expected)
+
     @pytest.mark.parametrize("n, nc, k", [(4, 4, 2), (8, 4, 3), (4, 8, 5)])
     def test_genie_covariance_matches_dense_constructions(self, n, nc, k):
         # the SCE genie's F (I ⊗ C^T C) F^H form and the DA genie's masked

@@ -1,9 +1,11 @@
-"""The eight detectors' BER curves, pinned byte for byte.
+"""The eight detectors' BER curves and the estimator curves, pinned byte for byte.
 
 ``tests/golden/`` holds the CLI's CSVs for all eight detectors on a small
 scenario (n=16, nc=4, L=9, 4 runs x 60 training blocks): a training curve,
 a three-point SNR sweep, a user-count sweep and a sweep that puts a
-noiseless point beside a noisy one. They were written with numpy 2.4.6; the output
+noiseless point beside a noisy one. It also holds the four SCE detectors
+on estimated inputs (a training curve and a three-point SNR sweep) and the
+two ``estimators`` curves at three SNRs. They were written with numpy 2.4.6; the output
 is byte-identical across reruns, worker counts and batch sizes, but another
 numpy may round differently (see ``golden/README.md``). A change that moves
 any BER, or the CSV layout, fails here.
@@ -19,6 +21,7 @@ from uwbfde.cli import main as cli_main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL = ["--block-length", "16", "--spreading", "4", "--cir-length", "9",
          "--runs", "4", "--blocks", "60"]
+ESTIMATED = ["--scheme", "sce", "--estimated-sigma2", "--estimated-k"]
 CASES = {
     "ber_vs_blocks_n16_nc4_l9.csv": ["--experiment", "ber-vs-blocks", *SMALL],
     "ber_vs_snr_n16_nc4_l9.csv": ["--experiment", "ber-vs-snr", "--snr-db", "0,8,16",
@@ -27,6 +30,11 @@ CASES = {
                                             *SMALL, "--eval-blocks", "40"],
     "ber_vs_users_n16_nc4_l9.csv": ["--experiment", "ber-vs-users", *SMALL,
                                     "--eval-blocks", "40"],
+    "ber_vs_snr_estimated_n16_nc4_l9.csv": ["--experiment", "ber-vs-snr", *ESTIMATED,
+                                            "--snr-db", "0,8,16", *SMALL,
+                                            "--eval-blocks", "40"],
+    "ber_vs_blocks_estimated_n16_nc4_l9.csv": ["--experiment", "ber-vs-blocks", *ESTIMATED,
+                                               *SMALL],
 }
 
 
@@ -37,3 +45,13 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes(), (
         f"{name} differs from the golden file (written with numpy 2.4.6, "
         f"running numpy {np.__version__})")
+
+
+def test_estimator_outputs_match_golden(tmp_path):
+    assert cli_main(["--experiment", "estimators", "--snr-db", "0,8,16", *SMALL,
+                     "--out", str(tmp_path / "estimators_n16_nc4_l9.csv")]) == 0
+    for curve in ("sigma2", "kcount"):
+        name = f"estimators_n16_nc4_l9_{curve}.csv"
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), (
+            f"{name} differs from the golden file (written with numpy 2.4.6, "
+            f"running numpy {np.__version__})")

@@ -14,7 +14,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import despread, detect_sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 from uwbfde import da, harness, sce
-from uwbfde.cli import main as cli_main
+from uwbfde.cli import build_parser, config_from_args, main as cli_main
 from uwbfde.estimators import ml_noise_variance
 from uwbfde.fdcore import DivergenceError, random_bpsk, spread, walsh_code_set
 from uwbfde.harness import (
@@ -394,6 +394,32 @@ class TestCli:
                        "--cg-iters", "3", "--seed", "1", "--workers", "1",
                        "--out", str(tmp_path / "bench.csv")])
         assert rc == 0
+
+    @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
+    def test_flag_defaults_are_the_config_defaults(self, experiment):
+        args = build_parser().parse_args(["--experiment", experiment])
+        assert config_from_args(args) == ExperimentConfig()
+
+    @pytest.mark.parametrize("flag, name, value", [
+        (["--cir-length", "9"], "cir_taps", 9),
+        (["--blocks", "7"], "training_blocks", 7),
+        (["--seed", "3"], "base_seed", 3),
+        (["--delta", "0.5"], "delta_init", 0.5),
+        (["--estimated-sigma2"], "use_estimated_sigma2", True),
+        (["--estimated-k"], "use_estimated_k", True)])
+    def test_renamed_flag_sets_its_field(self, flag, name, value):
+        args = build_parser().parse_args(["--experiment", "ber-vs-blocks", *flag])
+        assert config_from_args(args) == dataclasses.replace(ExperimentConfig(), **{name: value})
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only a run split over several workers imports concurrent.futures
+        code = ("import sys\nimport uwbfde.cli\n"
+                "sys.exit('concurrent.futures' in sys.modules)")
+        src = Path(harness.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
 
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: a fresh interpreter in which
