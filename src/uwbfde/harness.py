@@ -16,13 +16,16 @@ Protocol notes
 * Runs are batched: the runs one process owns advance together, as the rows
   of ``(R, ...)`` arrays, through synthesis, the adaptive steps, the genie
   builds, detection and the estimators, each row drawing from its own
-  generator. In the steady-state sweeps (``ber-vs-snr``, ``ber-vs-users``)
-  a row is one (run, point) pair, with its own user count and noise
-  variance, so a process trains and scores every point of its runs in one
-  pass. ``--workers`` splits the runs into contiguous slices, one per
-  worker process. Every row is computed as it would be alone and results
-  merge in run order, so output is byte-identical for any worker count and
-  batch size.
+  generator. Every BER experiment runs one trial, :func:`_ber_trial`, in
+  which a row is one (run, point) pair with its own user count and noise
+  variance. A training curve (``ber-vs-blocks``) has one point and scores
+  every training block. A steady-state sweep (``ber-vs-snr``,
+  ``ber-vs-users``) trains every point of its runs in one pass, freezes
+  every runner's weights, and scores ``eval_blocks`` more blocks. Every
+  trial returns ``{name: (R, ...) array}``. ``--workers`` splits the runs
+  into contiguous slices, one per worker process, and the slices join along
+  the run axis. Every row is computed as it would be alone, so output is
+  byte-identical for any worker count and batch size.
 * All eight detectors decide through one kernel, :func:`da.detect_da`: each
   runner supplies one length-m weight vector per row. An SCE detector's
   per-bin equalizer followed by time-domain despreading with the desired
@@ -132,6 +135,12 @@ class ExperimentConfig:
                              "inter-block interference would not be simulated")
         if self.cg_iters < 1:
             raise ValueError("cg_iters must be >= 1")
+        if not self.delta_init > 0:
+            raise ValueError(f"delta_init must be > 0 (the RLS filters start from "
+                             f"delta_init * I), got {self.delta_init}")
+        for name, mu in (("mu_w", self.mu_w), ("mu_h", self.resolved_mu_h)):
+            if not mu >= 0:
+                raise ValueError(f"{name} must be >= 0, got {mu}")
         if self.runs < 1 or self.training_blocks < 1 or self.eval_blocks < 0:
             raise ValueError("runs/training_blocks/eval_blocks out of range")
         if not self.snr_db:
@@ -237,10 +246,12 @@ class _Runner:
     ``batch`` is the leading shape of the rows, ``(R,)`` or ``()`` for a
     single run; ``users`` and ``sigma2`` are scalars or one value per row.
     An adaptive algorithm gets state of that leading shape; a genie reads
-    ``genie``, the MMSE weights of :func:`_genie_weights`. Every detector
-    decides by applying its length-m weights to the block's
-    :class:`da.RxOperator`; subclasses name their scheme, step inputs and
-    weights.
+    ``genie``, the MMSE weights of :func:`_genie_weights`, as its
+    ``detector``. Every detector decides by applying its length-m weights
+    to the block's :class:`da.RxOperator`; subclasses name their scheme,
+    step inputs and weights. :meth:`freeze` builds an adaptive runner's
+    weights once and drops its state: it then detects like a genie, and its
+    ``observe`` and ``update`` do nothing.
     """
 
     scheme = ""
@@ -267,14 +278,18 @@ class _Runner:
     def detect(self, rx: _Block):
         return da.detect_da(rx.op, self.weights())
 
+    def freeze(self):
+        self.detector, self.state = self.weights(), None
+
 
 class _SceRunner(_Runner):
     """An SCE algorithm; with estimated inputs it also accumulates each row's
-    per-group received covariance, and reads its subspace estimate of sigma2
-    and K when it builds the weights. Its per-bin equalizer ``d``,
-    followed by despreading with the desired code ``c_0``, acts on a
-    received block as the weight vector ``conj(d) * despread_bins`` does,
-    with ``despread_bins = conj(FFT_m(c_0)) / sqrt(nc)``. Its genie is the
+    per-group received covariance while it adapts, and reads its subspace
+    estimate of sigma2 and K when it builds the weights: on every scored
+    block of a training curve, and once when a sweep freezes it. Its per-bin
+    equalizer ``d``, followed by despreading with the desired code ``c_0``,
+    acts on a received block as the weight vector ``conj(d) * despread_bins``
+    does, with ``despread_bins = conj(FFT_m(c_0)) / sqrt(nc)``. Its genie is the
     DA genie: the per-group MMSE detector ``R_g^-1 diag(hbar_g)`` collapses
     the same way to ``conj(R_g^-1 lam_0,g) / sqrt(nc)``."""
 
@@ -294,7 +309,7 @@ class _SceRunner(_Runner):
 
     def observe(self, rx: _Block):
         """Fold a training block into each row's per-group covariance."""
-        if self.cov is not None:
+        if self.cov is not None and self.state is not None:
             update_covariance(self.cov, rx.z)
 
     def weights(self):
@@ -411,10 +426,11 @@ def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks):
 # check_finite reports a diverging row with its context; numpy's warnings would repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
-                     adapt=True, errors_out=None, where=("run",)) -> dict:
+                     errors_out=None, where=("run",)) -> dict:
     """Advance every runner over ``n_blocks`` blocks of every row, filling
     ``errors_out`` (``key -> (..., n_blocks)`` error counts). Without
-    ``errors_out`` no block is scored, so none is detected.
+    ``errors_out`` no block is scored, so none is detected; a frozen runner
+    only detects.
 
     ``users``, ``sigma2``, ``taps`` and ``rng`` are as for
     :func:`_received_blocks`. Returns the first divergence of each diverged
@@ -425,8 +441,8 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
     """
     n = cfg.block_length
     # the genies read no pilot; only the adaptive SCE steps do
-    need_pilot = adapt and any(isinstance(r, _SceRunner) and r.state is not None
-                               for r in runners.values())
+    need_pilot = any(isinstance(r, _SceRunner) and r.state is not None
+                     for r in runners.values())
     code0 = codes[0]
     diverged = {}
     for i, (blocks, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rng,
@@ -436,25 +452,17 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
                   if need_pilot else None)
         rx = _Block(z, desired, normal, da.RxOperator(z, n))
         for key, runner in runners.items():
-            if adapt:
-                runner.observe(rx)
+            runner.observe(rx)
             if errors_out is not None:
                 errors_out[key][..., i] = np.count_nonzero(runner.detect(rx) != desired,
                                                            axis=-1)
-            if adapt:
-                try:
-                    runner.update(rx)
-                except DivergenceError as exc:
-                    for row in exc.rows:
-                        diverged.setdefault(
-                            int(row), f"{where[row]}, {key}, block {i + 1} of {n_blocks}: {exc}")
+            try:
+                runner.update(rx)
+            except DivergenceError as exc:
+                for row in exc.rows:
+                    diverged.setdefault(
+                        int(row), f"{where[row]}, {key}, block {i + 1} of {n_blocks}: {exc}")
     return diverged
-
-
-def _raise_first(diverged: dict):
-    """Raise the recorded divergence of the lowest-index run, if any."""
-    if diverged:
-        raise DivergenceError(diverged[min(diverged)])
 
 
 def _batch_inputs(cfg, runs):
@@ -468,54 +476,43 @@ def _where(runs, points):
             for _, snr_db, users in points]
 
 
-def _curve_trial(cfg, snr_db, users, algo_keys, runs):
-    """Training curves of a batch of runs: per-block desired-user error
-    counts, one ``{key: (blocks,)}`` dict per run."""
-    taps, codes = _batch_inputs(cfg, runs)
-    sigma2 = cfg.sigma2_for(snr_db)
-    rngs = [_data_rng(cfg, r, 0) for r in runs]
-    runners = _new_runners(cfg, users, sigma2, taps, codes, algo_keys)
-    errors = {key: np.zeros((len(runs), cfg.training_blocks), dtype=np.int64)
-              for key in algo_keys}
-    _raise_first(_simulate_blocks(cfg, users, sigma2, taps, codes, runners, rngs,
-                                  cfg.training_blocks, adapt=True, errors_out=errors,
-                                  where=_where(runs, [(0, snr_db, users)])))
-    return [{key: errors[key][row] for key in algo_keys} for row in range(len(runs))]
-
-
-def _steady_trial(cfg, points, algo_keys, runs):
-    """Sweeps of a batch of runs: train at each point, then measure
-    steady-state errors with frozen filters. Returns one ``{key: [(errors,
-    bits) per point]}`` dict per run.
+def _ber_trial(cfg, points, algo_keys, runs, curve=False):
+    """Desired-user error counts of a batch of runs at each ``(point_idx,
+    snr_db, users)`` point, ``{key: (R, P, blocks)}``. A training curve
+    (``curve``) scores every training block, with each runner as it stands
+    before that block's update. A sweep trains, freezes every runner, and
+    scores ``cfg.eval_blocks`` more blocks.
 
     Every (run, point) pair is one row, runs outermost: it draws from its
     own generator, keeps its run's channel, and all rows train and are
-    scored together. A diverged run raises at its first diverged point."""
+    scored together. A diverged run raises at its first diverged point; the
+    lowest-index diverged run raises."""
     taps, codes = _batch_inputs(cfg, runs)
     row_taps = np.repeat(taps, len(points), axis=0)
     users = np.tile([k for _, _, k in points], len(runs))
     sigma2 = np.tile([cfg.sigma2_for(snr_db) for _, snr_db, _ in points], len(runs))
     rngs = [_data_rng(cfg, r, point_idx) for r in runs for point_idx, _, _ in points]
     runners = _new_runners(cfg, users, sigma2, row_taps, codes, algo_keys)
-    _raise_first(_simulate_blocks(cfg, users, sigma2, row_taps, codes, runners, rngs,
-                                  cfg.training_blocks, adapt=True,
-                                  where=_where(runs, points)))
-    errors = {key: np.zeros((len(rngs), cfg.eval_blocks), dtype=np.int64)
-              for key in algo_keys}
-    _simulate_blocks(cfg, users, sigma2, row_taps, codes, runners, rngs,
-                     cfg.eval_blocks, adapt=False, errors_out=errors)
-    bits = cfg.eval_blocks * cfg.block_length
-    totals = {key: errors[key].sum(axis=-1).reshape(len(runs), len(points))
-              for key in algo_keys}
-    return [{key: [(int(e), bits) for e in totals[key][row]] for key in algo_keys}
-            for row in range(len(runs))]
+    scored = cfg.training_blocks if curve else cfg.eval_blocks
+    errors = {key: np.zeros((len(rngs), scored), dtype=np.int64) for key in algo_keys}
+    diverged = _simulate_blocks(cfg, users, sigma2, row_taps, codes, runners, rngs,
+                                cfg.training_blocks, errors_out=errors if curve else None,
+                                where=_where(runs, points))
+    if diverged:
+        raise DivergenceError(diverged[min(diverged)])
+    if not curve:
+        for runner in runners.values():
+            runner.freeze()
+        _simulate_blocks(cfg, users, sigma2, row_taps, codes, runners, rngs,
+                         cfg.eval_blocks, errors_out=errors)
+    return {key: e.reshape(len(runs), len(points), scored) for key, e in errors.items()}
 
 
 def _sigma2_trial(cfg, points, runs):
     """Noise-variance sweep of a batch of runs: at each ``(point_idx, snr_db,
     users)`` point, the mean over ``cfg.training_blocks`` blocks of the
-    degrees-of-freedom corrected maximum-likelihood pilot fit. Returns one
-    list of estimates, one per point, per run.
+    degrees-of-freedom corrected maximum-likelihood pilot fit. Returns
+    ``{"sigma2": (R, P)}``.
 
     Each block's pilots are fitted in one call. A degenerate pilot block
     (tiny scales only) fails that call; the block is then refitted row by
@@ -523,8 +520,8 @@ def _sigma2_trial(cfg, points, runs):
     with no usable block raises ``LinAlgError``.
     """
     taps, codes = _batch_inputs(cfg, runs)
-    out = [[] for _ in runs]
-    for point_idx, snr_db, users in points:
+    out = np.empty((len(runs), len(points)))
+    for col, (point_idx, snr_db, users) in enumerate(points):
         rngs = [_data_rng(cfg, r, point_idx) for r in runs]
         total = np.zeros(len(runs))
         used = np.zeros(len(runs), dtype=int)
@@ -548,14 +545,15 @@ def _sigma2_trial(cfg, points, runs):
             raise np.linalg.LinAlgError(
                 f"run {runs[int(np.argmin(used))]}, {snr_db:g} dB SNR, {users} users: "
                 "every pilot block was rank deficient")
-        for row, res in enumerate(out):
-            res.append(total[row] / used[row])
-    return out
+        out[:, col] = total / used
+    return {"sigma2": out}
 
 
-def estimator_kcount_trial(cfg: ExperimentConfig, users: int, runs) -> list[dict]:
+def estimator_kcount_trial(cfg: ExperimentConfig, user_set, runs) -> dict:
     """Per-block user-count traces of a batch of runs at the last configured
-    SNR, one dict per run.
+    SNR, for each user count ``k`` of ``user_set`` in turn: the columns
+    ``k_float_genie_k<k>``, ``k_float_est_k<k>`` and ``k_int_est_k<k>``,
+    each ``(R, blocks)``.
 
     Over ``cfg.training_blocks`` blocks this records the genie-input
     power-inversion estimate (true noise variance and channel energy) and
@@ -567,29 +565,26 @@ def estimator_kcount_trial(cfg: ExperimentConfig, users: int, runs) -> list[dict
     """
     taps, codes = _batch_inputs(cfg, runs)
     sigma2 = cfg.sigma2_for(cfg.snr_db[-1])
-    rngs = [_data_rng(cfg, r, 10_000) for r in runs]
     n, nc, m = cfg.block_length, cfg.spreading, cfg.chips_per_block
-    power = EstimatorState()
-    cov = GroupCovariance.empty(n, nc, (len(runs),))
     shape = (len(runs), cfg.training_blocks)
-    k_float_genie, k_float_est = np.zeros(shape), np.zeros(shape)
-    k_int_est = np.zeros(shape, dtype=np.int64)
-    for i, (_, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rngs,
-                                                 cfg.training_blocks)):
-        update_power(power, z)
-        genie = estimate_user_count(power.received_power, sigma2, taps, nc, m)
-        guess = subspace_estimate(update_covariance(cov, z))
-        k_float_genie[:, i] = genie.k_float
-        k_float_est[:, i] = guess.k_float
-        k_int_est[:, i] = guess.k_int
-    return [{"k_float_genie": k_float_genie[row], "k_float_est": k_float_est[row],
-             "k_int_est": k_int_est[row]} for row in range(len(runs))]
-
-
-def _kcount_sweep(cfg, user_set, runs):
-    """User-count traces of a batch of runs for each user count in turn; one
-    list of :func:`estimator_kcount_trial` dicts, one per user count, per run."""
-    return list(zip(*(estimator_kcount_trial(cfg, k, runs) for k in user_set)))
+    out = {}
+    for users in user_set:
+        rngs = [_data_rng(cfg, r, 10_000) for r in runs]
+        power = EstimatorState()
+        cov = GroupCovariance.empty(n, nc, (len(runs),))
+        k_float_genie, k_float_est = np.zeros(shape), np.zeros(shape)
+        k_int_est = np.zeros(shape, dtype=np.int64)
+        for i, (_, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rngs,
+                                                     cfg.training_blocks)):
+            update_power(power, z)
+            genie = estimate_user_count(power.received_power, sigma2, taps, nc, m)
+            guess = subspace_estimate(update_covariance(cov, z))
+            k_float_genie[:, i] = genie.k_float
+            k_float_est[:, i] = guess.k_float
+            k_int_est[:, i] = guess.k_int
+        out.update({f"k_float_genie_k{users}": k_float_genie,
+                    f"k_float_est_k{users}": k_float_est, f"k_int_est_k{users}": k_int_est})
+    return out
 
 
 def _map_runs(cfg, fn, args_for):
@@ -597,7 +592,8 @@ def _map_runs(cfg, fn, args_for):
     per-run results in run order.
 
     ``args_for(runs)`` builds the arguments of ``fn`` for a list of run
-    indices; ``fn(*args)`` returns one result per run of its list.
+    indices; ``fn(*args)`` returns ``{name: (R, ...) array}`` for the R runs
+    of its list, and the slices join along axis 0.
     """
     slices = np.array_split(np.arange(cfg.runs), min(cfg.workers, cfg.runs))
     tasks = [args_for([int(r) for r in part]) for part in slices]
@@ -607,7 +603,7 @@ def _map_runs(cfg, fn, args_for):
             parts = list(ex.map(fn, *zip(*tasks)))
     else:
         parts = [fn(*tasks[0])]
-    return [res for part in parts for res in part]
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -617,51 +613,45 @@ def _map_runs(cfg, fn, args_for):
 def run_ber_vs_blocks(cfg: ExperimentConfig) -> CurveSet:
     """Desired-user BER per training block, averaged over runs."""
     cfg.validate()
-    algo_keys = cfg.algo_keys()
     snr_db = cfg.snr_db[0]
-    results = _map_runs(cfg, _curve_trial,
-                        lambda runs: (cfg, snr_db, cfg.users, algo_keys, runs))
-    n = cfg.block_length
-    curve = CurveSet("block", np.arange(1, cfg.training_blocks + 1),
-                     meta={**cfg.metadata(), "experiment": "ber-vs-blocks",
-                           "snr_db_point": snr_db})
-    for key in algo_keys:
-        per_run = np.stack([res[key] for res in results]) / n      # (runs, blocks)
-        curve.columns[f"ber_{key}"] = per_run.mean(axis=0)
-        curve.columns[f"se_{key}"] = _stderr(per_run)
-    return curve
+    return _ber_curve(cfg, [(0, snr_db, cfg.users)], "block",
+                      np.arange(1, cfg.training_blocks + 1), "ber-vs-blocks", curve=True,
+                      snr_db_point=snr_db)
 
 
 def run_ber_vs_snr(cfg: ExperimentConfig) -> CurveSet:
     """Steady-state BER per SNR point after training at that SNR."""
     cfg.validate()
-    algo_keys = cfg.algo_keys()
     points = [(idx, snr, cfg.users) for idx, snr in enumerate(cfg.snr_db)]
-    return _steady_curve(cfg, algo_keys, points, "snr_db",
-                         np.asarray(cfg.snr_db, dtype=float), "ber-vs-snr")
+    return _ber_curve(cfg, points, "snr_db", np.asarray(cfg.snr_db, dtype=float), "ber-vs-snr")
 
 
 def run_ber_vs_users(cfg: ExperimentConfig) -> CurveSet:
     """Steady-state BER versus the number of active users at one SNR."""
     cfg.validate()
-    algo_keys = cfg.algo_keys()
     snr_db = cfg.snr_db[0]
     user_range = list(range(1, cfg.spreading)) or [1]
     points = [(idx, snr_db, k) for idx, k in enumerate(user_range)]
-    return _steady_curve(cfg, algo_keys, points, "users",
-                         np.asarray(user_range), "ber-vs-users")
+    return _ber_curve(cfg, points, "users", np.asarray(user_range), "ber-vs-users")
 
 
-def _steady_curve(cfg, algo_keys, points, x_name, x, experiment) -> CurveSet:
-    if cfg.eval_blocks < 1:
+def _ber_curve(cfg, points, x_name, x, experiment, curve=False, **meta) -> CurveSet:
+    """Mean BER and its standard error over runs, per block of a training
+    curve or per point of a sweep."""
+    if not curve and cfg.eval_blocks < 1:
         raise ValueError(f"{experiment} scores steady-state blocks: --eval-blocks must be >= 1")
-    results = _map_runs(cfg, _steady_trial, lambda runs: (cfg, points, algo_keys, runs))
-    curve = CurveSet(x_name, x, meta={**cfg.metadata(), "experiment": experiment})
+    algo_keys = cfg.algo_keys()
+    errors = _map_runs(cfg, _ber_trial, lambda runs: (cfg, points, algo_keys, runs, curve))
+    out = CurveSet(x_name, x, meta={**cfg.metadata(), "experiment": experiment, **meta})
+    n = cfg.block_length
     for key in algo_keys:
-        per_run = np.array([[err / bits for err, bits in res[key]] for res in results])
-        curve.columns[f"ber_{key}"] = per_run.mean(axis=0)
-        curve.columns[f"se_{key}"] = _stderr(per_run)
-    return curve
+        if curve:
+            per_run = errors[key][:, 0] / n                                 # (runs, blocks)
+        else:
+            per_run = errors[key].sum(axis=-1) / (cfg.eval_blocks * n)    # (runs, points)
+        out.columns[f"ber_{key}"] = per_run.mean(axis=0)
+        out.columns[f"se_{key}"] = _stderr(per_run)
+    return out
 
 
 def _stderr(per_run: np.ndarray) -> np.ndarray:
@@ -693,19 +683,17 @@ def run_estimator_curves(cfg: ExperimentConfig) -> dict:
         [cfg.sigma2_for(s) for s in snrs])
     # the SNR index seeds a cell's blocks, whatever its user count
     points = [(idx, float(snr), k) for k in user_set_sigma2 for idx, snr in enumerate(snrs)]
-    per_run = _map_runs(cfg, _sigma2_trial, lambda runs: (cfg, points, runs))
-    cells = np.array(per_run).T.reshape(len(user_set_sigma2), len(snrs), cfg.runs)
+    per_run = _map_runs(cfg, _sigma2_trial, lambda runs: (cfg, points, runs))["sigma2"]
+    cells = per_run.T.reshape(len(user_set_sigma2), len(snrs), cfg.runs)
     for k, means in zip(user_set_sigma2, cells.mean(axis=-1)):
         sigma2_curve.columns[f"sigma2_hat_k{k}"] = means
 
     kcount_curve = CurveSet("block", np.arange(1, cfg.training_blocks + 1),
                             meta={**cfg.metadata(), "experiment": "estimators-kcount",
                                   "snr_db_point": cfg.snr_db[-1]})
-    per_run = _map_runs(cfg, _kcount_sweep, lambda runs: (cfg, user_set_kcount, runs))
-    for k, traces in zip(user_set_kcount, zip(*per_run)):
-        for name in ("k_float_genie", "k_float_est", "k_int_est"):
-            stacked = np.stack([t[name] for t in traces]).astype(float)
-            kcount_curve.columns[f"{name}_k{k}"] = stacked.mean(axis=0)
+    traces = _map_runs(cfg, estimator_kcount_trial, lambda runs: (cfg, user_set_kcount, runs))
+    for name, per_run in traces.items():
+        kcount_curve.columns[name] = per_run.astype(float).mean(axis=0)
     return {"sigma2": sigma2_curve, "kcount": kcount_curve}
 
 

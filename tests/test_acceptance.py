@@ -25,9 +25,8 @@ from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 from uwbfde.cli import main as cli_main
 from uwbfde.harness import (
     ExperimentConfig,
-    _curve_trial,
+    _ber_trial,
     _sigma2_trial,
-    _steady_trial,
     estimator_kcount_trial,
     verify_complexity,
 )
@@ -46,9 +45,9 @@ def _final100(errors, n):
 
 
 def _run_curves(cfg, snr_db, users, keys):
-    results = _curve_trial(cfg, snr_db, users, keys, list(range(cfg.runs)))
+    errors = _ber_trial(cfg, [(0, snr_db, users)], keys, list(range(cfg.runs)), curve=True)
     n = cfg.block_length
-    return {k: sum(_final100(res[k], n) for res in results) / cfg.runs for k in keys}
+    return {k: sum(_final100(e, n) for e in errors[k][:, 0]) / cfg.runs for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +364,7 @@ def test_criterion_8_noise_variance():
     cfg = ExperimentConfig(runs=5, training_blocks=200)
     snrs = (0.0, 4.0, 8.0, 12.0, 16.0)
     points = [(point, snr, 1) for point, snr in enumerate(snrs)] + [(50, 16.0, 5)]
-    vals = np.array(_sigma2_trial(cfg, points, list(range(cfg.runs))))   # (runs, points)
+    vals = _sigma2_trial(cfg, points, list(range(cfg.runs)))["sigma2"]   # (runs, points)
     devs = []
     for point, snr in enumerate(snrs):
         truth = cfg.sigma2_for(snr)
@@ -385,8 +384,8 @@ def test_criterion_9a_user_count_genie_inputs():
     cfg = ExperimentConfig(runs=8, training_blocks=500, snr_db=(16.0,))
     gaps = {}
     for k in (2, 3, 4):
-        finals = [res["k_float_genie"][-1]
-                  for res in estimator_kcount_trial(cfg, k, list(range(cfg.runs)))]
+        finals = estimator_kcount_trial(cfg, [k], list(range(cfg.runs)))[
+            f"k_float_genie_k{k}"][:, -1]
         gaps[k] = abs(float(np.mean(finals)) - k)
     ok = all(g <= 1.0 for g in gaps.values())
     _report("9a", ok, "genie-input count gaps " +
@@ -401,12 +400,10 @@ def test_criterion_9b_user_count_estimated_inputs():
     cfg = ExperimentConfig(runs=8, training_blocks=500, snr_db=(16.0,))
     fractions = {}
     for k in (3, 4):
-        hits = total = 0
-        for res in estimator_kcount_trial(cfg, k, list(range(cfg.runs))):
-            ints = res["k_int_est"][-100:]
-            hits += int(np.count_nonzero((ints >= k - 1) & (ints <= k + 1)))
-            total += ints.size
-        fractions[k] = hits / total
+        ints = estimator_kcount_trial(cfg, [k], list(range(cfg.runs)))[
+            f"k_int_est_k{k}"][:, -100:]
+        hits = int(np.count_nonzero((ints >= k - 1) & (ints <= k + 1)))
+        fractions[k] = hits / ints.size
     ok = all(f >= 0.80 for f in fractions.values())
     _report("9b", ok, "estimated-input count within +-1 " +
             " ".join(f"K={k}:{100*f:.1f}%" for k, f in fractions.items()) +
@@ -452,9 +449,9 @@ def test_criterion_10b_estimated_inputs_at_low_snr():
         cfg = ExperimentConfig(runs=len(runs), training_blocks=300, eval_blocks=200,
                                scheme="sce", algorithm="rls",
                                use_estimated_sigma2=estimated, use_estimated_k=estimated)
-        results = [res["sce-rls"] for res in _steady_trial(cfg, points, ["sce-rls"], runs)]
-        bers[estimated] = [sum(res[p][0] for res in results) / sum(res[p][1] for res in results)
-                           for p in range(len(points))]
+        errors = _ber_trial(cfg, points, ["sce-rls"], runs)["sce-rls"]   # (runs, points, blocks)
+        bers[estimated] = list(errors.sum(axis=(0, 2))
+                               / (len(runs) * cfg.eval_blocks * cfg.block_length))
     ratios = [est / true for est, true in zip(bers[True], bers[False])]
     ok = all(ratio <= 1.10 for ratio in ratios)
     _report("10b", ok, "estimated/true-input SCE-RLS BER ratio at 0 and 8 dB: " +

@@ -11,7 +11,7 @@ from scipy.linalg import toeplitz
 from oracles import build_mmse_sce_exact, detect_sce, detect_sce_exact
 from uwbfde import da, fdcore, sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
-from uwbfde.harness import ExperimentConfig, _steady_trial
+from uwbfde.harness import ExperimentConfig, _ber_trial
 from uwbfde.estimators import (
     EstimatorState,
     GroupCovariance,
@@ -248,12 +248,12 @@ def test_steady_sweep_rows_equal_one_call_per_run_and_point():
     keys = cfg.algo_keys()
     assert len(keys) == 8
     runs = list(range(cfg.runs))
-    swept = _steady_trial(cfg, SWEEP_POINTS, keys, runs)
+    swept = _ber_trial(cfg, SWEEP_POINTS, keys, runs)
     for row, run in enumerate(runs):
         for col, point in enumerate(SWEEP_POINTS):
-            alone = _steady_trial(cfg, [point], keys, [run])[0]
-            assert {key: swept[row][key][col] for key in keys} == \
-                {key: alone[key][0] for key in keys}
+            alone = _ber_trial(cfg, [point], keys, [run])
+            for key in keys:
+                assert_array_equal(swept[key][row, col], alone[key][0, 0])
 
 
 def test_steady_sweep_raises_the_divergence_of_the_point_loop():
@@ -266,10 +266,10 @@ def test_steady_sweep_raises_the_divergence_of_the_point_loop():
         for run in runs:
             for point in SWEEP_POINTS:
                 try:
-                    _steady_trial(cfg, [point], ["da-lms"], [run])
+                    _ber_trial(cfg, [point], ["da-lms"], [run])
                 except fdcore.DivergenceError as exc:
                     expected = expected or str(exc)
         assert expected is not None
         with pytest.raises(fdcore.DivergenceError) as info:
-            _steady_trial(cfg, SWEEP_POINTS, ["da-lms"], runs)
+            _ber_trial(cfg, SWEEP_POINTS, ["da-lms"], runs)
     assert str(info.value) == expected

@@ -3,12 +3,14 @@
 ``perfbench/checks.py`` calls every adaptive step positionally and compares
 its operation tallies with ``nominal_cost`` before any benchmark run. This
 test runs that guard for every benchmark workload, so a change to a step's
-signature or tally fails here rather than in every benchmark run. The
+signature or tally fails here rather than in every benchmark run. It also
+runs the tracer and the setup probe against the package. The
 benchmark files are loaded by path, under names of their own, and are not
 modified.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,3 +60,19 @@ def test_tracer_attributes_every_runner_method_and_uninstalls(monkeypatch):
     for cls_name, _, methods in tracing.RUNNER_METHODS:
         assert {f"harness.{cls_name}.{method}" for method in methods} <= installed
     assert tracing.find_wrappers() == []
+
+
+def test_setup_probe_stops_at_the_experiment_call(bench, tmp_path):
+    # the probe replaces the experiment functions that ``cli`` binds by name;
+    # if the CLI reached an experiment some other way, the probe would time
+    # the whole experiment instead of the setup
+    _, run = bench
+    for name, spec in run.WORKLOADS.items():
+        argv = spec.argv(1, tmp_path / "probe.csv")
+        proc = subprocess.run([sys.executable, str(BENCH_DIR / "setup_probe.py"), *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (name, proc.stderr)
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1, (name, lines)
+        float(lines[0])
+    assert not list(tmp_path.iterdir())

@@ -20,7 +20,7 @@ from uwbfde.fdcore import DivergenceError, random_bpsk, spread, walsh_code_set
 from uwbfde.harness import (
     CurveSet,
     ExperimentConfig,
-    _curve_trial,
+    _ber_trial,
     _new_runners,
     _simulate_blocks,
     run_ber_vs_blocks,
@@ -66,6 +66,19 @@ class TestConfigValidation:
             _tiny_config(cp_chips=1).validate()
         _tiny_config(cp_chips=2).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("delta_init", 0.0), ("delta_init", -1.0), ("delta_init", np.nan),
+        ("mu_w", -1e-3), ("mu_w", np.nan), ("mu_h", -1e-3)])
+    def test_unusable_step_parameters_rejected(self, field, value):
+        # delta_init = 0 leaves the RLS filters a singular start and nothing
+        # to regularize with; a negative delta_init starts them negative
+        # definite, and a negative step size climbs the error surface
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            _tiny_config(**{field: value}).validate()
+
+    def test_zero_step_sizes_accepted(self):
+        _tiny_config(mu_w=0.0, mu_h=0.0).validate()
+
     def test_algo_keys(self):
         assert _tiny_config(scheme="sce", algorithm="cg").algo_keys() == ["sce-cg"]
         assert len(_tiny_config(scheme="both", algorithm="all").algo_keys()) == 8
@@ -85,6 +98,21 @@ class TestExperiments:
                       r"adaptive update diverged"):
             run_ber_vs_blocks(cfg)
 
+    def test_sweep_builds_each_adaptive_weight_once(self, monkeypatch):
+        # a sweep freezes its runners after training: each adaptive SCE
+        # runner builds its equalizer and reads its subspace estimate once,
+        # not on every scored block
+        calls = {"build_mmse_sce": 0, "subspace_estimate": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(harness, name, counted)
+        cfg = _tiny_config(spreading=4, snr_db=(4.0, 12.0), scheme="sce", runs=2,
+                           eval_blocks=10, use_estimated_sigma2=True, use_estimated_k=True)
+        run_ber_vs_snr(cfg)
+        assert calls == {"build_mmse_sce": 3, "subspace_estimate": 3}
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_divergence_names_lowest_run_of_a_batch(self, workers):
         # run 3 diverges first (block 331), run 0 later (block 357); the
@@ -98,7 +126,7 @@ class TestExperiments:
             run_ber_vs_blocks(cfg)
         with np.errstate(all="ignore"), pytest.raises(
                 DivergenceError, match=r"^run 3, 12 dB SNR, 2 users, da-lms, block 331 of 400"):
-            _curve_trial(cfg, 12.0, 2, ["da-lms"], [3])
+            _ber_trial(cfg, [(0, 12.0, 2)], ["da-lms"], [3], curve=True)
 
     def test_ber_vs_blocks_shape(self):
         curve = run_ber_vs_blocks(_tiny_config())
@@ -195,7 +223,7 @@ class TestSigma2Sweep:
             return ml_noise_variance(z, xdiag, num_taps)
 
         monkeypatch.setattr(harness, "ml_noise_variance", counting_fit)
-        assert harness._sigma2_trial(cfg, points, runs) == expected
+        assert_array_equal(harness._sigma2_trial(cfg, points, runs)["sigma2"], expected)
         # one batched fit per block; a block with a degenerate pilot is refitted row by row
         assert calls.count(2) == len(points) * cfg.training_blocks
         assert calls.count(1) == failed_blocks * cfg.runs
@@ -268,10 +296,12 @@ class TestCsvOutput:
 
         def args_for(runs):
             slices.append(runs)
-            return ([str(r) for r in runs],)
+            return ([("run", np.array(runs))],)
 
         cfg = _tiny_config(runs=5, workers=3)
-        assert harness._map_runs(cfg, list, args_for) == ["0", "1", "2", "3", "4"]
+        joined = harness._map_runs(cfg, dict, args_for)
+        assert list(joined) == ["run"]
+        assert_array_equal(joined["run"], [0, 1, 2, 3, 4])
         assert slices == [[0, 1], [2, 3], [4]]
 
     def test_workers_do_not_change_output(self, tmp_path):
@@ -302,6 +332,23 @@ class TestCli:
                        "--spreading", "8"])
         assert rc == 1
         assert "K exceeds Nc" in capsys.readouterr().err
+
+    def test_unusable_rls_start_rejected(self, tmp_path, capsys):
+        rc = cli_main(["--experiment", "ber-vs-blocks", *self.BASE, "--delta", "0",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: delta_init must be > 0")
+        assert not list(tmp_path.iterdir())
+
+    def test_estimated_sweep_same_bytes_for_any_worker_count(self, tmp_path):
+        args = ["--experiment", "ber-vs-snr", "--scheme", "sce", "--estimated-sigma2",
+                "--estimated-k", "--snr-db", "8,inf", "--block-length", "8",
+                "--spreading", "4", "--users", "2", "--cir-length", "3", "--cp-chips", "4",
+                "--blocks", "30", "--eval-blocks", "10", "--runs", "3", "--seed", "5"]
+        paths = [tmp_path / f"w{workers}.csv" for workers in (1, 3)]
+        for workers, path in zip((1, 3), paths):
+            assert cli_main([*args, "--workers", str(workers), "--out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_determinism_identical_invocations(self, tmp_path):
         args = ["--experiment", "ber-vs-blocks", *self.BASE]
