@@ -123,10 +123,9 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2, rng):
     sigma2 = np.broadcast_to(sigma2, len(gens))
     noisy = np.flatnonzero(sigma2 > 0)
     if noisy.size:
-        re, im = np.empty((2, noisy.size, m))
-        for row, dest_re, dest_im in zip(noisy, re, im):
-            gens[row].standard_normal(out=dest_re)
-            gens[row].standard_normal(out=dest_im)
+        noise = np.empty((noisy.size, 2, m))
+        for row, dest in zip(noisy, noise):
+            gens[row].standard_normal(out=dest)      # real parts, then imaginary parts
         rows = y.reshape(-1, m)
-        rows[noisy] += (re + 1j * im) * np.sqrt(sigma2[noisy] / 2.0)[:, None]
+        rows[noisy] += (noise[:, 0] + 1j * noise[:, 1]) * np.sqrt(sigma2[noisy] / 2.0)[:, None]
     return np.fft.fft(y, norm="ortho")

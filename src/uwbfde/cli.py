@@ -1,4 +1,6 @@
-"""Command line front end for the experiment harness."""
+"""Command line front end for the experiment harness. Each flag stores into
+the config field its ``dest`` names. The experiment function refuses what it
+cannot use (:meth:`ExperimentConfig.validate`); the CLI refuses only ``--check``."""
 
 from __future__ import annotations
 
@@ -74,24 +76,13 @@ def config_from_args(args) -> ExperimentConfig:
                                for f in dataclasses.fields(ExperimentConfig)})
 
 
-def _reject_ignored_flags(args):
-    """Reject flags that the chosen experiment would ignore."""
-    if args.check and args.experiment != "complexity":
-        raise ValueError("--check applies to the complexity experiment only")
-    if args.experiment in ("estimators", "complexity"):
-        for flag, on in (("--estimated-sigma2", args.use_estimated_sigma2),
-                         ("--estimated-k", args.use_estimated_k)):
-            if on:
-                raise ValueError(f"{flag} does not apply to the {args.experiment} experiment")
-
-
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        _reject_ignored_flags(args)
+        if args.check and args.experiment != "complexity":
+            raise ValueError("--check applies to the complexity experiment only")
         cfg = config_from_args(args)
-        cfg.validate()
         if args.experiment == "complexity":
             report = verify_complexity(cfg)
             text = report.to_text()

@@ -37,6 +37,9 @@ Protocol notes
   recorded while the other rows finish. The experiment then raises for the
   lowest-index diverged run at its first diverged point, naming the point,
   algorithm and block.
+* Every experiment function first calls ``cfg.validate(<its name>)``, the
+  one place that refuses a config value that cannot run or that the
+  experiment would ignore; the CLI adds only its ``--check`` rule.
 """
 
 from __future__ import annotations
@@ -116,7 +119,9 @@ class ExperimentConfig:
     def sigma2_for(snr_db: float) -> float:
         return 10.0 ** (-snr_db / 10.0)
 
-    def validate(self):
+    def validate(self, experiment: str):
+        """Reject a value that cannot run, or that ``experiment`` would
+        accept and then ignore. Every experiment function calls this first."""
         if self.spreading < 1 or (self.spreading & (self.spreading - 1)) != 0:
             raise ValueError(f"spreading gain must be a power of two, got {self.spreading}")
         if self.users < 1:
@@ -141,6 +146,9 @@ class ExperimentConfig:
         for name, mu in (("mu_w", self.mu_w), ("mu_h", self.resolved_mu_h)):
             if not mu >= 0:
                 raise ValueError(f"{name} must be >= 0, got {mu}")
+        for name, lam in (("lambda_h", self.lambda_h), ("lambda_w", self.lambda_w)):
+            if not 0 < lam <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {lam}")
         if self.runs < 1 or self.training_blocks < 1 or self.eval_blocks < 0:
             raise ValueError("runs/training_blocks/eval_blocks out of range")
         if not self.snr_db:
@@ -153,14 +161,20 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not any(_ALGORITHMS[key].runner is _SceRunner and _ALGORITHMS[key].step is not None
-                   for key in self.algo_keys()):
-            for flag, on in (("--estimated-sigma2", self.use_estimated_sigma2),
-                             ("--estimated-k", self.use_estimated_k)):
-                if on:
-                    raise ValueError(f"{flag} feeds the adaptive SCE detectors, and scheme "
-                                     f"{self.scheme!r} with algorithm {self.algorithm!r} "
-                                     "runs none")
+        if experiment in ("ber-vs-blocks", "ber-vs-users") and len(self.snr_db) > 1:
+            raise ValueError(f"{experiment} runs at one SNR point: --snr-db takes one value")
+        if experiment in ("ber-vs-snr", "ber-vs-users") and self.eval_blocks < 1:
+            raise ValueError(f"{experiment} scores steady-state blocks: --eval-blocks must be >= 1")
+        sce_adapts = any(_ALGORITHMS[key].runner is _SceRunner
+                         and _ALGORITHMS[key].step is not None for key in self.algo_keys())
+        for flag, on in (("--estimated-sigma2", self.use_estimated_sigma2),
+                         ("--estimated-k", self.use_estimated_k)):
+            if on and experiment in ("estimators", "complexity"):
+                raise ValueError(f"{flag} does not apply to the {experiment} experiment")
+            if on and not sce_adapts:
+                raise ValueError(f"{flag} feeds the adaptive SCE detectors, and scheme "
+                                 f"{self.scheme!r} with algorithm {self.algorithm!r} "
+                                 "runs none")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -612,7 +626,7 @@ def _map_runs(cfg, fn, args_for):
 
 def run_ber_vs_blocks(cfg: ExperimentConfig) -> CurveSet:
     """Desired-user BER per training block, averaged over runs."""
-    cfg.validate()
+    cfg.validate("ber-vs-blocks")
     snr_db = cfg.snr_db[0]
     return _ber_curve(cfg, [(0, snr_db, cfg.users)], "block",
                       np.arange(1, cfg.training_blocks + 1), "ber-vs-blocks", curve=True,
@@ -621,14 +635,14 @@ def run_ber_vs_blocks(cfg: ExperimentConfig) -> CurveSet:
 
 def run_ber_vs_snr(cfg: ExperimentConfig) -> CurveSet:
     """Steady-state BER per SNR point after training at that SNR."""
-    cfg.validate()
+    cfg.validate("ber-vs-snr")
     points = [(idx, snr, cfg.users) for idx, snr in enumerate(cfg.snr_db)]
     return _ber_curve(cfg, points, "snr_db", np.asarray(cfg.snr_db, dtype=float), "ber-vs-snr")
 
 
 def run_ber_vs_users(cfg: ExperimentConfig) -> CurveSet:
     """Steady-state BER versus the number of active users at one SNR."""
-    cfg.validate()
+    cfg.validate("ber-vs-users")
     snr_db = cfg.snr_db[0]
     user_range = list(range(1, cfg.spreading)) or [1]
     points = [(idx, snr_db, k) for idx, k in enumerate(user_range)]
@@ -638,8 +652,6 @@ def run_ber_vs_users(cfg: ExperimentConfig) -> CurveSet:
 def _ber_curve(cfg, points, x_name, x, experiment, curve=False, **meta) -> CurveSet:
     """Mean BER and its standard error over runs, per block of a training
     curve or per point of a sweep."""
-    if not curve and cfg.eval_blocks < 1:
-        raise ValueError(f"{experiment} scores steady-state blocks: --eval-blocks must be >= 1")
     algo_keys = cfg.algo_keys()
     errors = _map_runs(cfg, _ber_trial, lambda runs: (cfg, points, algo_keys, runs, curve))
     out = CurveSet(x_name, x, meta={**cfg.metadata(), "experiment": experiment, **meta})
@@ -672,7 +684,7 @@ def run_estimator_curves(cfg: ExperimentConfig) -> dict:
     estimate that feeds the SCE detector (see :func:`estimator_kcount_trial`).
     The configured ``users`` field is not used by this experiment.
     """
-    cfg.validate()
+    cfg.validate("estimators")
     user_set_sigma2 = [k for k in (1, 3, 5) if k <= cfg.spreading]
     user_set_kcount = [k for k in (2, 3, 4) if k <= cfg.spreading]
     snrs = np.asarray(cfg.snr_db, dtype=float)
@@ -779,20 +791,16 @@ def verify_complexity(cfg: ExperimentConfig, spreading_gains=(1, 2, 4, 8),
                       cg_iters=(2, 8)) -> ComplexityReport:
     """Run every algorithm for one instrumented block per parameter point and
     compare the measured operation tallies against the closed-form model."""
+    cfg.validate("complexity")
     n, num_taps = cfg.block_length, cfg.cir_taps
     rng = np.random.default_rng(cfg.base_seed)
-    direct = [key for key, a in _ALGORITHMS.items() if a.step is not None and a.kind != "cg"]
-    iterative = [key for key, a in _ALGORITHMS.items() if a.step is not None and a.kind == "cg"]
     rows = []
     for nc in spreading_gains:
         m = n * nc
-        for algo in direct:
-            exp_m, exp_a = nominal_cost(algo, m=m, n=n, nc=nc, taps=num_taps)
-            got_m, got_a = _measured_step_cost(algo, n, nc, num_taps, 0, rng)
-            rows.append(ComplexityRow(algo, nc, 0, m, exp_m, got_m, exp_a, got_a))
-        for c in cg_iters:
-            for algo in iterative:
-                exp_m, exp_a = nominal_cost(algo, m=m, n=n, nc=nc, taps=num_taps, iters=c)
-                got_m, got_a = _measured_step_cost(algo, n, nc, num_taps, c, rng)
-                rows.append(ComplexityRow(algo, nc, c, m, exp_m, got_m, exp_a, got_a))
+        for c in (0, *cg_iters):        # the direct steps, then CG at each iteration count
+            for algo, entry in _ALGORITHMS.items():
+                if entry.step is not None and (entry.kind == "cg") == (c > 0):
+                    exp_m, exp_a = nominal_cost(algo, m=m, n=n, nc=nc, taps=num_taps, iters=c)
+                    got_m, got_a = _measured_step_cost(algo, n, nc, num_taps, c, rng)
+                    rows.append(ComplexityRow(algo, nc, c, m, exp_m, got_m, exp_a, got_a))
     return ComplexityReport(rows=rows, block_length=n, cir_taps=num_taps)

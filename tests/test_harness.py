@@ -27,9 +27,31 @@ from uwbfde.harness import (
     run_ber_vs_snr,
     run_ber_vs_users,
     run_estimator_curves,
+    verify_complexity,
 )
 from uwbfde.opcount import nominal_cost
 from uwbfde.sce import build_mmse_sce, pilot_matrix
+
+
+# every experiment function, by the name the CLI gives it
+EXPERIMENT_FUNCTIONS = {"ber-vs-blocks": run_ber_vs_blocks, "ber-vs-snr": run_ber_vs_snr,
+                        "ber-vs-users": run_ber_vs_users, "estimators": run_estimator_curves,
+                        "complexity": verify_complexity}
+
+# estimated-input switches that the experiment would ignore, and the flag named
+ESTIMATED_FLAG_CASES = [
+    (["--experiment", "ber-vs-blocks", "--scheme", "da", "--estimated-sigma2"],
+     "--estimated-sigma2"),
+    (["--experiment", "ber-vs-snr", "--scheme", "da", "--estimated-k"], "--estimated-k"),
+    (["--experiment", "ber-vs-blocks", "--algorithm", "mmse", "--estimated-k"],
+     "--estimated-k"),
+    (["--experiment", "ber-vs-users", "--scheme", "sce", "--algorithm", "mmse",
+      "--estimated-sigma2"], "--estimated-sigma2"),
+    (["--experiment", "estimators", "--estimated-sigma2"], "--estimated-sigma2"),
+    (["--experiment", "estimators", "--estimated-k"], "--estimated-k"),
+    (["--experiment", "complexity", "--estimated-sigma2"], "--estimated-sigma2"),
+    (["--experiment", "complexity", "--estimated-k"], "--estimated-k"),
+]
 
 
 def _tiny_config(**overrides):
@@ -42,42 +64,51 @@ def _tiny_config(**overrides):
 
 class TestConfigValidation:
     def test_defaults_are_valid(self):
-        ExperimentConfig().validate()
+        ExperimentConfig().validate("ber-vs-blocks")
 
     def test_users_exceeding_codes(self):
         cfg = _tiny_config(users=3, spreading=2)
         with pytest.raises(ValueError, match="K exceeds Nc"):
-            cfg.validate()
+            cfg.validate("ber-vs-blocks")
 
     def test_non_power_of_two_spreading(self):
         with pytest.raises(ValueError, match="power of two"):
-            _tiny_config(spreading=3).validate()
+            _tiny_config(spreading=3).validate("ber-vs-blocks")
 
     def test_bad_scheme_and_algorithm(self):
         with pytest.raises(ValueError):
-            _tiny_config(scheme="nope").validate()
+            _tiny_config(scheme="nope").validate("ber-vs-blocks")
         with pytest.raises(ValueError):
-            _tiny_config(algorithm="nope").validate()
+            _tiny_config(algorithm="nope").validate("ber-vs-blocks")
 
     def test_short_prefix_rejected(self):
         # synthesis is circular, so a prefix shorter than the channel memory
         # would be accepted and then silently not simulated
         with pytest.raises(ValueError, match="shorter than the channel memory"):
-            _tiny_config(cp_chips=1).validate()
-        _tiny_config(cp_chips=2).validate()
+            _tiny_config(cp_chips=1).validate("ber-vs-blocks")
+        _tiny_config(cp_chips=2).validate("ber-vs-blocks")
 
     @pytest.mark.parametrize("field, value", [
         ("delta_init", 0.0), ("delta_init", -1.0), ("delta_init", np.nan),
-        ("mu_w", -1e-3), ("mu_w", np.nan), ("mu_h", -1e-3)])
+        ("mu_w", -1e-3), ("mu_w", np.nan), ("mu_h", -1e-3),
+        ("lambda_h", 0.0), ("lambda_h", 1.5), ("lambda_w", -0.5), ("lambda_w", np.nan)])
     def test_unusable_step_parameters_rejected(self, field, value):
         # delta_init = 0 leaves the RLS filters a singular start and nothing
         # to regularize with; a negative delta_init starts them negative
-        # definite, and a negative step size climbs the error surface
+        # definite, a negative step size climbs the error surface, and a
+        # forgetting factor above 1 lets past blocks grow without bound
         with pytest.raises(ValueError, match=rf"^{field} must be"):
-            _tiny_config(**{field: value}).validate()
+            _tiny_config(**{field: value}).validate("ber-vs-blocks")
 
     def test_zero_step_sizes_accepted(self):
-        _tiny_config(mu_w=0.0, mu_h=0.0).validate()
+        _tiny_config(mu_w=0.0, mu_h=0.0).validate("ber-vs-blocks")
+
+    @pytest.mark.parametrize("run", [run_ber_vs_blocks, run_ber_vs_users])
+    def test_single_point_experiment_function_rejects_an_snr_sweep(self, run):
+        # both read only the first SNR point; a second one would be written
+        # into the CSV header and never run
+        with pytest.raises(ValueError, match="--snr-db takes one value"):
+            run(_tiny_config(snr_db=(0.0, 16.0)))
 
     def test_algo_keys(self):
         assert _tiny_config(scheme="sce", algorithm="cg").algo_keys() == ["sce-cg"]
@@ -411,17 +442,7 @@ class TestCli:
         (["--experiment", "ber-vs-snr", "--check"], "--check"),
         (["--experiment", "ber-vs-users", "--check"], "--check"),
         (["--experiment", "estimators", "--check"], "--check"),
-        (["--experiment", "ber-vs-blocks", "--scheme", "da", "--estimated-sigma2"],
-         "--estimated-sigma2"),
-        (["--experiment", "ber-vs-snr", "--scheme", "da", "--estimated-k"], "--estimated-k"),
-        (["--experiment", "ber-vs-blocks", "--algorithm", "mmse", "--estimated-k"],
-         "--estimated-k"),
-        (["--experiment", "ber-vs-users", "--scheme", "sce", "--algorithm", "mmse",
-          "--estimated-sigma2"], "--estimated-sigma2"),
-        (["--experiment", "estimators", "--estimated-sigma2"], "--estimated-sigma2"),
-        (["--experiment", "estimators", "--estimated-k"], "--estimated-k"),
-        (["--experiment", "complexity", "--estimated-sigma2"], "--estimated-sigma2"),
-        (["--experiment", "complexity", "--estimated-k"], "--estimated-k"),
+        *ESTIMATED_FLAG_CASES,
     ])
     def test_ignored_flag_rejected(self, args, flag, tmp_path, capsys):
         rc = cli_main([*args, *self.BASE, "--out", str(tmp_path / "x.csv")])
@@ -430,13 +451,32 @@ class TestCli:
         assert err.startswith("error: ") and flag in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args, flag", ESTIMATED_FLAG_CASES)
+    def test_library_refuses_what_the_cli_refuses(self, args, flag):
+        # the experiment function, not the CLI, owns the rule
+        cfg = config_from_args(build_parser().parse_args([*args, *self.BASE]))
+        with pytest.raises(ValueError, match=flag):
+            EXPERIMENT_FUNCTIONS[args[1]](cfg)
+
+    @pytest.mark.parametrize("experiment", ["ber-vs-blocks", "ber-vs-users"])
+    def test_single_point_experiment_rejects_an_snr_sweep(self, experiment, tmp_path,
+                                                          capsys):
+        rc = cli_main(["--experiment", experiment, *self.BASE, "--snr-db", "0,16",
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--snr-db" in err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("experiment", ["ber-vs-blocks", "estimators"])
     def test_benchmark_argv_accepted(self, experiment, tmp_path):
         # the benchmark passes every workload the same flags, --eval-blocks
-        # and --scheme/--algorithm/--users included
+        # and --scheme/--algorithm/--users included; ber-vs-blocks gets one
+        # SNR point and estimators a sweep
+        snr_db = {"ber-vs-blocks": "16.0", "estimators": "8,16"}[experiment]
         rc = cli_main(["--experiment", experiment, "--scheme", "both", "--algorithm", "all",
                        "--users", "2", "--spreading", "4", "--block-length", "8",
-                       "--cir-length", "3", "--cp-chips", "4", "--snr-db", "8,16",
+                       "--cir-length", "3", "--cp-chips", "4", "--snr-db", snr_db,
                        "--blocks", "12", "--eval-blocks", "0", "--runs", "2",
                        "--cg-iters", "3", "--seed", "1", "--workers", "1",
                        "--out", str(tmp_path / "bench.csv")])
