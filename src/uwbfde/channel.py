@@ -6,7 +6,8 @@ generator as the default channel plus a loader for externally generated tap
 files, along with the received-block synthesizer, which returns the unitary
 DFT of each received block (the only form the detectors read). The
 synthesizer takes a leading row axis with one noise variance per row, so
-rows of different sweep points share one call.
+rows of different sweep points share one call; :func:`draw_noise` is its
+per-row noise draw, which a caller that needs no block can make alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdcore import circulant_apply, spread
+from .fdcore import circulant_apply
 
 
 @dataclass
@@ -99,9 +100,9 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2, rng):
     pure-noise block. A leading row axis batches R rows: (R, K, n) symbol
     blocks, (R, L) or shared (L,) taps, a sequence of R generators and
     ``sigma2`` a scalar or one value per row. Each row with a positive
-    ``sigma2`` draws its noise (real parts, then imaginary parts) from its
-    own generator; a noiseless row draws nothing. Rows with fewer users
-    carry all-zero symbol blocks for the missing ones, which add nothing.
+    ``sigma2`` draws its noise from its own generator (:func:`draw_noise`);
+    a noiseless row draws nothing. Rows with fewer users carry all-zero
+    symbol blocks for the missing ones, which add nothing.
     """
     sigma2 = np.asarray(sigma2, dtype=float)
     if np.any(sigma2 < 0):
@@ -114,18 +115,33 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2, rng):
     if k > codes.shape[0]:
         raise ValueError(f"K exceeds Nc ({k} > {codes.shape[0]}): out of spreading codes")
     m = n * codes.shape[1]
-    # real codes sum in real arithmetic: the same adds as on complex chips
-    chips = np.zeros((*blocks.shape[:-2], m), dtype=np.result_type(blocks, codes))
+    # chip i*nc + j of a user is its symbol i times its code chip j, as in
+    # fdcore.spread; real codes sum in real arithmetic, the same adds as on
+    # complex chips
+    chips = np.zeros((*blocks.shape[:-2], n, codes.shape[1]),
+                     dtype=np.result_type(blocks, codes))
     for i in range(k):
-        chips += spread(blocks[..., i, :], codes[i])
-    y = circulant_apply(taps, chips)
-    gens = [rng] if blocks.ndim == 2 else rng
-    sigma2 = np.broadcast_to(sigma2, len(gens))
-    noisy = np.flatnonzero(sigma2 > 0)
+        chips += blocks[..., i, :, None] * codes[i]
+    y = circulant_apply(taps, chips.reshape(*blocks.shape[:-2], m))
+    noisy, noise = draw_noise([rng] if blocks.ndim == 2 else rng, sigma2, m)
     if noisy.size:
-        noise = np.empty((noisy.size, 2, m))
-        for row, dest in zip(noisy, noise):
-            gens[row].standard_normal(out=dest)      # real parts, then imaginary parts
         rows = y.reshape(-1, m)
-        rows[noisy] += (noise[:, 0] + 1j * noise[:, 1]) * np.sqrt(sigma2[noisy] / 2.0)[:, None]
+        # scaling and adding real and imaginary parts apart gives the same
+        # values as adding (re + 1j * im) * scale, with no complex temporaries
+        noise *= np.sqrt(np.broadcast_to(sigma2, len(rows))[noisy] / 2.0)[:, None, None]
+        rows.real[noisy] += noise[:, 0]
+        rows.imag[noisy] += noise[:, 1]
     return np.fft.fft(y, norm="ortho")
+
+
+def draw_noise(gens, sigma2, m: int):
+    """Draw the noise of one block for each row with a positive ``sigma2``
+    (a scalar or one value per generator) from that row's generator, in one
+    call: ``m`` real parts, then ``m`` imaginary parts. Returns ``(noisy,
+    noise)``, the indices of those rows and their ``(len(noisy), 2, m)``
+    unit-variance draws. A noiseless row draws nothing."""
+    noisy = np.flatnonzero(np.broadcast_to(sigma2, len(gens)) > 0)
+    noise = np.empty((noisy.size, 2, m))
+    for row, dest in zip(noisy, noise):
+        gens[row].standard_normal(out=dest)
+    return noisy, noise

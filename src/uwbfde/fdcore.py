@@ -264,6 +264,30 @@ def cg_least_squares(x, op, d, iters: int, trace=None) -> int:
     return iters
 
 
+def random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` equiprobable 0/1 draws: the values of
+    ``rng.integers(0, 2, count)``, leaving ``rng`` where that call would.
+
+    ``integers`` makes each bit the top bit of one 32-bit draw (Lemire's
+    bounded method rejects nothing at a range of 2), and PCG64, PCG64DXSM,
+    Philox and SFC64 serve 32-bit draws as the low, then the high half of a
+    64-bit word. So for an even ``count`` the bits are read from
+    ``count // 2`` raw words, without the per-call overhead of
+    ``integers``. An odd count leaves a buffered half-word for the next
+    32-bit draw, which raw words cannot, so it calls ``integers``, as does
+    any other bit generator. The even path assumes that no half-word is
+    buffered: true of a fresh generator and after 64-bit or even-count
+    draws. After an odd count or a scalar draw below ``2**32`` it returns
+    other, equally random, bits.
+    """
+    # looked up here: numpy imports np.random on first use, not with numpy
+    half_word = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+    if count % 2 or not isinstance(rng.bit_generator, half_word):
+        return rng.integers(0, 2, count)
+    words = rng.bit_generator.random_raw(count // 2).astype("<u8", copy=False)
+    return (words.view("<u4") >> 31).astype(np.int64)     # low half first
+
+
 def random_bpsk(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Equiprobable +/-1 symbol block drawn from ``rng``."""
-    return rng.integers(0, 2, n) * 2.0 - 1.0
+    """Equiprobable +/-1 symbol block drawn from ``rng`` by :func:`random_bits`."""
+    return random_bits(rng, n) * 2.0 - 1.0

@@ -26,12 +26,17 @@ Protocol notes
   into contiguous slices, one per worker process, and the slices join along
   the run axis. Every row is computed as it would be alone, so output is
   byte-identical for any worker count and batch size.
+* A pass that no runner reads (no runner has state and no block is scored,
+  as in a genie-only sweep's training) is drawn, not synthesized: each row
+  draws its bits, then its noise, so its generator ends where synthesis
+  would leave it.
 * All eight detectors decide through one kernel, :func:`da.detect_da`: each
   runner supplies one length-m weight vector per row. An SCE detector's
   per-bin equalizer followed by time-domain despreading with the desired
   code is the weight vector ``conj(d) * conj(FFT_m(c_0)) / sqrt(nc)``.
   Both genies apply one MMSE weight vector per row (:func:`da.build_mmse_da`,
-  built once per sweep point).
+  built once per sweep point), and runners without state that share a
+  weight array share its decision on each scored block.
 * A diverging row is recorded at its first non-finite update. It stays
   non-finite, which touches no other row, and its later divergences are not
   recorded while the other rows finish. The experiment then raises for the
@@ -50,8 +55,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import da, sce
-from .channel import ChannelProfile, generate_cir, load_cir, synthesize_rx
+from . import channel, da, sce
+from .channel import ChannelProfile, generate_cir, load_cir
 from .estimators import (
     EstimatorState,
     GroupCovariance,
@@ -61,7 +66,7 @@ from .estimators import (
     update_covariance,
     update_power,
 )
-from .fdcore import DivergenceError, random_bpsk, spread, walsh_code_set
+from .fdcore import DivergenceError, random_bits, random_bpsk, spread, walsh_code_set
 from .opcount import OpCounter, nominal_cost
 from .sce import build_mmse_sce, pilot_matrix
 
@@ -417,13 +422,16 @@ def _new_runners(cfg, users, sigma2, taps, codes, algo_keys):
             for key in algo_keys}
 
 
-def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks):
+def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks, synthesize=True):
     """Yield ``(blocks, z)``, the ``(..., K, n)`` symbols and ``(..., m)``
     spectrum, for each of ``n_blocks`` blocks. ``taps`` is ``(R, L)`` with
     ``rng`` a list of R generators, or ``(L,)`` with one generator; ``users``
-    and ``sigma2`` are scalars or one value per row. Each row draws its bits,
-    then its noise, from its own generator; ``K`` is the largest user count,
-    and a row with fewer users has all-zero symbols for the others."""
+    and ``sigma2`` are scalars or one value per row. Each row draws its bits
+    (:func:`fdcore.random_bits`), then its noise (:func:`channel.draw_noise`),
+    from its own generator; ``K`` is the largest user count, and a row with
+    fewer users has all-zero symbols for the others. Without ``synthesize``
+    the blocks are only drawn, so every generator ends where it would, and
+    nothing is yielded."""
     gens = rng if np.ndim(taps) == 2 else [rng]
     counts = np.broadcast_to(users, len(gens)) * n
     width = int(counts.max())
@@ -431,10 +439,13 @@ def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks):
     ints = np.zeros((len(gens), width), dtype=np.int64)
     for _ in range(n_blocks):
         for g, row, count in zip(gens, ints, counts):
-            row[:count] = g.integers(0, 2, count)
+            row[:count] = random_bits(g, count)
+        if not synthesize:
+            channel.draw_noise(gens, sigma2, n * codes.shape[1])
+            continue
         bits = np.where(drawn, ints * 2.0 - 1.0, 0.0)     # as fdcore.random_bpsk
         blocks = bits.reshape(*np.shape(taps)[:-1], -1, n)
-        yield blocks, synthesize_rx(blocks, codes, taps, sigma2, rng)
+        yield blocks, channel.synthesize_rx(blocks, codes, taps, sigma2, rng)
 
 
 # check_finite reports a diverging row with its context; numpy's warnings would repeat it
@@ -444,7 +455,10 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
     """Advance every runner over ``n_blocks`` blocks of every row, filling
     ``errors_out`` (``key -> (..., n_blocks)`` error counts). Without
     ``errors_out`` no block is scored, so none is detected; a frozen runner
-    only detects.
+    only detects. So when no runner has state and no block is scored,
+    nothing reads the blocks, and they are only drawn. Runners without
+    state (genies and frozen runners) that hold one weight array share its
+    decision on each block.
 
     ``users``, ``sigma2``, ``taps`` and ``rng`` are as for
     :func:`_received_blocks`. Returns the first divergence of each diverged
@@ -459,17 +473,23 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
                      for r in runners.values())
     code0 = codes[0]
     diverged = {}
+    # a pass that no runner reads is only drawn, and yields no block to this loop
+    read = errors_out is not None or any(r.state is not None for r in runners.values())
     for i, (blocks, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rng,
-                                                      n_blocks)):
+                                                      n_blocks, synthesize=read)):
         desired = blocks[..., 0, :]
         normal = (sce.NormalEquations(z, pilot_matrix(spread(desired, code0)), cfg.cir_taps)
                   if need_pilot else None)
         rx = _Block(z, desired, normal, da.RxOperator(z, n))
+        # each runner holds its weight array, so no id is reused within the block
+        decided = {}
         for key, runner in runners.items():
             runner.observe(rx)
             if errors_out is not None:
-                errors_out[key][..., i] = np.count_nonzero(runner.detect(rx) != desired,
-                                                           axis=-1)
+                shared = key if runner.state is not None else id(runner.detector)
+                if shared not in decided:
+                    decided[shared] = np.count_nonzero(runner.detect(rx) != desired, axis=-1)
+                errors_out[key][..., i] = decided[shared]
             try:
                 runner.update(rx)
             except DivergenceError as exc:

@@ -8,12 +8,15 @@ tiling, the cyclic prefix that the circular channel stands in for, and the
 paper's SCE receiver in its FDE-then-despread form: per-bin (or, for the
 genie, per-group) MMSE equalization, an inverse DFT, then despreading in
 the time domain. The simulator applies that receiver as one length-m
-weight vector through ``da.detect_da``.
+weight vector through ``da.detect_da``. It also holds the reference block
+source: one row and one block at a time, with bits from
+``Generator.integers``.
 """
 
 import numpy as np
 from scipy.linalg import circulant
 
+from uwbfde.channel import synthesize_rx
 from uwbfde.fdcore import by_symbol, from_symbol, genie_covariance, tap_spectrum
 
 
@@ -158,3 +161,19 @@ def detect_sce_exact(z, blocks, code) -> np.ndarray:
     eq = from_symbol(np.conj(zg.conj() @ blocks)[..., 0, :])
     soft = despread(np.fft.ifft(eq, norm="ortho"), code)
     return np.where(soft.real >= 0, 1.0, -1.0)
+
+
+def received_blocks(users, n, codes, taps, sigma2, gens, n_blocks):
+    """Reference block source, block by block and row by row: each row draws
+    its ``users[r] * n`` bits with ``Generator.integers``, then synthesizes
+    its block alone with ``synthesize_rx``, which draws its noise from the
+    same generator. ``taps`` is ``(R, L)``; ``users``, ``sigma2`` and
+    ``gens`` hold one entry per row. Yields, per block, the list of each
+    row's ``(users[r], n)`` symbols and the ``(R, m)`` spectra."""
+    for _ in range(n_blocks):
+        symbols, spectra = [], []
+        for k, row_taps, s2, g in zip(users, taps, sigma2, gens, strict=True):
+            blocks = (g.integers(0, 2, k * n) * 2.0 - 1.0).reshape(k, n)
+            symbols.append(blocks)
+            spectra.append(synthesize_rx(blocks, codes, row_taps, s2, g))
+        yield symbols, np.stack(spectra)

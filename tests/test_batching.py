@@ -8,10 +8,10 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy.linalg import toeplitz
 
-from oracles import build_mmse_sce_exact, detect_sce, detect_sce_exact
+from oracles import build_mmse_sce_exact, detect_sce, detect_sce_exact, received_blocks
 from uwbfde import da, fdcore, sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
-from uwbfde.harness import ExperimentConfig, _ber_trial
+from uwbfde.harness import ExperimentConfig, _ber_trial, _received_blocks
 from uwbfde.estimators import (
     EstimatorState,
     GroupCovariance,
@@ -56,6 +56,10 @@ def _blocks(taps, count, seed, sigma2=0.05):
         yield z, xdiag, bits[:, 0]
 
 
+def _rngs(seed):
+    return [np.random.default_rng([seed, r]) for r in range(RUNS)]
+
+
 def _assert_rows_equal(batched, rows):
     assert_array_equal(batched, np.stack(rows))
 
@@ -70,6 +74,41 @@ def test_synthesis_rows_equal_single_run_calls():
         g.integers(0, 2, USERS * N)       # the same bit draws, then the noise
     rows = [synthesize_rx(bits[r], CODES, taps[r], 0.1, singles[r]) for r in range(RUNS)]
     _assert_rows_equal(z, rows)
+
+
+# n = 5 with 1-3 users: odd and even bit counts in one batch, and one noiseless row
+SOURCE_N, SOURCE_USERS, SOURCE_SIGMA2 = 5, [1, 2, 3, 2], [0.1, 0.0, 0.05, 0.2]
+
+
+@pytest.mark.parametrize("drawn_only", [0, 3])
+def test_block_source_matches_the_row_by_row_oracle(drawn_only):
+    # blocks that are only drawn leave every generator where synthesis would
+    taps = _channels(17)
+    expected = list(received_blocks(SOURCE_USERS, SOURCE_N, CODES, taps, SOURCE_SIGMA2,
+                                    _rngs(17), drawn_only + 4))[drawn_only:]
+    rngs = _rngs(17)
+    assert list(_received_blocks(SOURCE_USERS, SOURCE_N, CODES, taps, SOURCE_SIGMA2, rngs,
+                                 drawn_only, synthesize=False)) == []
+    got = list(_received_blocks(SOURCE_USERS, SOURCE_N, CODES, taps, SOURCE_SIGMA2, rngs, 4))
+    for (blocks, z), (symbols, z_ref) in zip(got, expected, strict=True):
+        assert_array_equal(z, z_ref)
+        for row, users, ref in zip(blocks, SOURCE_USERS, symbols):
+            assert_array_equal(row[:users], ref)
+            assert not row[users:].any()
+
+
+@pytest.mark.parametrize("users", [1, 2])
+def test_block_source_with_one_generator_matches_the_oracle(users):
+    taps = _channels(18)[0]
+    expected = list(received_blocks([users], SOURCE_N, CODES, taps[None], [0.1],
+                                    [np.random.default_rng(18)], 5))[2:]
+    rng = np.random.default_rng(18)
+    assert list(_received_blocks(users, SOURCE_N, CODES, taps, 0.1, rng, 2,
+                                 synthesize=False)) == []
+    got = list(_received_blocks(users, SOURCE_N, CODES, taps, 0.1, rng, 3))
+    for (blocks, z), (symbols, z_ref) in zip(got, expected, strict=True):
+        assert_array_equal(blocks, symbols[0])
+        assert_array_equal(z, z_ref[0])
 
 
 @pytest.mark.parametrize("kind", ["lms", "rls", "cg"])

@@ -114,6 +114,46 @@ class TestWalshCodes:
             assert_allclose(d_all @ d_all.T, np.eye(n * nc), atol=1e-13)
 
 
+class TestRandomBits:
+    """``random_bits`` reads an even count's bits from raw generator words;
+    these pin it to ``Generator.integers(0, 2, count)`` of the numpy in use,
+    values and stream position alike."""
+
+    @staticmethod
+    def _draws(g, bits, count):
+        # two blocks of a row (bits, then noise), then the stream's next draws;
+        # after an odd count the next integers call reads the buffered half-word
+        return [bits(g, count), g.standard_normal(8), bits(g, count), g.standard_normal(8),
+                g.integers(0, 2, count), g.standard_normal(3)]
+
+    def _assert_draws_like_integers(self, bit_generator, seeds):
+        failed = []
+        for seed in seeds:
+            for count in range(1, 256):
+                ref = self._draws(np.random.Generator(bit_generator(seed)),
+                                  lambda g, c: g.integers(0, 2, c), count)
+                got = self._draws(np.random.Generator(bit_generator(seed)),
+                                  fdcore.random_bits, count)
+                if not all(np.array_equal(a, b) for a, b in zip(ref, got)):
+                    failed.append((seed, count))
+        assert not failed, (f"random_bits departs from Generator.integers on numpy "
+                            f"{np.__version__}, {bit_generator.__name__}, (seed, count) "
+                            f"{failed[:5]}")
+
+    def test_equals_integers_for_counts_1_to_255(self):
+        self._assert_draws_like_integers(np.random.PCG64, range(40))
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64DXSM, np.random.Philox,
+                                               np.random.SFC64, np.random.MT19937])
+    def test_equals_integers_on_other_bit_generators(self, bit_generator):
+        self._assert_draws_like_integers(bit_generator, range(3))
+
+    def test_bpsk_maps_the_bits(self):
+        bits = fdcore.random_bits(np.random.default_rng(5), 64)
+        assert_array_equal(fdcore.random_bpsk(np.random.default_rng(5), 64), bits * 2.0 - 1.0)
+        assert set(np.unique(bits)) == {0, 1}
+
+
 class TestSpreadDespread:
     def test_single_symbol(self):
         r = 1 / np.sqrt(2)

@@ -8,7 +8,9 @@ on estimated inputs (a training curve and a three-point SNR sweep) and the
 two ``estimators`` curves at three SNRs. They were written with numpy 2.4.6; the output
 is byte-identical across reruns, worker counts and batch sizes, but another
 numpy may round differently (see ``golden/README.md``). A change that moves
-any BER, or the CSV layout, fails here.
+any BER, or the CSV layout, fails here. A genie-only sweep only draws its
+training blocks, as no runner reads them; its columns must still equal the
+genie columns of the all-detector files.
 """
 
 from pathlib import Path
@@ -55,3 +57,23 @@ def test_estimator_outputs_match_golden(tmp_path):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), (
             f"{name} differs from the golden file (written with numpy 2.4.6, "
             f"running numpy {np.__version__})")
+
+
+def _columns(path):
+    """Each column of a CSV as its list of value strings, by name."""
+    header, *rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()
+                     if not line.startswith("#")]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+@pytest.mark.parametrize("name", ["ber_vs_users_n16_nc4_l9.csv",
+                                  "ber_vs_snr_noiseless_n16_nc4_l9.csv"])
+def test_genie_only_sweep_matches_the_golden_genie_columns(name, tmp_path):
+    out = tmp_path / name
+    assert cli_main([*CASES[name], "--algorithm", "mmse", "--out", str(out)]) == 0
+    got, golden = _columns(out), _columns(GOLDEN / name)
+    assert list(got)[1:] == ["ber_sce-mmse", "se_sce-mmse", "ber_da-mmse", "se_da-mmse"]
+    for column, values in got.items():
+        assert values == golden[column], (
+            f"{column} of the genie-only run differs from {name} (written with numpy "
+            f"2.4.6, running numpy {np.__version__})")

@@ -498,15 +498,23 @@ class TestCli:
         args = build_parser().parse_args(["--experiment", "ber-vs-blocks", *flag])
         assert config_from_args(args) == dataclasses.replace(ExperimentConfig(), **{name: value})
 
-    def test_import_leaves_the_process_pool_out(self):
-        # only a run split over several workers imports concurrent.futures
-        code = ("import sys\nimport uwbfde.cli\n"
-                "sys.exit('concurrent.futures' in sys.modules)")
+    @staticmethod
+    def _assert_cli_import_leaves_out(module):
+        code = f"import sys\nimport uwbfde.cli\nsys.exit({module!r} in sys.modules)"
         src = Path(harness.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", code],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 0, proc.stderr or f"importing uwbfde.cli loads {module}"
+
+    def test_import_leaves_the_process_pool_out(self):
+        # only a run split over several workers imports concurrent.futures
+        self._assert_cli_import_leaves_out("concurrent.futures")
+
+    def test_import_leaves_numpy_random_out(self):
+        # numpy loads numpy.random on first use; the first generator of a run
+        # pays for it, not every process that starts
+        self._assert_cli_import_leaves_out("numpy.random")
 
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: a fresh interpreter in which
@@ -592,6 +600,45 @@ class TestPilotGate:
         run_ber_vs_blocks(cfg)
         assert len(built) == cfg.training_blocks
         assert all(z.shape == (cfg.runs, cfg.chips_per_block) for z, _, _ in built)
+
+
+class TestSharedDecision:
+    """Runners without state that hold one weight array, the two genies,
+    share its decision on each scored block; every other runner is scored
+    on its own weights."""
+
+    @staticmethod
+    def _record_detections(monkeypatch):
+        weights = []
+
+        def recorded(op, w, _detect=da.detect_da):
+            weights.append(w)
+            return _detect(op, w)
+
+        monkeypatch.setattr(da, "detect_da", recorded)
+        return weights
+
+    @pytest.mark.parametrize("curve", [True, False])
+    def test_both_genies_detect_once_per_scored_block(self, monkeypatch, curve):
+        detected = self._record_detections(monkeypatch)
+        cfg = _tiny_config(spreading=4, algorithm="mmse", training_blocks=20, eval_blocks=10)
+        errors = _ber_trial(cfg, [(0, 4.0, 3), (1, 12.0, 2)], cfg.algo_keys(), [0, 1],
+                            curve=curve)
+        assert len(detected) == (cfg.training_blocks if curve else cfg.eval_blocks)
+        assert errors["sce-mmse"].any()
+        assert_array_equal(errors["sce-mmse"], errors["da-mmse"])
+
+    def test_frozen_runners_are_scored_on_their_own_weights(self, monkeypatch):
+        detected = self._record_detections(monkeypatch)
+        cfg = _tiny_config(spreading=4, eval_blocks=10)
+        keys, points, runs = cfg.algo_keys(), [(0, 4.0, 3), (1, 12.0, 2)], [0, 1]
+        errors = _ber_trial(cfg, points, keys, runs)
+        # six frozen adaptive runners and the genies' one array, on every scored block
+        assert len(detected) == 7 * cfg.eval_blocks
+        for block in range(cfg.eval_blocks):
+            assert len({id(w) for w in detected[7 * block:7 * block + 7]}) == 7
+        for key in keys:
+            assert_array_equal(errors[key], _ber_trial(cfg, points, [key], runs)[key])
 
 
 class TestSceKernel:
