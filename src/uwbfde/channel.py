@@ -62,7 +62,8 @@ def load_cir(path, num_taps: int | None = None) -> np.ndarray:
     """Load a tap file: one ``re,im`` pair per line, ``#`` lines ignored.
 
     ``num_taps`` truncates to the leading taps, which keep their original
-    energy split.
+    energy split. Taps without energy are rejected: the genie-input user
+    count divides by the channel energy.
     """
     taps = []
     with open(os.fspath(path), "r", encoding="utf-8") as fh:
@@ -84,6 +85,8 @@ def load_cir(path, num_taps: int | None = None) -> np.ndarray:
         if num_taps < 1:
             raise ValueError("num_taps must be >= 1")
         out = out[:num_taps]
+    if not out.any():
+        raise ValueError(f"{path}: no energy in the first {out.size} taps")
     return out
 
 

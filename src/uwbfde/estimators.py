@@ -27,7 +27,6 @@ axis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,9 +62,7 @@ def ml_noise_variance(z, xdiag, num_taps: int):
         # the factor only tests positive definiteness; numpy has no triangular solve
         np.linalg.cholesky(normal.gram)
     except np.linalg.LinAlgError:
-        cond = np.max(np.linalg.cond(normal.gram))
-        raise np.linalg.LinAlgError(
-            f"pilot-weighted basis is rank deficient (condition estimate {cond:.3e})")
+        raise np.linalg.LinAlgError("pilot-weighted basis is rank deficient") from None
     taps_hat = np.linalg.solve(normal.gram, normal.rhs[..., None])[..., 0]
     resid = z - normal.op.matvec(taps_hat)
     sigma2_hat = row_energy(resid) / (m - num_taps)
@@ -95,30 +92,13 @@ def update_power(state: EstimatorState, z) -> EstimatorState:
     return state
 
 
-class UserCountEstimate(NamedTuple):
-    k_float: float
-    k_int: int
-    startup: bool = False
-
-
-def estimate_user_count(p_r, sigma2_hat, h_hat, nc: int, m: int,
-                        cap: int = 7) -> UserCountEstimate:
-    """Active-user count from received power, noise floor and channel energy.
-
-    ``k_float = (p_r - sigma2_hat * m) * nc / p_h`` with ``p_h`` the energy
-    of the tap estimate's spectrum; the integer estimate truncates toward
-    zero and is clamped to ``[0, cap]``. A null tap estimate (startup) has no
-    usable channel energy, so the capped value is emitted with the
-    ``startup`` flag set. ``(R, L)`` tap estimates with one power per run
-    give one value per run in every field.
+def estimate_user_count(p_r, sigma2, taps, nc: int, m: int):
+    """Active-user count from received power, noise floor and channel energy,
+    ``(p_r - sigma2 * m) * nc / p_h`` with ``p_h`` the energy of the taps'
+    spectrum. ``(R, L)`` taps with one power per run give one count per run.
     """
-    p_h = row_energy(tap_spectrum(h_hat, m))
-    startup = p_h <= 0.0
-    k_float = np.where(startup, math.inf,
-                       (p_r - sigma2_hat * m) * nc / np.where(startup, 1.0, p_h))
-    # truncation toward zero, then the clamp
-    k_int = np.where(startup, cap, np.clip(np.trunc(k_float), 0, cap)).astype(int)
-    return UserCountEstimate(k_float[()], k_int[()], startup[()])
+    p_h = row_energy(tap_spectrum(taps, m))
+    return (p_r - sigma2 * m) * nc / p_h
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ Protocol notes
   into contiguous slices, one per worker process, and the slices join along
   the run axis. Every row is computed as it would be alone, so output is
   byte-identical for any worker count and batch size.
+* On estimated inputs a BER trial folds each training block once into one
+  per-group covariance of its rows, and every adaptive SCE runner builds
+  its weights on the one subspace estimate taken from it.
 * A pass that no runner reads (no runner has state and no block is scored,
   as in a genie-only sweep's training) is drawn, not synthesized: each row
   draws its bits, then its noise, so its generator ends where synthesis
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channel, da, sce
+from . import channel, da, estimators, sce
 from .channel import ChannelProfile, generate_cir, load_cir
 from .estimators import (
     EstimatorState,
@@ -143,6 +146,12 @@ class ExperimentConfig:
             raise ValueError(f"cyclic prefix ({self.cp_chips} chips) shorter than the channel "
                              f"memory ({self.cir_taps - 1}); synthesis is circular, so the "
                              "inter-block interference would not be simulated")
+        # a synthesized block holds the channel, and the pilot fit needs a
+        # residual; the complexity model runs no block and aliases longer channels
+        most = self.chips_per_block - (experiment == "estimators")
+        if experiment != "complexity" and self.cir_taps > most:
+            raise ValueError(f"--cir-length {self.cir_taps} exceeds {most}, the most taps "
+                             f"{experiment} runs on a block of {self.chips_per_block} chips")
         if self.cg_iters < 1:
             raise ValueError("cg_iters must be >= 1")
         if not self.delta_init > 0:
@@ -257,6 +266,7 @@ class _Block:
     desired: np.ndarray             # (..., n) desired user's symbols
     normal: sce.NormalEquations | None  # pilot fit's normal equations, for adaptive SCE
     op: da.RxOperator               # received-data operator, for DA and every detection
+    estimate: estimators.SubspaceEstimate | None = None  # the trial's, on estimated inputs
 
 
 class _Runner:
@@ -268,9 +278,10 @@ class _Runner:
     ``genie``, the MMSE weights of :func:`_genie_weights`, as its
     ``detector``. Every detector decides by applying its length-m weights
     to the block's :class:`da.RxOperator`; subclasses name their scheme,
-    step inputs and weights. :meth:`freeze` builds an adaptive runner's
-    weights once and drops its state: it then detects like a genie, and its
-    ``observe`` and ``update`` do nothing.
+    step inputs and weights, which read the trial's subspace estimate when
+    one is given. :meth:`freeze` builds an adaptive runner's weights once
+    and drops its state: it then detects like a genie, and its ``update``
+    does nothing.
     """
 
     scheme = ""
@@ -280,7 +291,6 @@ class _Runner:
         self.step = algo.step
         self.cfg = cfg
         self.users, self.sigma2 = users, sigma2
-        self.batch = batch
         self.state = self.detector = None
         if algo.step is None:
             self.detector = genie
@@ -288,29 +298,31 @@ class _Runner:
             self.state = algo.new_state(cfg, batch)
 
     def observe(self, rx: _Block):
-        """Fold a training block into the runner's estimates (none by default)."""
+        """Does nothing; no runner keeps estimates of its own. It stays as the
+        per-block hook that ``perfbench/tracing.py`` times for each detector,
+        beside ``detect`` and ``update``."""
 
     def update(self, rx: _Block):
         if self.state is not None:
             self.step(self.state, *self.step_args(rx))
 
     def detect(self, rx: _Block):
-        return da.detect_da(rx.op, self.weights())
+        return da.detect_da(rx.op, self.weights(rx.estimate))
 
-    def freeze(self):
-        self.detector, self.state = self.weights(), None
+    def freeze(self, estimate):
+        self.detector, self.state = self.weights(estimate), None
 
 
 class _SceRunner(_Runner):
-    """An SCE algorithm; with estimated inputs it also accumulates each row's
-    per-group received covariance while it adapts, and reads its subspace
-    estimate of sigma2 and K when it builds the weights: on every scored
-    block of a training curve, and once when a sweep freezes it. Its per-bin
-    equalizer ``d``, followed by despreading with the desired code ``c_0``,
-    acts on a received block as the weight vector ``conj(d) * despread_bins``
-    does, with ``despread_bins = conj(FFT_m(c_0)) / sqrt(nc)``. Its genie is the
-    DA genie: the per-group MMSE detector ``R_g^-1 diag(hbar_g)`` collapses
-    the same way to ``conj(R_g^-1 lam_0,g) / sqrt(nc)``."""
+    """An SCE algorithm; with estimated inputs it builds its weights on the
+    trial's one subspace estimate of sigma2 and K, which every adaptive SCE
+    runner shares: on every scored block of a training curve, and once when
+    a sweep freezes it. Its per-bin equalizer ``d``, followed by despreading
+    with the desired code ``c_0``, acts on a received block as the weight
+    vector ``conj(d) * despread_bins`` does, with ``despread_bins =
+    conj(FFT_m(c_0)) / sqrt(nc)``. Its genie is the DA genie: the per-group
+    MMSE detector ``R_g^-1 diag(hbar_g)`` collapses the same way to
+    ``conj(R_g^-1 lam_0,g) / sqrt(nc)``."""
 
     scheme = "sce"
 
@@ -318,25 +330,16 @@ class _SceRunner(_Runner):
         super().__init__(algo, cfg, users, sigma2, batch, codes, genie)
         self.nc, self.m = cfg.spreading, cfg.chips_per_block
         self.despread_bins = np.conj(np.fft.fft(codes[0], self.m)) / np.sqrt(self.nc)
-        self.cov = None
-        if self.state is not None and (cfg.use_estimated_sigma2 or cfg.use_estimated_k):
-            self.cov = GroupCovariance.empty(cfg.block_length, cfg.spreading, self.batch)
 
     @staticmethod
     def step_args(rx: _Block):
         return rx.z, rx.normal
 
-    def observe(self, rx: _Block):
-        """Fold a training block into each row's per-group covariance."""
-        if self.cov is not None and self.state is not None:
-            update_covariance(self.cov, rx.z)
-
-    def weights(self):
+    def weights(self, estimate=None):
         if self.state is None:
             return self.detector
-        est = None if self.cov is None else subspace_estimate(self.cov)
-        sigma2 = est.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
-        k_used = est.k_int if self.cfg.use_estimated_k else self.users
+        sigma2 = estimate.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
+        k_used = estimate.k_int if self.cfg.use_estimated_k else self.users
         det = build_mmse_sce(self.state.h_hat, k_used, sigma2, self.nc, self.m)
         return np.conj(det) * self.despread_bins
 
@@ -350,7 +353,7 @@ class _DaRunner(_Runner):
     def step_args(rx: _Block):
         return rx.op, rx.desired
 
-    def weights(self):
+    def weights(self, estimate=None):
         return self.detector if self.state is None else self.state.w_hat
 
 
@@ -451,14 +454,16 @@ def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks, synthesize=Tr
 # check_finite reports a diverging row with its context; numpy's warnings would repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
-                     errors_out=None, where=("run",)) -> dict:
+                     errors_out=None, where=("run",), cov=None) -> dict:
     """Advance every runner over ``n_blocks`` blocks of every row, filling
-    ``errors_out`` (``key -> (..., n_blocks)`` error counts). Without
-    ``errors_out`` no block is scored, so none is detected; a frozen runner
-    only detects. So when no runner has state and no block is scored,
-    nothing reads the blocks, and they are only drawn. Runners without
-    state (genies and frozen runners) that hold one weight array share its
-    decision on each block.
+    ``errors_out`` (``key -> (..., n_blocks)`` error counts). On estimated
+    inputs ``cov`` is the trial's :class:`GroupCovariance`: each block is
+    folded into it once, and each scored block carries its one subspace
+    estimate to every runner. Without ``errors_out`` no block is scored, so
+    none is detected; a frozen runner only detects. So when no runner has
+    state and no block is scored, nothing reads the blocks, and they are
+    only drawn. Runners without state (genies and frozen runners) that hold
+    one weight array share its decision on each block.
 
     ``users``, ``sigma2``, ``taps`` and ``rng`` are as for
     :func:`_received_blocks`. Returns the first divergence of each diverged
@@ -480,7 +485,12 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
         desired = blocks[..., 0, :]
         normal = (sce.NormalEquations(z, pilot_matrix(spread(desired, code0)), cfg.cir_taps)
                   if need_pilot else None)
-        rx = _Block(z, desired, normal, da.RxOperator(z, n))
+        estimate = None
+        if cov is not None:
+            update_covariance(cov, z)
+            if errors_out is not None:
+                estimate = subspace_estimate(cov)
+        rx = _Block(z, desired, normal, da.RxOperator(z, n), estimate)
         # each runner holds its weight array, so no id is reused within the block
         decided = {}
         for key, runner in runners.items():
@@ -529,14 +539,17 @@ def _ber_trial(cfg, points, algo_keys, runs, curve=False):
     runners = _new_runners(cfg, users, sigma2, row_taps, codes, algo_keys)
     scored = cfg.training_blocks if curve else cfg.eval_blocks
     errors = {key: np.zeros((len(rngs), scored), dtype=np.int64) for key in algo_keys}
+    cov = (GroupCovariance.empty(cfg.block_length, cfg.spreading, (len(rngs),))
+           if cfg.use_estimated_sigma2 or cfg.use_estimated_k else None)
     diverged = _simulate_blocks(cfg, users, sigma2, row_taps, codes, runners, rngs,
                                 cfg.training_blocks, errors_out=errors if curve else None,
-                                where=_where(runs, points))
+                                where=_where(runs, points), cov=cov)
     if diverged:
         raise DivergenceError(diverged[min(diverged)])
     if not curve:
+        estimate = None if cov is None else subspace_estimate(cov)
         for runner in runners.values():
-            runner.freeze()
+            runner.freeze(estimate)
         _simulate_blocks(cfg, users, sigma2, row_taps, codes, runners, rngs,
                          cfg.eval_blocks, errors_out=errors)
     return {key: e.reshape(len(runs), len(points), scored) for key, e in errors.items()}
@@ -611,9 +624,8 @@ def estimator_kcount_trial(cfg: ExperimentConfig, user_set, runs) -> dict:
         for i, (_, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rngs,
                                                      cfg.training_blocks)):
             update_power(power, z)
-            genie = estimate_user_count(power.received_power, sigma2, taps, nc, m)
+            k_float_genie[:, i] = estimate_user_count(power.received_power, sigma2, taps, nc, m)
             guess = subspace_estimate(update_covariance(cov, z))
-            k_float_genie[:, i] = genie.k_float
             k_float_est[:, i] = guess.k_float
             k_int_est[:, i] = guess.k_int
         out.update({f"k_float_genie_k{users}": k_float_genie,

@@ -138,7 +138,10 @@ class PilotOperator:
         self.m = self.xdiag.shape[-1]
 
     def matvec(self, h) -> np.ndarray:
-        return self.xdiag * tap_spectrum(h, self.m)
+        # not ``xdiag * spectrum``: on large arrays numpy reuses the temporary
+        # spectrum as ``spectrum *= xdiag``, and the swapped complex product
+        # can round differently, so a batch would not match its rows
+        return np.multiply(self.xdiag, tap_spectrum(h, self.m))
 
     def rmatvec(self, e) -> np.ndarray:
         return tap_spectrum_adjoint(self.xconj * e, self.num_taps)

@@ -239,10 +239,8 @@ def test_genie_builds_match_row_by_row(users):
 
 def test_estimators_match_row_by_row():
     # row 2 receives nothing, so its order and noise floor differ from the
-    # other rows'; row 1 has a null tap estimate, the power inversion's startup
+    # other rows'
     taps = _channels(14)
-    h_hat = taps.copy()
-    h_hat[1] = 0
     cov = GroupCovariance.empty(N, NC, (RUNS,))
     covs = [GroupCovariance.empty(N, NC) for _ in range(RUNS)]
     power = EstimatorState()
@@ -261,15 +259,12 @@ def test_estimators_match_row_by_row():
         for field in ("sigma2", "k_float", "k_int"):
             _assert_rows_equal(getattr(est, field), [getattr(row, field) for row in rows])
         assert all(row.startup == est.startup for row in rows)
-        count = estimate_user_count(power.received_power, 0.05, h_hat, NC, M, cap=3)
-        rows = [estimate_user_count(p.received_power, 0.05, h, NC, M, cap=3)
-                for p, h in zip(powers, h_hat)]
-        for field in count._fields:
-            _assert_rows_equal(getattr(count, field), [getattr(row, field) for row in rows])
+        count = estimate_user_count(power.received_power, 0.05, taps, NC, M)
+        _assert_rows_equal(count, [estimate_user_count(p.received_power, 0.05, h, NC, M)
+                                   for p, h in zip(powers, taps)])
     assert not est.startup
     assert est.k_int[2] == 0 and est.sigma2[2] == 0.0
     assert np.all(est.k_int[[0, 1, 3]] > 0)
-    assert count.startup.tolist() == [False, True, False, False]
 
 
 # users 1-3 at 8 dB and noiseless, so rows of different K and sigma2 share a batch
@@ -312,3 +307,79 @@ def test_steady_sweep_raises_the_divergence_of_the_point_loop():
         with pytest.raises(fdcore.DivergenceError) as info:
             _ber_trial(cfg, SWEEP_POINTS, ["da-lms"], runs)
     assert str(info.value) == expected
+
+
+# Batches at and above numpy's temporary-elision threshold: an elementwise
+# operation on arrays of 256 KiB or more may reuse a temporary operand's
+# memory, which for ``a * temp`` computes ``temp *= a``, a complex product
+# with its operands swapped. BIG rows of m = 256 bins are exactly 256 KiB.
+BIG, BIG_N, BIG_NC, BIG_TAPS = 64, 32, 8, 34
+BIG_M = BIG_N * BIG_NC
+BIG_CODES = fdcore.walsh_code_set(BIG_NC)
+
+
+def _big_inputs(seed):
+    """Random ``(BIG, ...)`` inputs at m = 256: spectra, pilots, symbols, taps."""
+    rng = np.random.default_rng(seed)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return dict(z=cplx(3, BIG, BIG_M), xdiag=cplx(3, BIG, BIG_M), taps=cplx(BIG, BIG_TAPS),
+                bits=fdcore.random_bpsk(rng, 3 * BIG * 2 * BIG_N).reshape(3, BIG, 2, BIG_N),
+                users=rng.integers(1, BIG_NC + 1, BIG), sigma2=rng.uniform(0.01, 1.0, BIG))
+
+
+def _assert_big_batch_matches_rows(call):
+    """``call(sel)`` on all BIG rows (``sel`` a full slice) equals, bitwise,
+    its one-row calls ``call(r)``; ``call`` indexes its inputs with ``sel``."""
+    _assert_rows_equal(call(slice(None)), [call(r) for r in range(BIG)])
+
+
+def test_pilot_fit_matches_row_by_row_above_the_elision_threshold():
+    data = _big_inputs(40)
+    z, xdiag, taps = data["z"][0], data["xdiag"][0], data["taps"]
+    _assert_big_batch_matches_rows(
+        lambda sel: sce.PilotOperator(xdiag[sel], BIG_TAPS).matvec(taps[sel]))
+    for part in range(2):
+        _assert_big_batch_matches_rows(
+            lambda sel: ml_noise_variance(z[sel], xdiag[sel], BIG_TAPS)[part])
+
+
+def test_kernels_match_row_by_row_above_the_elision_threshold():
+    data = _big_inputs(41)
+    z, bits, taps, users, sigma2 = (data[k] for k in ("z", "bits", "taps", "users", "sigma2"))
+
+    def synthesize(sel):
+        rngs = [np.random.default_rng([42, r]) for r in range(BIG)]
+        return synthesize_rx(bits[0][sel], BIG_CODES[:2], taps[sel], sigma2[sel], rngs[sel])
+    _assert_big_batch_matches_rows(synthesize)
+    _assert_big_batch_matches_rows(
+        lambda sel: da.detect_da(da.RxOperator(z[0][sel], BIG_N), z[1][sel]))
+    _assert_big_batch_matches_rows(
+        lambda sel: sce.build_mmse_sce(taps[sel], users[sel], sigma2[sel], BIG_NC, BIG_M))
+
+
+@pytest.mark.parametrize("scheme, kind", [(s, k) for s in ("sce", "da")
+                                          for k in ("lms", "rls", "cg")])
+def test_steps_match_row_by_row_above_the_elision_threshold(scheme, kind):
+    data = _big_inputs(43)
+    z, xdiag, desired = data["z"], data["xdiag"], data["bits"][:, :, 0]
+    new_state = {
+        "sce": {"lms": lambda b: sce.new_lms_state(BIG_TAPS, 1e-3, batch=b),
+                "rls": lambda b: sce.new_rls_state(BIG_TAPS, 0.9, 1e-2, batch=b),
+                "cg": lambda b: sce.new_cg_state(BIG_TAPS, 3, batch=b)},
+        "da": {"lms": lambda b: da.new_lms_state(BIG_M, 1e-3, batch=b),
+               "rls": lambda b: da.new_rls_state(BIG_N, BIG_NC, 0.9, 1e-2, batch=b),
+               "cg": lambda b: da.new_cg_state(BIG_M, 3, batch=b)},
+    }[scheme][kind]
+    step = (SCE_STEPS if scheme == "sce" else DA_STEPS)[kind]
+
+    def train(sel):
+        state = new_state(z[0][sel].shape[:-1])
+        for block in range(len(z)):
+            if scheme == "sce":
+                step(state, z[block][sel], xdiag[block][sel])
+            else:
+                step(state, da.RxOperator(z[block][sel], BIG_N), desired[block][sel])
+        return state.h_hat if scheme == "sce" else state.w_hat
+    _assert_big_batch_matches_rows(train)

@@ -78,6 +78,17 @@ class TestLoadCir:
         with pytest.raises(ValueError, match="no taps"):
             load_cir(path)
 
+    def test_taps_without_energy_rejected(self, tmp_path):
+        # the power-inversion user count divides by the channel energy
+        path = tmp_path / "cir.txt"
+        path.write_text("0,0\n0,0\n1,0\n")
+        with pytest.raises(ValueError, match="no energy in the first 2 taps"):
+            load_cir(path, num_taps=2)
+        assert_allclose(load_cir(path), [0, 0, 1])
+        path.write_text("0,0\n")
+        with pytest.raises(ValueError, match="no energy in the first 1 taps"):
+            load_cir(path)
+
 
 class TestFreqResponse:
     """The channel frequency response is ``fdcore.tap_spectrum`` of the taps."""

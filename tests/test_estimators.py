@@ -92,7 +92,7 @@ class TestMlNoiseVariance:
         xdiag = np.zeros(8, complex)
         xdiag[0] = 1.0          # one excited bin cannot determine four taps
         z = np.ones(8, complex)
-        with pytest.raises(np.linalg.LinAlgError, match="condition"):
+        with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
             ml_noise_variance(z, xdiag, 4)
 
     def test_invariant_under_consistent_bin_reordering(self):
@@ -158,10 +158,7 @@ class TestPowerAccumulator:
 class TestUserCount:
     def test_formula_inversion(self):
         # unit channel energy, no noise: the count reads straight off the power
-        est = estimate_user_count(p_r=3 / 4, sigma2_hat=0.0, h_hat=[1.0], nc=4, m=1)
-        assert est.k_float == pytest.approx(3.0)
-        assert est.k_int == 3
-        assert not est.startup
+        assert estimate_user_count(p_r=3 / 4, sigma2=0.0, taps=[1.0], nc=4, m=1) == 3.0
 
     def test_full_load_noiseless_consistency(self):
         # at full load the code mixing is exactly the identity, so the
@@ -176,26 +173,14 @@ class TestUserCount:
             blocks = fdcore.random_bpsk(rng, nc * n).reshape(nc, n)
             z = synthesize_rx(blocks, codes, taps, 0.0, rng)
             update_power(state, z)
-        est = estimate_user_count(state.received_power, 0.0, taps, nc, m, cap=nc)
-        assert est.k_float == pytest.approx(nc, abs=0.15)
+        assert estimate_user_count(state.received_power, 0.0, taps, nc, m) == pytest.approx(
+            nc, abs=0.15)
 
     def test_monotonicity(self):
         taps = [1.0]
         base = estimate_user_count(2.0, 0.1, taps, 4, 1)
-        assert estimate_user_count(3.0, 0.1, taps, 4, 1).k_float > base.k_float
-        assert estimate_user_count(2.0, 0.5, taps, 4, 1).k_float < base.k_float
-
-    def test_null_estimate_startup_cap(self):
-        est = estimate_user_count(5.0, 0.1, np.zeros(4), 4, 16, cap=7)
-        assert est.startup
-        assert est.k_int == 7
-        assert math.isinf(est.k_float)
-
-    def test_truncation_toward_zero_and_clamp(self):
-        taps = [1.0]
-        assert estimate_user_count(2.9 / 4, 0.0, taps, 4, 1).k_int == 2
-        assert estimate_user_count(-1.0, 0.0, taps, 4, 1).k_int == 0
-        assert estimate_user_count(99.0, 0.0, taps, 4, 1, cap=7).k_int == 7
+        assert estimate_user_count(3.0, 0.1, taps, 4, 1) > base
+        assert estimate_user_count(2.0, 0.5, taps, 4, 1) < base
 
 
 def _covariance(rng, n, nc, taps, sigma2, users, blocks):

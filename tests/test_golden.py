@@ -4,8 +4,9 @@
 scenario (n=16, nc=4, L=9, 4 runs x 60 training blocks): a training curve,
 a three-point SNR sweep, a user-count sweep and a sweep that puts a
 noiseless point beside a noisy one. It also holds the four SCE detectors
-on estimated inputs (a training curve and a three-point SNR sweep) and the
-two ``estimators`` curves at three SNRs. They were written with numpy 2.4.6; the output
+on estimated inputs (a training curve and a three-point SNR sweep), all
+eight detectors in that sweep with the SCE ones on estimated inputs, and
+the two ``estimators`` curves at three SNRs. They were written with numpy 2.4.6; the output
 is byte-identical across reruns, worker counts and batch sizes, but another
 numpy may round differently (see ``golden/README.md``). A change that moves
 any BER, or the CSV layout, fails here. A genie-only sweep only draws its
@@ -23,7 +24,8 @@ from uwbfde.cli import main as cli_main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL = ["--block-length", "16", "--spreading", "4", "--cir-length", "9",
          "--runs", "4", "--blocks", "60"]
-ESTIMATED = ["--scheme", "sce", "--estimated-sigma2", "--estimated-k"]
+ESTIMATES = ["--estimated-sigma2", "--estimated-k"]
+ESTIMATED = ["--scheme", "sce", *ESTIMATES]
 CASES = {
     "ber_vs_blocks_n16_nc4_l9.csv": ["--experiment", "ber-vs-blocks", *SMALL],
     "ber_vs_snr_n16_nc4_l9.csv": ["--experiment", "ber-vs-snr", "--snr-db", "0,8,16",
@@ -37,6 +39,9 @@ CASES = {
                                             "--eval-blocks", "40"],
     "ber_vs_blocks_estimated_n16_nc4_l9.csv": ["--experiment", "ber-vs-blocks", *ESTIMATED,
                                                *SMALL],
+    "ber_vs_snr_estimated_both_n16_nc4_l9.csv": ["--experiment", "ber-vs-snr", "--scheme", "both",
+                                                 *ESTIMATES, "--snr-db", "0,8,16", *SMALL,
+                                                 "--eval-blocks", "40"],
 }
 
 

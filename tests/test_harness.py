@@ -15,7 +15,7 @@ from oracles import despread, detect_sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 from uwbfde import da, harness, sce
 from uwbfde.cli import build_parser, config_from_args, main as cli_main
-from uwbfde.estimators import ml_noise_variance
+from uwbfde.estimators import GroupCovariance, ml_noise_variance
 from uwbfde.fdcore import DivergenceError, random_bpsk, spread, walsh_code_set
 from uwbfde.harness import (
     CurveSet,
@@ -52,6 +52,17 @@ ESTIMATED_FLAG_CASES = [
     (["--experiment", "complexity", "--estimated-sigma2"], "--estimated-sigma2"),
     (["--experiment", "complexity", "--estimated-k"], "--estimated-k"),
 ]
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls of each named ``harness`` binding; ``{name: count}``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(harness, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(harness, name, counted)
+    return calls
 
 
 def _tiny_config(**overrides):
@@ -131,18 +142,23 @@ class TestExperiments:
 
     def test_sweep_builds_each_adaptive_weight_once(self, monkeypatch):
         # a sweep freezes its runners after training: each adaptive SCE
-        # runner builds its equalizer and reads its subspace estimate once,
-        # not on every scored block
-        calls = {"build_mmse_sce": 0, "subspace_estimate": 0}
-        for name in calls:
-            def counted(*args, _fn=getattr(harness, name), _name=name):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(harness, name, counted)
+        # runner builds its equalizer once, on the trial's one subspace
+        # estimate, not on every scored block
+        calls = _count_calls(monkeypatch, "build_mmse_sce", "subspace_estimate")
         cfg = _tiny_config(spreading=4, snr_db=(4.0, 12.0), scheme="sce", runs=2,
                            eval_blocks=10, use_estimated_sigma2=True, use_estimated_k=True)
         run_ber_vs_snr(cfg)
-        assert calls == {"build_mmse_sce": 3, "subspace_estimate": 3}
+        assert calls == {"build_mmse_sce": 3, "subspace_estimate": 1}
+
+    def test_curve_estimates_once_per_block(self, monkeypatch):
+        # the three adaptive SCE runners of a training curve read one
+        # covariance, folded and decomposed once per block
+        calls = _count_calls(monkeypatch, "update_covariance", "subspace_estimate")
+        cfg = _tiny_config(spreading=4, scheme="sce", use_estimated_sigma2=True,
+                           use_estimated_k=True)
+        run_ber_vs_blocks(cfg)
+        assert calls == {"update_covariance": cfg.training_blocks,
+                         "subspace_estimate": cfg.training_blocks}
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_divergence_names_lowest_run_of_a_batch(self, workers):
@@ -301,7 +317,8 @@ class TestEstimatedInputs:
             errors = {key: np.zeros(cfg.training_blocks, dtype=np.int64) for key in keys}
             _simulate_blocks(cfg, cfg.users, sigma2, taps, codes, runners,
                              np.random.default_rng(6), cfg.training_blocks,
-                             errors_out=errors)
+                             errors_out=errors,
+                             cov=GroupCovariance.empty(cfg.block_length, cfg.spreading))
             return list(inputs)
 
         truth = equalizer_inputs(cfg.users, sigma2)
@@ -432,6 +449,40 @@ class TestCli:
         rc = cli_main(["--experiment", "ber-vs-blocks", *self.BASE,
                        "--cir-file", str(cir), "--out", str(tmp_path / "c.csv")])
         assert rc == 0
+
+    def test_cir_file_without_energy_rejected(self, tmp_path, capsys):
+        # the first --cir-length taps are all zero: no genie over a dead
+        # channel, and no infinite genie-input user count
+        cir = tmp_path / "taps.txt"
+        cir.write_text("0,0\n0,0\n0,0\n1,0\n")
+        rc = cli_main(["--experiment", "estimators", *self.BASE, "--cir-file", str(cir),
+                       "--out", str(tmp_path / "e.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {cir}: no energy in the first 3 taps")
+        assert list(tmp_path.iterdir()) == [cir]
+
+    @pytest.mark.parametrize("experiment, taps", [("ber-vs-blocks", 17), ("ber-vs-snr", 20),
+                                                  ("ber-vs-users", 17), ("estimators", 16)])
+    def test_channel_longer_than_the_block_rejected(self, experiment, taps, tmp_path, capsys):
+        # 4 symbols of 4 chips hold at most 16 taps, and the pilot fit fewer
+        args = ["--experiment", experiment, "--block-length", "4", "--spreading", "4",
+                "--cir-length", str(taps), "--cp-chips", str(taps - 1), "--runs", "1",
+                "--blocks", "20", "--eval-blocks", "5"]
+        with pytest.raises(ValueError, match=f"^--cir-length {taps} "):
+            EXPERIMENT_FUNCTIONS[experiment](config_from_args(build_parser().parse_args(args)))
+        assert cli_main([*args, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --cir-length {taps} ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_channel_as_long_as_the_block_runs(self, tmp_path):
+        args = ["--block-length", "4", "--spreading", "4", "--cir-length", "16",
+                "--cp-chips", "15", "--runs", "1", "--blocks", "20"]
+        assert cli_main(["--experiment", "ber-vs-blocks", *args,
+                         "--out", str(tmp_path / "x.csv")]) == 0
+        # the complexity model aliases a channel longer than the block
+        assert cli_main(["--experiment", "complexity", *args[:-4],
+                         "--out", str(tmp_path / "c.txt")]) == 0
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
