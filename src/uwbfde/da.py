@@ -11,10 +11,14 @@ build cost O(m*nc^2) instead of O(m^3). Neither the explicit n-by-m
 operator nor the m-by-m normal matrix is ever formed. Every adaptive step
 fits one least-squares cost ``||b - A w||^2`` on this operator
 :class:`RxOperator`. Its last factor, an n-point inverse DFT, is unitary,
-so DA-CG and DA-RLS fit ``||DFT_n(b) - fold(z * w)||^2`` on
-:class:`SymbolDftOperator` instead, with no transform in the loop. DA-CG
-stays CGLS (:func:`fdcore.cg_least_squares`): the block's cost has rank
-n < m, and its normal equations would square the conditioning.
+so DA-CG and DA-RLS fit ``||DFT_n(b) - fold(z * w)||^2`` instead, with no
+transform in the loop. Bin g of the fold reads only symbol group g,
+``u_g = z_g^T w_g``, so the cost's gradient moves group g only along
+``conj(z_g)``: DA-RLS forms it group by group, and DA-CG runs on one
+coefficient per group, where the cost's operator is ``diag(||z_g||)``, n
+unknowns per row instead of m. DA-CG stays CGLS
+(:func:`fdcore.cg_least_squares`): the block's cost has rank n < m, and
+its normal equations would square the conditioning.
 
 The operator, the steps, the genie build and detection also take a leading
 row axis: an ``(R, m)`` received block advances R independent rows at once,
@@ -26,9 +30,9 @@ so one build per sweep point feeds both genie detectors, and
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,29 +49,6 @@ from .fdcore import (
 
 logger = logging.getLogger(__name__)
 _DIVERGED = "adaptive update diverged (non-finite weights)"
-
-
-class SymbolDftOperator:
-    """:class:`RxOperator` without its n-point inverse DFT: ``matvec(w) =
-    fold(z * w)`` and its adjoint ``rmatvec(u) = conj(z) * tile(u)``, tiled
-    by broadcasting. The target of symbols ``b`` is ``fft(b, norm="ortho")``."""
-
-    def __init__(self, zbins, n: int):
-        self.zbins = np.asarray(zbins, dtype=complex)
-        self.n = n
-
-    @functools.cached_property
-    def zconj_segments(self) -> np.ndarray:
-        """``conj(z)`` as ``(..., nc, n)`` segments; formed on the first
-        adjoint, so detection alone never conjugates the block."""
-        return self.zbins.conj().reshape(*self.zbins.shape[:-1], -1, self.n)
-
-    def matvec(self, w) -> np.ndarray:
-        return fold_segments(self.zbins * w, self.n)
-
-    def rmatvec(self, u) -> np.ndarray:
-        out = self.zconj_segments * u[..., None, :]
-        return out.reshape(*out.shape[:-2], -1)
 
 
 class RxOperator:
@@ -88,19 +69,20 @@ class RxOperator:
         self.zbins = zbins
         self.n, self.m = n, zbins.shape[-1]
         self.nc = self.m // n
-        self.symbol_dft = SymbolDftOperator(zbins, n)
 
     def matvec(self, w) -> np.ndarray:
         w = np.asarray(w, dtype=complex)
         if w.shape[-1:] != (self.m,):
             raise ValueError(f"expected length {self.m}, got shape {w.shape}")
-        return np.fft.ifft(self.symbol_dft.matvec(w), norm="ortho")
+        return np.fft.ifft(fold_segments(self.zbins * w, self.n), norm="ortho")
 
     def rmatvec(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=complex)
         if u.shape[-1:] != (self.n,):
             raise ValueError(f"expected length {self.n}, got shape {u.shape}")
-        return self.symbol_dft.rmatvec(np.fft.fft(u, norm="ortho"))
+        zconj = self.zbins.conj().reshape(*self.zbins.shape[:-1], self.nc, self.n)
+        out = zconj * np.fft.fft(u, norm="ortho")[..., None, :]
+        return out.reshape(*out.shape[:-2], self.m)
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +161,12 @@ def da_rls_step(state: DaRlsState, op: RxOperator, b, counter=None) -> DaRlsStat
     """
     n, nc = op.n, op.nc
     zg = by_symbol(op.zbins, n)                           # (..., n, nc)
+    zg_conj = zg.conj()
     state.corr *= state.lam
-    add_group_outer(state.corr, zg.conj(), zg)
-    err = np.fft.fft(b, norm="ortho") - op.symbol_dft.matvec(state.w_hat)
-    folded = by_symbol(op.symbol_dft.rmatvec(err), n)[..., None]
-    update, regularized = solve_regularized(state.corr, folded, state.delta)
+    add_group_outer(state.corr, zg_conj, zg)
+    err = np.fft.fft(b, norm="ortho") - fold_segments(op.zbins * state.w_hat, n)
+    grad = (zg_conj * err[..., None])[..., None]          # conj(z_g) * err_g, per group
+    update, regularized = solve_regularized(state.corr, grad, state.delta)
     for block in regularized:
         logger.warning("singular block %s; regularizing with delta=%g", block, state.delta)
     state.w_hat += from_symbol(update[..., 0])
@@ -205,14 +188,30 @@ def da_cg_step(state: DaCgState, op: RxOperator, b, counter=None, trace=None) ->
     """Run the per-block conjugate-gradient inner loop on the filter weights.
 
     The loop is :func:`fdcore.cg_least_squares` on the block's cost
-    ``||b - op w||^2`` in the symbol-DFT domain; ``trace`` is passed
+    ``||b - op w||^2``, run in symbol-group coordinates: every iterate moves
+    group g only along ``conj(z_g)``, so adding ``conj(z_g) c_g / s_g`` to
+    ``w_g``, with ``s_g = ||z_g||``, turns the cost into
+    ``||r - diag(s) c||^2`` on n coefficients per row, ``r`` being the
+    block's residual ``DFT_n(b) - fold(z * w)``. The map from ``c`` to the
+    weights is an isometry, so the iterates are those of CGLS on all m bins.
+    A dead group (``s_g = 0``) keeps ``c_g = 0``. ``trace`` is passed
     through, with the residual norms of ``b - op w`` (the DFT is unitary).
     """
-    done = cg_least_squares(state.w_hat, op.symbol_dft, np.fft.fft(b, norm="ortho"),
+    n = op.n
+    zseg = op.zbins.reshape(*op.zbins.shape[:-1], op.nc, n)
+    scale = np.sqrt((zseg.real ** 2 + zseg.imag ** 2).sum(axis=-2))    # s_g = ||z_g||
+    resid = np.fft.fft(b, norm="ortho") - fold_segments(op.zbins * state.w_hat, n)
+    coeff = np.zeros_like(resid)
+
+    def diag(c):                                          # the cost on c, its own adjoint
+        return scale * c
+    done = cg_least_squares(coeff, SimpleNamespace(matvec=diag, rmatvec=diag), resid,
                             state.iters, trace)
+    np.divide(coeff, scale, out=coeff, where=scale != 0)
+    state.w_hat += (zseg.conj() * coeff[..., None, :]).reshape(state.w_hat.shape)
     check_finite(state.w_hat, _DIVERGED)
     if counter is not None:
-        m, n = op.m, op.n
+        m = op.m
         for _ in range(done):
             counter.matvec(n, m)        # filtered direction
             counter.inner(n)            # curvature

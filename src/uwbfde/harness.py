@@ -246,14 +246,6 @@ def _fmt(v) -> str:
 # per-run simulation
 # ---------------------------------------------------------------------------
 
-def _channel_for_run(cfg: ExperimentConfig, run_idx: int) -> np.ndarray:
-    if cfg.cir_file:
-        return load_cir(cfg.cir_file, cfg.cir_taps)
-    profile = ChannelProfile(cfg.cir_taps, cfg.decay_rate,
-                             seed=[cfg.base_seed, _CHAN_STREAM, run_idx])
-    return generate_cir(profile)
-
-
 def _data_rng(cfg: ExperimentConfig, run_idx: int, point_idx: int) -> np.random.Generator:
     return np.random.default_rng([cfg.base_seed, _DATA_STREAM, run_idx, point_idx])
 
@@ -510,8 +502,14 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
 
 
 def _batch_inputs(cfg, runs):
-    """Each run's channel, stacked ``(R, L)``, and the spreading codes."""
-    return np.stack([_channel_for_run(cfg, r) for r in runs]), walsh_code_set(cfg.spreading)
+    """Each run's channel, stacked ``(R, L)``, and the spreading codes. A
+    ``cir_file`` is read once and shared by every run."""
+    if cfg.cir_file:
+        taps = np.repeat(load_cir(cfg.cir_file, cfg.cir_taps)[None], len(runs), axis=0)
+    else:
+        taps = np.stack([generate_cir(ChannelProfile(
+            cfg.cir_taps, cfg.decay_rate, seed=[cfg.base_seed, _CHAN_STREAM, r])) for r in runs])
+    return taps, walsh_code_set(cfg.spreading)
 
 
 def _where(runs, points):

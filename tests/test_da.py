@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from oracles import dft_matrix, expansion_matrix, operator_matrix, spectral_mask
 from uwbfde import da, fdcore
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
+from uwbfde.opcount import OpCounter, nominal_cost
 
 
 def _random_complex(rng, n):
@@ -229,6 +230,48 @@ class TestDaCg:
         for grad_energy, neg_dir_grad, _ in trace:
             assert abs(neg_dir_grad - grad_energy) <= 1e-10 * max(grad_energy, 1.0)
 
+    def test_matches_full_bin_cgls_on_the_rx_operator(self):
+        # the paper's DA-CG is CGLS on all m bins of ||b - A w||^2; the step
+        # runs it on one coefficient per symbol group. Row 1 has a dead
+        # group, which must not move; row 2 is an all-zero block, which stops
+        # at once
+        rng = np.random.default_rng(26)
+        n, nc = 16, 4
+        m = n * nc
+        z = _random_complex(rng, (3, m))
+        z[1, 2::n] = 0
+        z[2] = 0
+        b = fdcore.random_bpsk(rng, 3 * n).reshape(3, n)
+        w0 = _random_complex(rng, (3, m))
+        fixed = np.zeros((3, m), dtype=bool)
+        fixed[1, 2::n] = fixed[2] = True
+        for iters in range(1, 9):
+            for rows in (0, 1, 2, slice(None)):
+                op = da.RxOperator(z[rows], n)
+                ref, ref_trace = w0[rows].copy(), []
+                done = fdcore.cg_least_squares(ref, op, b[rows], iters, ref_trace)
+                state = da.new_cg_state(m, iters=iters)
+                state.w_hat = w0[rows].copy()
+                trace, counter = [], OpCounter()
+                da.da_cg_step(state, op, b[rows], counter, trace)
+                assert len(trace) == len(ref_trace) == done
+                assert done == (0 if rows == 2 else iters)
+                assert counter.snapshot() == nominal_cost("da-cg", m=m, n=n, iters=done)
+                err = np.linalg.norm(state.w_hat - ref, axis=-1)
+                assert np.all(err <= 1e-12 * np.linalg.norm(ref, axis=-1))
+                assert not np.any((state.w_hat != w0[rows]) & fixed[rows])
+
+    def test_cg_trace_residual_is_the_rx_residual(self):
+        rng = np.random.default_rng(25)
+        _, _, blocks, op = _scene(rng, n=4, nc=2, sigma2=0.1, users=2)
+        for iters in range(1, 7):
+            state = da.new_cg_state(op.m, iters=iters)
+            trace = []
+            da.da_cg_step(state, op, blocks[0], trace=trace)
+            assert len(trace) == iters
+            assert trace[-1][2] == pytest.approx(
+                np.linalg.norm(blocks[0] - op.matvec(state.w_hat)), rel=1e-10, abs=1e-13)
+
 
 class TestGenieWeights:
     def test_single_user_single_gain_is_per_bin_wiener(self):
@@ -294,30 +337,3 @@ class TestDetectDa:
         blocks = fdcore.random_bpsk(rng, nc * n).reshape(nc, n)
         z = synthesize_rx(blocks, codes, taps, 0.0, rng)
         assert_allclose(da.detect_da(da.RxOperator(z, n), w), blocks[0])
-
-
-class TestSymbolDftOperator:
-    def test_is_the_rx_operator_without_its_inverse_dft(self):
-        rng = np.random.default_rng(24)
-        for shape in [(8,), (3, 8)]:
-            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            op, sym = da.RxOperator(z, 4), da.SymbolDftOperator(z, 4)
-            w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            u = rng.standard_normal((*shape[:-1], 4)) + 1j * rng.standard_normal((*shape[:-1], 4))
-            assert_allclose(sym.matvec(w), np.fft.fft(op.matvec(w), norm="ortho"), atol=1e-12)
-            assert_allclose(sym.rmatvec(u), op.rmatvec(np.fft.ifft(u, norm="ortho")),
-                            atol=1e-12)
-            lhs = np.einsum("...i,...i->...", u.conj(), sym.matvec(w))
-            rhs = np.einsum("...i,...i->...", sym.rmatvec(u).conj(), w)
-            assert_allclose(lhs, rhs, rtol=1e-12)
-
-    def test_cg_trace_residual_is_the_rx_residual(self):
-        rng = np.random.default_rng(25)
-        _, _, blocks, op = _scene(rng, n=4, nc=2, sigma2=0.1, users=2)
-        for iters in range(1, 7):
-            state = da.new_cg_state(op.m, iters=iters)
-            trace = []
-            da.da_cg_step(state, op, blocks[0], trace=trace)
-            assert len(trace) == iters
-            assert trace[-1][2] == pytest.approx(
-                np.linalg.norm(blocks[0] - op.matvec(state.w_hat)), rel=1e-10, abs=1e-13)

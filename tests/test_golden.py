@@ -6,7 +6,8 @@ a three-point SNR sweep, a user-count sweep and a sweep that puts a
 noiseless point beside a noisy one. It also holds the four SCE detectors
 on estimated inputs (a training curve and a three-point SNR sweep), all
 eight detectors in that sweep with the SCE ones on estimated inputs, and
-the two ``estimators`` curves at three SNRs. They were written with numpy 2.4.6; the output
+the two ``estimators`` curves at three SNRs, and a two-point SNR sweep on
+the tap file ``cir_l9.txt``. They were written with numpy 2.4.6; the output
 is byte-identical across reruns, worker counts and batch sizes, but another
 numpy may round differently (see ``golden/README.md``). A change that moves
 any BER, or the CSV layout, fails here. A genie-only sweep only draws its
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uwbfde import harness
 from uwbfde.cli import main as cli_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -82,3 +84,27 @@ def test_genie_only_sweep_matches_the_golden_genie_columns(name, tmp_path):
         assert values == golden[column], (
             f"{column} of the genie-only run differs from {name} (written with numpy "
             f"2.4.6, running numpy {np.__version__})")
+
+
+def test_cir_file_is_read_once_per_trial(tmp_path, monkeypatch):
+    # every run shares the tap file's channel, read once per trial
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taps.txt").write_bytes((GOLDEN / "cir_l9.txt").read_bytes())
+    calls = []
+
+    def load_cir(*args):
+        calls.append(args)
+        return real_load_cir(*args)
+    real_load_cir = harness.load_cir
+    monkeypatch.setattr(harness, "load_cir", load_cir)
+    name = "ber_vs_snr_cir_file_n16_nc4_l9.csv"
+    assert cli_main(["--experiment", "ber-vs-snr", "--snr-db", "0,8", *SMALL,
+                     "--eval-blocks", "40", "--cir-file", "taps.txt", "--out", name]) == 0
+    assert len(calls) == 1
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), (
+        f"{name} differs from the golden file (written with numpy 2.4.6, "
+        f"running numpy {np.__version__})")
+    calls.clear()
+    assert cli_main(["--experiment", "estimators", "--snr-db", "8", *SMALL,
+                     "--cir-file", "taps.txt", "--out", "e.csv"]) == 0
+    assert len(calls) == 2      # the noise-variance sweep and the user-count traces
