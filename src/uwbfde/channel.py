@@ -90,7 +90,7 @@ def load_cir(path, num_taps: int | None = None) -> np.ndarray:
     return out
 
 
-def synthesize_rx(symbol_blocks, codes, taps, sigma2, rng):
+def synthesize_rx(symbol_blocks, codes, taps, sigma2, rng, spectrum=None):
     """Synthesize one noisy downlink block, or one per run of a batch.
 
     All users share the same channel; user ``k`` spreads its symbol block
@@ -105,7 +105,10 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2, rng):
     ``sigma2`` a scalar or one value per row. Each row with a positive
     ``sigma2`` draws its noise from its own generator (:func:`draw_noise`);
     a noiseless row draws nothing. Rows with fewer users carry all-zero
-    symbol blocks for the missing ones, which add nothing.
+    symbol blocks for the missing ones, which add nothing. A caller that
+    synthesizes many blocks on the same taps may pass their m-bin
+    ``spectrum`` (:func:`fdcore.tap_spectrum`), which then replaces
+    ``taps``.
     """
     sigma2 = np.asarray(sigma2, dtype=float)
     if np.any(sigma2 < 0):
@@ -120,20 +123,25 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2, rng):
     m = n * codes.shape[1]
     # chip i*nc + j of a user is its symbol i times its code chip j, as in
     # fdcore.spread; real codes sum in real arithmetic, the same adds as on
-    # complex chips
+    # complex chips, each user's products formed in one reused buffer
     chips = np.zeros((*blocks.shape[:-2], n, codes.shape[1]),
                      dtype=np.result_type(blocks, codes))
+    product = np.empty_like(chips)
     for i in range(k):
-        chips += blocks[..., i, :, None] * codes[i]
-    y = circulant_apply(taps, chips.reshape(*blocks.shape[:-2], m))
+        chips += np.multiply(blocks[..., i, :, None], codes[i], out=product)
+    y = circulant_apply(taps, chips.reshape(*blocks.shape[:-2], m), spectrum)
     noisy, noise = draw_noise([rng] if blocks.ndim == 2 else rng, sigma2, m)
     if noisy.size:
         rows = y.reshape(-1, m)
         # scaling and adding real and imaginary parts apart gives the same
         # values as adding (re + 1j * im) * scale, with no complex temporaries
         noise *= np.sqrt(np.broadcast_to(sigma2, len(rows))[noisy] / 2.0)[:, None, None]
-        rows.real[noisy] += noise[:, 0]
-        rows.imag[noisy] += noise[:, 1]
+        if noisy.size < len(rows):
+            rows.real[noisy] += noise[:, 0]
+            rows.imag[noisy] += noise[:, 1]
+        else:
+            rows.real += noise[:, 0]
+            rows.imag += noise[:, 1]
     return np.fft.fft(y, norm="ortho")
 
 

@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimated-k", dest="use_estimated_k", action="store_true",
                    help="feed the detector the estimated user count")
     p.add_argument("--workers", type=int,
-                   help="worker processes, each advancing a contiguous slice of the runs")
+                   help="worker processes, each advancing a contiguous group of row chunks")
     p.add_argument("--check", action="store_true",
                    help="complexity experiment: exit nonzero unless all counts match")
     p.add_argument("--out", default=None, help="output path (default <experiment>.csv)")

@@ -92,12 +92,14 @@ def update_power(state: EstimatorState, z) -> EstimatorState:
     return state
 
 
-def estimate_user_count(p_r, sigma2, taps, nc: int, m: int):
+def estimate_user_count(p_r, sigma2, taps, nc: int, m: int, spectrum=None):
     """Active-user count from received power, noise floor and channel energy,
     ``(p_r - sigma2 * m) * nc / p_h`` with ``p_h`` the energy of the taps'
     spectrum. ``(R, L)`` taps with one power per run give one count per run.
+    A caller that estimates on the same taps every block may pass their
+    ``spectrum``, ``tap_spectrum(taps, m)``, which then replaces ``taps``.
     """
-    p_h = row_energy(tap_spectrum(taps, m))
+    p_h = row_energy(tap_spectrum(taps, m) if spectrum is None else spectrum)
     return (p_r - sigma2 * m) * nc / p_h
 
 
@@ -190,7 +192,10 @@ def subspace_estimate(state: GroupCovariance, cap: int = 7) -> SubspaceEstimate:
     mdl = blocks * fit + 0.5 * orders * (2 * nc - orders) * np.log(blocks)
     k_int = np.argmin(mdl.sum(axis=-2), axis=-1)
     k_float = np.argmin(mdl, axis=-1).mean(axis=-1)
-    # the noise subspace differs in size from run to run
-    sigma2 = np.reshape([e[:, :nc - k].mean() for e, k in
-                         zip(eig.reshape(-1, n, nc), k_int.ravel())], batch)
-    return SubspaceEstimate(sigma2[()], k_float[()], k_int[()], False)
+    # the noise subspace differs in size from run to run: one mean per order
+    rows, orders_used = eig.reshape(-1, n, nc), k_int.ravel()
+    sigma2 = np.empty(orders_used.shape)
+    for k in set(orders_used.tolist()):
+        sel = orders_used == k
+        sigma2[sel] = rows[sel, :, :nc - k].mean(axis=(-2, -1))
+    return SubspaceEstimate(sigma2.reshape(batch)[()], k_float[()], k_int[()], False)

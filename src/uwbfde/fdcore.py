@@ -181,18 +181,22 @@ def genie_covariance(taps, codes, sigma2: float, n: int):
     return cov, lam
 
 
-def circulant_apply(taps, chips) -> np.ndarray:
+def circulant_apply(taps, chips, spectrum=None) -> np.ndarray:
     """Circular convolution of a chip block with a tap vector (zero-padded).
 
     Equivalent to multiplying by the circulant matrix whose first column is
-    ``taps`` zero-padded to the block length. Leading axes broadcast.
+    ``taps`` zero-padded to the block length. Leading axes broadcast. A
+    caller that applies the same taps to many blocks may pass their
+    ``spectrum``, ``tap_spectrum(taps, m)``, which then replaces ``taps``.
     """
     chips = _as_complex_rows(chips, "chips")
-    taps = _as_complex_rows(taps, "taps")
     m = chips.shape[-1]
-    if taps.shape[-1] > m:
-        raise ValueError(f"tap count {taps.shape[-1]} exceeds block length {m}")
-    return np.fft.ifft(np.fft.fft(chips) * np.fft.fft(taps, n=m))
+    if spectrum is None:
+        taps = _as_complex_rows(taps, "taps")
+        if taps.shape[-1] > m:
+            raise ValueError(f"tap count {taps.shape[-1]} exceeds block length {m}")
+        spectrum = np.fft.fft(taps, n=m)
+    return np.fft.ifft(np.fft.fft(chips) * spectrum)
 
 
 def solve_regularized(mats, rhs, delta: float):
@@ -264,6 +268,15 @@ def cg_least_squares(x, op, d, iters: int, trace=None) -> int:
     return iters
 
 
+def reads_raw_words(rng: np.random.Generator, count: int) -> bool:
+    """Whether :func:`random_bits` reads ``count`` bits from ``count // 2``
+    raw words of ``rng`` (an even count on a half-word generator) rather
+    than calling ``integers``."""
+    # looked up here: numpy imports np.random on first use, not with numpy
+    half_word = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+    return count % 2 == 0 and isinstance(rng.bit_generator, half_word)
+
+
 def random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` equiprobable 0/1 draws: the values of
     ``rng.integers(0, 2, count)``, leaving ``rng`` where that call would.
@@ -275,14 +288,12 @@ def random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
     ``count // 2`` raw words, without the per-call overhead of
     ``integers``. An odd count leaves a buffered half-word for the next
     32-bit draw, which raw words cannot, so it calls ``integers``, as does
-    any other bit generator. The even path assumes that no half-word is
-    buffered: true of a fresh generator and after 64-bit or even-count
-    draws. After an odd count or a scalar draw below ``2**32`` it returns
-    other, equally random, bits.
+    any other bit generator (:func:`reads_raw_words`). The even path assumes
+    that no half-word is buffered: true of a fresh generator and after
+    64-bit or even-count draws. After an odd count or a scalar draw below
+    ``2**32`` it returns other, equally random, bits.
     """
-    # looked up here: numpy imports np.random on first use, not with numpy
-    half_word = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
-    if count % 2 or not isinstance(rng.bit_generator, half_word):
+    if not reads_raw_words(rng, count):
         return rng.integers(0, 2, count)
     words = rng.bit_generator.random_raw(count // 2).astype("<u8", copy=False)
     return (words.view("<u4") >> 31).astype(np.int64)     # low half first

@@ -13,19 +13,22 @@ Protocol notes
 * Runs are independent trials with private RNG streams derived from
   ``(base_seed, stream, run, point)``; each run draws its own channel, which
   is held constant for the whole run and shared across sweep points.
-* Runs are batched: the runs one process owns advance together, as the rows
-  of ``(R, ...)`` arrays, through synthesis, the adaptive steps, the genie
-  builds, detection and the estimators, each row drawing from its own
-  generator. Every BER experiment runs one trial, :func:`_ber_trial`, in
-  which a row is one (run, point) pair with its own user count and noise
-  variance. A training curve (``ber-vs-blocks``) has one point and scores
-  every training block. A steady-state sweep (``ber-vs-snr``,
-  ``ber-vs-users``) trains every point of its runs in one pass, freezes
-  every runner's weights, and scores ``eval_blocks`` more blocks. Every
-  trial returns ``{name: (R, ...) array}``. ``--workers`` splits the runs
-  into contiguous slices, one per worker process, and the slices join along
-  the run axis. Every row is computed as it would be alone, so output is
-  byte-identical for any worker count and batch size.
+* Every trial runs on one row axis: a row is one (run, point) pair, runs
+  outermost, with its own generator, user count and noise variance and its
+  run's channel. :func:`_map_rows` cuts a trial's rows into contiguous,
+  balanced chunks of at most ``_MAX_ROWS`` rows, and a chunk's rows advance
+  together, as the rows of ``(R, ...)`` arrays, through synthesis, the
+  adaptive steps, the genie builds, detection and the estimators. The
+  channels and their spectra are built once per trial. Every BER experiment
+  runs one trial, :func:`_ber_trial`. A training curve (``ber-vs-blocks``)
+  has one point and scores every training block. A steady-state sweep
+  (``ber-vs-snr``, ``ber-vs-users``) trains every point of a chunk in one
+  pass, freezes every runner's weights, and scores ``eval_blocks`` more
+  blocks. The ``estimators`` noise-variance sweep and user-count traces put
+  their points on the same axis. ``--workers`` deals the chunks to worker
+  processes in contiguous groups, and the chunks' results join in row
+  order. Every row is computed as it would be alone, so output is
+  byte-identical for any worker count and chunk size.
 * On estimated inputs a BER trial folds each training block once into one
   per-group covariance of its rows, and every adaptive SCE runner builds
   its weights on the one subspace estimate taken from it.
@@ -42,9 +45,10 @@ Protocol notes
   weight array share its decision on each scored block.
 * A diverging row is recorded at its first non-finite update. It stays
   non-finite, which touches no other row, and its later divergences are not
-  recorded while the other rows finish. The experiment then raises for the
-  lowest-index diverged run at its first diverged point, naming the point,
-  algorithm and block.
+  recorded while the other rows of its chunk finish. The experiment then
+  raises for the lowest-index diverged run at its first diverged point,
+  naming the point, algorithm and block; so does a noise-variance row
+  without a usable pilot block.
 * Every experiment function first calls ``cfg.validate(<its name>)``, the
   one place that refuses a config value that cannot run or that the
   experiment would ignore; the CLI adds only its ``--check`` rule.
@@ -69,7 +73,14 @@ from .estimators import (
     update_covariance,
     update_power,
 )
-from .fdcore import DivergenceError, random_bits, random_bpsk, spread, walsh_code_set
+from .fdcore import (
+    DivergenceError,
+    random_bpsk,
+    reads_raw_words,
+    spread,
+    tap_spectrum,
+    walsh_code_set,
+)
 from .opcount import OpCounter, nominal_cost
 from .sce import build_mmse_sce, pilot_matrix
 
@@ -417,36 +428,47 @@ def _new_runners(cfg, users, sigma2, taps, codes, algo_keys):
             for key in algo_keys}
 
 
-def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks, synthesize=True):
+def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks, synthesize=True,
+                     spectrum=None):
     """Yield ``(blocks, z)``, the ``(..., K, n)`` symbols and ``(..., m)``
     spectrum, for each of ``n_blocks`` blocks. ``taps`` is ``(R, L)`` with
     ``rng`` a list of R generators, or ``(L,)`` with one generator; ``users``
-    and ``sigma2`` are scalars or one value per row. Each row draws its bits
-    (:func:`fdcore.random_bits`), then its noise (:func:`channel.draw_noise`),
-    from its own generator; ``K`` is the largest user count, and a row with
-    fewer users has all-zero symbols for the others. Without ``synthesize``
-    the blocks are only drawn, so every generator ends where it would, and
-    nothing is yielded."""
+    and ``sigma2`` are scalars or one value per row; ``spectrum`` is as for
+    :func:`channel.synthesize_rx`. Each row draws its bits, the values of
+    :func:`fdcore.random_bits` (raw words land in one buffer, read once per
+    block), then its noise (:func:`channel.draw_noise`), from its own
+    generator; ``K`` is the largest user count, and a row with fewer users
+    has all-zero symbols for the others. Without ``synthesize`` the blocks
+    are only drawn, so every generator ends where it would, and nothing is
+    yielded."""
     gens = rng if np.ndim(taps) == 2 else [rng]
     counts = np.broadcast_to(users, len(gens)) * n
     width = int(counts.max())
     drawn = np.arange(width) < counts[:, None]
-    ints = np.zeros((len(gens), width), dtype=np.int64)
+    raw = [reads_raw_words(g, count) for g, count in zip(gens, counts)]
+    words = np.zeros((len(gens), (width + 1) // 2), dtype="<u8")
     for _ in range(n_blocks):
-        for g, row, count in zip(gens, ints, counts):
-            row[:count] = random_bits(g, count)
+        drawn_ints = {}
+        for row, (g, count, fast) in enumerate(zip(gens, counts, raw)):
+            if fast:
+                words[row, :count // 2] = g.bit_generator.random_raw(count // 2)
+            else:
+                drawn_ints[row] = g.integers(0, 2, count)
         if not synthesize:
             channel.draw_noise(gens, sigma2, n * codes.shape[1])
             continue
+        ints = (words.view("<u4") >> 31)[:, :width]        # low half first
+        for row, values in drawn_ints.items():
+            ints[row, :values.size] = values
         bits = np.where(drawn, ints * 2.0 - 1.0, 0.0)     # as fdcore.random_bpsk
         blocks = bits.reshape(*np.shape(taps)[:-1], -1, n)
-        yield blocks, channel.synthesize_rx(blocks, codes, taps, sigma2, rng)
+        yield blocks, channel.synthesize_rx(blocks, codes, taps, sigma2, rng, spectrum)
 
 
 # check_finite reports a diverging row with its context; numpy's warnings would repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
-                     errors_out=None, where=("run",), cov=None) -> dict:
+                     errors_out=None, where=("run",), cov=None, spectrum=None) -> dict:
     """Advance every runner over ``n_blocks`` blocks of every row, filling
     ``errors_out`` (``key -> (..., n_blocks)`` error counts). On estimated
     inputs ``cov`` is the trial's :class:`GroupCovariance`: each block is
@@ -457,7 +479,7 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
     only drawn. Runners without state (genies and frozen runners) that hold
     one weight array share its decision on each block.
 
-    ``users``, ``sigma2``, ``taps`` and ``rng`` are as for
+    ``users``, ``sigma2``, ``taps``, ``rng`` and ``spectrum`` are as for
     :func:`_received_blocks`. Returns the first divergence of each diverged
     row, ``{row: message}``, the message naming ``where[row]``, the
     algorithm and the block. A diverged row keeps its non-finite state,
@@ -473,7 +495,7 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
     # a pass that no runner reads is only drawn, and yields no block to this loop
     read = errors_out is not None or any(r.state is not None for r in runners.values())
     for i, (blocks, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rng,
-                                                      n_blocks, synthesize=read)):
+                                                      n_blocks, read, spectrum)):
         desired = blocks[..., 0, :]
         normal = (sce.NormalEquations(z, pilot_matrix(spread(desired, code0)), cfg.cir_taps)
                   if need_pilot else None)
@@ -512,10 +534,91 @@ def _batch_inputs(cfg, runs):
     return taps, walsh_code_set(cfg.spreading)
 
 
-def _where(runs, points):
-    """Each (run, point) row's context, runs outermost."""
-    return [f"run {r}, {snr_db:g} dB SNR, {users} users" for r in runs
-            for _, snr_db, users in points]
+# rows one chunk advances at once: it bounds what a worker holds, while wider
+# chunks cost less per row (the cap sweep is recorded in CHANGES.md)
+_MAX_ROWS = 40
+
+
+@dataclass
+class _Rows:
+    """A contiguous chunk of a trial's (run, point) rows, runs outermost:
+    each row's run and ``(point_idx, snr_db, users)`` point, and its run's
+    taps ``(R, L)`` and their m-bin spectrum ``(R, m)``."""
+
+    runs: list
+    points: list
+    taps: np.ndarray
+    spectrum: np.ndarray
+    codes: np.ndarray
+
+    def __len__(self):
+        return len(self.runs)
+
+    @property
+    def users(self) -> np.ndarray:
+        return np.array([k for _, _, k in self.points])
+
+    @property
+    def sigma2(self) -> np.ndarray:
+        return np.array([ExperimentConfig.sigma2_for(snr_db) for _, snr_db, _ in self.points])
+
+    @property
+    def where(self) -> list[str]:
+        """Each row's context in error messages."""
+        return [f"run {r}, {snr_db:g} dB SNR, {users} users"
+                for r, (_, snr_db, users) in zip(self.runs, self.points)]
+
+    def rngs(self, cfg) -> list:
+        return [_data_rng(cfg, r, point[0]) for r, point in zip(self.runs, self.points)]
+
+    def blocks(self, cfg, n_blocks):
+        """:func:`_received_blocks` over these rows."""
+        return _received_blocks(self.users, cfg.block_length, self.codes, self.taps,
+                                self.sigma2, self.rngs(cfg), n_blocks, spectrum=self.spectrum)
+
+
+def _plan_chunks(rows: int, workers: int) -> list[list[range]]:
+    """Cut ``rows`` rows into contiguous, balanced chunks of at most
+    ``_MAX_ROWS`` rows, at least one per worker where the rows allow, and
+    deal them to at most ``workers`` workers as contiguous groups."""
+    count = max(-(-rows // _MAX_ROWS), min(workers, rows))
+    chunks = [range(part[0], part[-1] + 1) for part in np.array_split(np.arange(rows), count)]
+    return [chunks[group[0]:group[-1] + 1]
+            for group in np.array_split(np.arange(count), min(workers, count))]
+
+
+def _map_rows(cfg, trial, points, runs, *args) -> dict:
+    """Advance every (run, point) row of ``runs`` x ``points``, runs
+    outermost, through ``trial(cfg, rows, *args)`` one :class:`_Rows` chunk
+    at a time (:func:`_plan_chunks`, one contiguous group of chunks per
+    worker process), and join the chunks' ``{name: (rows, ...)}`` results
+    in row order. The channels and their spectra are built (a ``cir_file``
+    read) once per trial. A chunk raises for its lowest failed row, so the
+    trial's lowest failed row raises."""
+    taps, codes = _batch_inputs(cfg, runs)
+    inputs = (list(runs), list(points), taps, tap_spectrum(taps, cfg.chips_per_block), codes)
+    groups = _plan_chunks(len(runs) * len(points), cfg.workers)
+    if len(groups) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a split run needs the pool
+        with ProcessPoolExecutor(max_workers=len(groups)) as ex:
+            parts = [part for group in ex.map(_run_chunks, [cfg] * len(groups),
+                                              [trial] * len(groups), [inputs] * len(groups),
+                                              groups, [args] * len(groups)) for part in group]
+    else:
+        parts = _run_chunks(cfg, trial, inputs, groups[0], args)
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _run_chunks(cfg, trial, inputs, chunks, args) -> list[dict]:
+    """One worker's chunks, in row order, each built as it runs."""
+    runs, points, taps, spectrum, codes = inputs
+    parts = []
+    for chunk in chunks:
+        run_of = [row // len(points) for row in chunk]
+        rows = _Rows([runs[i] for i in run_of], [points[row % len(points)] for row in chunk],
+                     taps[run_of], spectrum[run_of], codes)
+        parts.append(trial(cfg, rows, *args))
+    return parts
 
 
 def _ber_trial(cfg, points, algo_keys, runs, curve=False):
@@ -525,80 +628,84 @@ def _ber_trial(cfg, points, algo_keys, runs, curve=False):
     before that block's update. A sweep trains, freezes every runner, and
     scores ``cfg.eval_blocks`` more blocks.
 
-    Every (run, point) pair is one row, runs outermost: it draws from its
-    own generator, keeps its run's channel, and all rows train and are
-    scored together. A diverged run raises at its first diverged point; the
-    lowest-index diverged run raises."""
-    taps, codes = _batch_inputs(cfg, runs)
-    row_taps = np.repeat(taps, len(points), axis=0)
-    users = np.tile([k for _, _, k in points], len(runs))
-    sigma2 = np.tile([cfg.sigma2_for(snr_db) for _, snr_db, _ in points], len(runs))
-    rngs = [_data_rng(cfg, r, point_idx) for r in runs for point_idx, _, _ in points]
-    runners = _new_runners(cfg, users, sigma2, row_taps, codes, algo_keys)
+    Every (run, point) pair is one row (:func:`_map_rows`): it draws from
+    its own generator and keeps its run's channel. A diverged run raises at
+    its first diverged point; the lowest-index diverged run raises."""
+    errors = _map_rows(cfg, _ber_rows, points, runs, algo_keys, curve)
+    return {key: e.reshape(len(runs), len(points), *e.shape[1:]) for key, e in errors.items()}
+
+
+def _ber_rows(cfg, rows, algo_keys, curve):
+    """:func:`_ber_trial` on one chunk of rows, which all train and are
+    scored together: ``{key: (rows, blocks)}``."""
+    users, sigma2, rngs = rows.users, rows.sigma2, rows.rngs(cfg)
+    runners = _new_runners(cfg, users, sigma2, rows.taps, rows.codes, algo_keys)
     scored = cfg.training_blocks if curve else cfg.eval_blocks
-    errors = {key: np.zeros((len(rngs), scored), dtype=np.int64) for key in algo_keys}
-    cov = (GroupCovariance.empty(cfg.block_length, cfg.spreading, (len(rngs),))
+    errors = {key: np.zeros((len(rows), scored), dtype=np.int64) for key in algo_keys}
+    cov = (GroupCovariance.empty(cfg.block_length, cfg.spreading, (len(rows),))
            if cfg.use_estimated_sigma2 or cfg.use_estimated_k else None)
-    diverged = _simulate_blocks(cfg, users, sigma2, row_taps, codes, runners, rngs,
+    diverged = _simulate_blocks(cfg, users, sigma2, rows.taps, rows.codes, runners, rngs,
                                 cfg.training_blocks, errors_out=errors if curve else None,
-                                where=_where(runs, points), cov=cov)
+                                where=rows.where, cov=cov, spectrum=rows.spectrum)
     if diverged:
         raise DivergenceError(diverged[min(diverged)])
     if not curve:
         estimate = None if cov is None else subspace_estimate(cov)
         for runner in runners.values():
             runner.freeze(estimate)
-        _simulate_blocks(cfg, users, sigma2, row_taps, codes, runners, rngs,
-                         cfg.eval_blocks, errors_out=errors)
-    return {key: e.reshape(len(runs), len(points), scored) for key, e in errors.items()}
+        _simulate_blocks(cfg, users, sigma2, rows.taps, rows.codes, runners, rngs,
+                         cfg.eval_blocks, errors_out=errors, spectrum=rows.spectrum)
+    return errors
 
 
 def _sigma2_trial(cfg, points, runs):
     """Noise-variance sweep of a batch of runs: at each ``(point_idx, snr_db,
     users)`` point, the mean over ``cfg.training_blocks`` blocks of the
     degrees-of-freedom corrected maximum-likelihood pilot fit. Returns
-    ``{"sigma2": (R, P)}``.
+    ``{"sigma2": (R, P)}``; every (run, point) pair is one row
+    (:func:`_map_rows`).
 
-    Each block's pilots are fitted in one call. A degenerate pilot block
-    (tiny scales only) fails that call; the block is then refitted row by
-    row and the degenerate rows are left out of their runs' means. A run
-    with no usable block raises ``LinAlgError``.
+    Each block's pilots are fitted in one call per chunk of rows. A
+    degenerate pilot block (tiny scales only) fails that call; the block is
+    then refitted row by row and the degenerate rows are left out of their
+    means. The lowest row with no usable block raises ``LinAlgError``.
     """
-    taps, codes = _batch_inputs(cfg, runs)
-    out = np.empty((len(runs), len(points)))
-    for col, (point_idx, snr_db, users) in enumerate(points):
-        rngs = [_data_rng(cfg, r, point_idx) for r in runs]
-        total = np.zeros(len(runs))
-        used = np.zeros(len(runs), dtype=int)
-        for blocks, z in _received_blocks(users, cfg.block_length, codes, taps,
-                                          cfg.sigma2_for(snr_db), rngs, cfg.training_blocks):
-            xdiag = pilot_matrix(spread(blocks[:, 0], codes[0]))
-            try:
-                s2, _ = ml_noise_variance(z, xdiag, cfg.cir_taps)
-                ok = np.ones(len(runs), dtype=bool)
-            except np.linalg.LinAlgError:
-                s2, ok = np.zeros(len(runs)), np.zeros(len(runs), dtype=bool)
-                for row in range(len(runs)):
-                    try:
-                        s2[row], _ = ml_noise_variance(z[row], xdiag[row], cfg.cir_taps)
-                        ok[row] = True
-                    except np.linalg.LinAlgError:
-                        pass
-            total[ok] += s2[ok]
-            used += ok
-        if not used.all():
-            raise np.linalg.LinAlgError(
-                f"run {runs[int(np.argmin(used))]}, {snr_db:g} dB SNR, {users} users: "
-                "every pilot block was rank deficient")
-        out[:, col] = total / used
-    return {"sigma2": out}
+    per_row = _map_rows(cfg, _sigma2_rows, points, runs)["sigma2"]
+    return {"sigma2": per_row.reshape(len(runs), len(points))}
+
+
+def _sigma2_rows(cfg, rows):
+    """:func:`_sigma2_trial` on one chunk of rows: ``{"sigma2": (rows,)}``."""
+    total = np.zeros(len(rows))
+    used = np.zeros(len(rows), dtype=int)
+    code0 = rows.codes[0]
+    for blocks, z in rows.blocks(cfg, cfg.training_blocks):
+        xdiag = pilot_matrix(spread(blocks[:, 0], code0))
+        try:
+            s2, _ = ml_noise_variance(z, xdiag, cfg.cir_taps)
+            ok = np.ones(len(rows), dtype=bool)
+        except np.linalg.LinAlgError:
+            s2, ok = np.zeros(len(rows)), np.zeros(len(rows), dtype=bool)
+            for row in range(len(rows)):
+                try:
+                    s2[row], _ = ml_noise_variance(z[row], xdiag[row], cfg.cir_taps)
+                    ok[row] = True
+                except np.linalg.LinAlgError:
+                    pass
+        total[ok] += s2[ok]
+        used += ok
+    if not used.all():
+        raise np.linalg.LinAlgError(f"{rows.where[int(np.argmin(used))]}: "
+                                    "every pilot block was rank deficient")
+    return {"sigma2": total / used}
 
 
 def estimator_kcount_trial(cfg: ExperimentConfig, user_set, runs) -> dict:
     """Per-block user-count traces of a batch of runs at the last configured
-    SNR, for each user count ``k`` of ``user_set`` in turn: the columns
+    SNR, for each user count ``k`` of ``user_set``: the columns
     ``k_float_genie_k<k>``, ``k_float_est_k<k>`` and ``k_int_est_k<k>``,
-    each ``(R, blocks)``.
+    each ``(R, blocks)``. Every (run, user count) pair is one row
+    (:func:`_map_rows`); a run's rows share its generator seed.
 
     Over ``cfg.training_blocks`` blocks this records the genie-input
     power-inversion estimate (true noise variance and channel energy) and
@@ -608,46 +715,31 @@ def estimator_kcount_trial(cfg: ExperimentConfig, user_set, runs) -> dict:
     7 users) until more than ``cfg.spreading`` blocks are accumulated and
     never exceed that cap.
     """
-    taps, codes = _batch_inputs(cfg, runs)
-    sigma2 = cfg.sigma2_for(cfg.snr_db[-1])
+    points = [(10_000, cfg.snr_db[-1], users) for users in user_set]
+    traces = _map_rows(cfg, _kcount_rows, points, runs)
+    return {f"{name}_k{users}": trace.reshape(len(runs), len(points), -1)[:, col]
+            for col, users in enumerate(user_set) for name, trace in traces.items()}
+
+
+def _kcount_rows(cfg, rows):
+    """:func:`estimator_kcount_trial` on one chunk of rows:
+    ``{"k_float_genie" | "k_float_est" | "k_int_est": (rows, blocks)}``."""
     n, nc, m = cfg.block_length, cfg.spreading, cfg.chips_per_block
-    shape = (len(runs), cfg.training_blocks)
-    out = {}
-    for users in user_set:
-        rngs = [_data_rng(cfg, r, 10_000) for r in runs]
-        power = EstimatorState()
-        cov = GroupCovariance.empty(n, nc, (len(runs),))
-        k_float_genie, k_float_est = np.zeros(shape), np.zeros(shape)
-        k_int_est = np.zeros(shape, dtype=np.int64)
-        for i, (_, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rngs,
-                                                     cfg.training_blocks)):
-            update_power(power, z)
-            k_float_genie[:, i] = estimate_user_count(power.received_power, sigma2, taps, nc, m)
-            guess = subspace_estimate(update_covariance(cov, z))
-            k_float_est[:, i] = guess.k_float
-            k_int_est[:, i] = guess.k_int
-        out.update({f"k_float_genie_k{users}": k_float_genie,
-                    f"k_float_est_k{users}": k_float_est, f"k_int_est_k{users}": k_int_est})
-    return out
-
-
-def _map_runs(cfg, fn, args_for):
-    """Split the runs into one contiguous slice per worker and return the
-    per-run results in run order.
-
-    ``args_for(runs)`` builds the arguments of ``fn`` for a list of run
-    indices; ``fn(*args)`` returns ``{name: (R, ...) array}`` for the R runs
-    of its list, and the slices join along axis 0.
-    """
-    slices = np.array_split(np.arange(cfg.runs), min(cfg.workers, cfg.runs))
-    tasks = [args_for([int(r) for r in part]) for part in slices]
-    if len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a split run needs the pool
-        with ProcessPoolExecutor(max_workers=len(tasks)) as ex:
-            parts = list(ex.map(fn, *zip(*tasks)))
-    else:
-        parts = [fn(*tasks[0])]
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    sigma2 = rows.sigma2
+    shape = (len(rows), cfg.training_blocks)
+    power = EstimatorState()
+    cov = GroupCovariance.empty(n, nc, (len(rows),))
+    k_float_genie, k_float_est = np.zeros(shape), np.zeros(shape)
+    k_int_est = np.zeros(shape, dtype=np.int64)
+    for i, (_, z) in enumerate(rows.blocks(cfg, cfg.training_blocks)):
+        update_power(power, z)
+        k_float_genie[:, i] = estimate_user_count(power.received_power, sigma2, rows.taps,
+                                                  nc, m, rows.spectrum)
+        guess = subspace_estimate(update_covariance(cov, z))
+        k_float_est[:, i] = guess.k_float
+        k_int_est[:, i] = guess.k_int
+    return {"k_float_genie": k_float_genie, "k_float_est": k_float_est,
+            "k_int_est": k_int_est}
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +775,7 @@ def _ber_curve(cfg, points, x_name, x, experiment, curve=False, **meta) -> Curve
     """Mean BER and its standard error over runs, per block of a training
     curve or per point of a sweep."""
     algo_keys = cfg.algo_keys()
-    errors = _map_runs(cfg, _ber_trial, lambda runs: (cfg, points, algo_keys, runs, curve))
+    errors = _ber_trial(cfg, points, algo_keys, list(range(cfg.runs)), curve)
     out = CurveSet(x_name, x, meta={**cfg.metadata(), "experiment": experiment, **meta})
     n = cfg.block_length
     for key in algo_keys:
@@ -725,7 +817,7 @@ def run_estimator_curves(cfg: ExperimentConfig) -> dict:
         [cfg.sigma2_for(s) for s in snrs])
     # the SNR index seeds a cell's blocks, whatever its user count
     points = [(idx, float(snr), k) for k in user_set_sigma2 for idx, snr in enumerate(snrs)]
-    per_run = _map_runs(cfg, _sigma2_trial, lambda runs: (cfg, points, runs))["sigma2"]
+    per_run = _sigma2_trial(cfg, points, list(range(cfg.runs)))["sigma2"]
     cells = per_run.T.reshape(len(user_set_sigma2), len(snrs), cfg.runs)
     for k, means in zip(user_set_sigma2, cells.mean(axis=-1)):
         sigma2_curve.columns[f"sigma2_hat_k{k}"] = means
@@ -733,7 +825,7 @@ def run_estimator_curves(cfg: ExperimentConfig) -> dict:
     kcount_curve = CurveSet("block", np.arange(1, cfg.training_blocks + 1),
                             meta={**cfg.metadata(), "experiment": "estimators-kcount",
                                   "snr_db_point": cfg.snr_db[-1]})
-    traces = _map_runs(cfg, estimator_kcount_trial, lambda runs: (cfg, user_set_kcount, runs))
+    traces = estimator_kcount_trial(cfg, user_set_kcount, list(range(cfg.runs)))
     for name, per_run in traces.items():
         kcount_curve.columns[name] = per_run.astype(float).mean(axis=0)
     return {"sigma2": sigma2_curve, "kcount": kcount_curve}

@@ -97,6 +97,29 @@ def test_block_source_matches_the_row_by_row_oracle(drawn_only):
             assert not row[users:].any()
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_block_source_on_mixed_generators_matches_the_oracle(n):
+    # raw-word rows (even counts on half-word generators) share one buffer;
+    # an MT19937 row and odd counts draw with integers, in the same batch
+    kinds = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+    def gens():
+        return [np.random.Generator(kind(19 + r)) for r, kind in enumerate(kinds)]
+
+    taps = _channels(19)
+    expected = list(received_blocks(SOURCE_USERS, n, CODES, taps, SOURCE_SIGMA2, gens(), 5))
+    rngs = gens()
+    assert list(_received_blocks(SOURCE_USERS, n, CODES, taps, SOURCE_SIGMA2, rngs, 2,
+                                 synthesize=False)) == []
+    got = list(_received_blocks(SOURCE_USERS, n, CODES, taps, SOURCE_SIGMA2, rngs, 3,
+                                spectrum=fdcore.tap_spectrum(taps, n * NC)))
+    for (blocks, z), (symbols, z_ref) in zip(got, expected[2:], strict=True):
+        assert_array_equal(z, z_ref)
+        for row, users, ref in zip(blocks, SOURCE_USERS, symbols):
+            assert_array_equal(row[:users], ref)
+            assert not row[users:].any()
+
+
 @pytest.mark.parametrize("users", [1, 2])
 def test_block_source_with_one_generator_matches_the_oracle(users):
     taps = _channels(18)[0]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import circulant_matrix, dft_matrix
 from uwbfde import fdcore
@@ -157,6 +157,23 @@ class TestSynthesizeRx:
         h_mat = circulant_matrix(taps, m)
         chips = sum(fdcore.spread(blocks[i], codes[i]) for i in range(k))
         assert_allclose(z, fmat @ h_mat @ chips, atol=1e-12)
+
+    def test_given_spectrum_replaces_the_taps_bitwise(self):
+        # a batch with noiseless rows (noise added by index) and one where
+        # every row is noisy (added by slice)
+        n, nc, rows = 6, 4, 5
+        codes = fdcore.walsh_code_set(nc)
+        taps = generate_cir(ChannelProfile(4, 0.3, seed=21))[None] * np.arange(1, rows + 1)[:, None]
+        spectrum = fdcore.tap_spectrum(taps, n * nc)
+        blocks = fdcore.random_bpsk(np.random.default_rng(22), rows * 3 * n).reshape(rows, 3, n)
+        for sigma2 in ([0.1, 0.0, 0.3, 0.0, 0.2], 0.05):
+            z = [synthesize_rx(blocks, codes, taps, sigma2,
+                               [np.random.default_rng([23, r]) for r in range(rows)], **given)
+                 for given in ({}, {"spectrum": spectrum})]
+            assert_array_equal(z[0], z[1])
+        chips = fdcore.spread(blocks[:, 0], codes[0])
+        assert_array_equal(fdcore.circulant_apply(None, chips, spectrum),
+                           fdcore.circulant_apply(taps, chips))
 
     def test_pure_noise_variance(self):
         rng = np.random.default_rng(16)

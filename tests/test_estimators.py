@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import fourier_tap_basis
 from uwbfde import fdcore
@@ -176,6 +176,13 @@ class TestUserCount:
         assert estimate_user_count(state.received_power, 0.0, taps, nc, m) == pytest.approx(
             nc, abs=0.15)
 
+    def test_given_spectrum_replaces_the_taps_bitwise(self):
+        taps = np.stack([generate_cir(ChannelProfile(3, 0.2, seed=[17, r])) for r in range(4)])
+        p_r = np.array([0.5, 1.0, 2.0, 3.0])
+        assert_array_equal(estimate_user_count(p_r, 0.1, None, 4, 16,
+                                               fdcore.tap_spectrum(taps, 16)),
+                           estimate_user_count(p_r, 0.1, taps, 4, 16))
+
     def test_monotonicity(self):
         taps = [1.0]
         base = estimate_user_count(2.0, 0.1, taps, 4, 1)
@@ -194,6 +201,26 @@ def _covariance(rng, n, nc, taps, sigma2, users, blocks):
 
 
 class TestSubspaceEstimate:
+    def test_noise_floor_equals_the_per_row_mean(self):
+        # sigma2 is taken with one vector step per distinct order; it equals
+        # each row's own mean of its nc - k_int smallest eigenvalues, bitwise
+        rng = np.random.default_rng(31)
+        n, nc, rows = 8, 4, 240
+        codes = fdcore.walsh_code_set(nc)
+        taps = np.stack([generate_cir(ChannelProfile(3, 0.2, seed=[32, r])) for r in range(rows)])
+        users = rng.integers(0, nc + 1, rows)
+        sigma2 = 10.0 ** -rng.uniform(0, 2, rows)
+        gens = [np.random.default_rng([33, r]) for r in range(rows)]
+        state = GroupCovariance.empty(n, nc, (rows,))
+        for _ in range(30):
+            data = fdcore.random_bpsk(rng, rows * nc * n).reshape(rows, nc, n)
+            data[np.arange(nc) >= users[:, None]] = 0.0
+            update_covariance(state, synthesize_rx(data, codes, taps, sigma2, gens))
+        est = subspace_estimate(state)
+        eig = np.maximum(np.linalg.eigvalsh(state.acc / state.blocks), 0.0)
+        assert len(np.unique(est.k_int)) >= 4
+        assert_array_equal(est.sigma2, [e[:, :nc - k].mean() for e, k in zip(eig, est.k_int)])
+
     def test_groups_bins_congruent_mod_n(self):
         n, nc = 4, 2
         z = np.arange(n * nc, dtype=complex)

@@ -66,6 +66,23 @@ def test_estimator_outputs_match_golden(tmp_path):
             f"running numpy {np.__version__})")
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("max_rows", [1, 7, 64])
+def test_output_is_independent_of_chunking(max_rows, workers, tmp_path, monkeypatch):
+    # the (run, point) rows advance in chunks of at most _MAX_ROWS; the
+    # bytes do not depend on the cap or on how the chunks are dealt to workers
+    monkeypatch.setattr(harness, "_MAX_ROWS", max_rows)
+    argv = ["--workers", str(workers), "--out"]
+    for name in ("ber_vs_users_n16_nc4_l9.csv", "ber_vs_snr_n16_nc4_l9.csv"):
+        assert cli_main([*CASES[name], *argv, str(tmp_path / name)]) == 0
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert cli_main(["--experiment", "estimators", "--snr-db", "0,8,16", *SMALL,
+                     *argv, str(tmp_path / "estimators_n16_nc4_l9.csv")]) == 0
+    for curve in ("sigma2", "kcount"):
+        name = f"estimators_n16_nc4_l9_{curve}.csv"
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
 def _columns(path):
     """Each column of a CSV as its list of value strings, by name."""
     header, *rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()

@@ -175,6 +175,20 @@ class TestExperiments:
                 DivergenceError, match=r"^run 3, 12 dB SNR, 2 users, da-lms, block 331 of 400"):
             _ber_trial(cfg, [(0, 12.0, 2)], ["da-lms"], [3], curve=True)
 
+    @pytest.mark.parametrize("max_rows, workers", [(1, 1), (2, 1), (2, 2), (1, 3)])
+    def test_divergence_across_chunks_names_lowest_run_at_first_point(
+            self, monkeypatch, max_rows, workers):
+        # run 2 diverges at 8 dB (block 383) and 16 dB, not at 12 dB; run 3
+        # diverges earlier (block 331) at every point. Run 2's rows straddle
+        # a chunk boundary, and its first diverged point raises.
+        cfg = _tiny_config(scheme="da", algorithm="lms", mu_w=5.0, training_blocks=400,
+                           eval_blocks=5, runs=4, workers=workers)
+        monkeypatch.setattr(harness, "_MAX_ROWS", max_rows)
+        points = [(0, 12.0, 2), (1, 8.0, 2), (2, 16.0, 2)]
+        with np.errstate(all="ignore"), pytest.raises(
+                DivergenceError, match=r"^run 2, 8 dB SNR, 2 users, da-lms, block 383 of 400"):
+            _ber_trial(cfg, points, ["da-lms"], [2, 3])
+
     def test_ber_vs_blocks_shape(self):
         curve = run_ber_vs_blocks(_tiny_config())
         assert curve.x_name == "block"
@@ -249,11 +263,11 @@ class TestSigma2Sweep:
         cfg = ExperimentConfig(**_DEGENERATE)
         runs = list(range(cfg.runs))
         points = [(idx, snr, 1) for idx, snr in enumerate(cfg.snr_db)]
-        expected, skipped, failed_blocks = [[] for _ in runs], 0, 0
-        for point in points:
+        expected, skipped, row_fits = [[] for _ in runs], 0, {}
+        for col, point in enumerate(points):
             fits = _one_row_fits(cfg, *point, runs)
-            failed_blocks += sum(None in block for block in zip(*fits))
             for row, run_fits in enumerate(fits):
+                row_fits[row * len(points) + col] = run_fits     # (run, point) rows, runs outermost
                 total, used = 0.0, 0
                 for s2 in run_fits:
                     if s2 is None:
@@ -270,23 +284,48 @@ class TestSigma2Sweep:
             return ml_noise_variance(z, xdiag, num_taps)
 
         monkeypatch.setattr(harness, "ml_noise_variance", counting_fit)
+        monkeypatch.setattr(harness, "_MAX_ROWS", 7)      # 18 rows in chunks of 6
         assert_array_equal(harness._sigma2_trial(cfg, points, runs)["sigma2"], expected)
-        # one batched fit per block; a block with a degenerate pilot is refitted row by row
-        assert calls.count(2) == len(points) * cfg.training_blocks
-        assert calls.count(1) == failed_blocks * cfg.runs
+        # one batched fit per chunk and block; a block with a degenerate pilot
+        # in its chunk is refitted row by row
+        chunks = [range(start, start + 6) for start in (0, 6, 12)]
+        refits = sum(len(chunk) * sum(None in block for block in zip(*(row_fits[row]
+                                                                         for row in chunk)))
+                     for chunk in chunks)
+        assert calls.count(2) == len(chunks) * cfg.training_blocks
+        assert calls.count(1) == refits
+
+    @staticmethod
+    def _first_dead_row(cfg, points, runs):
+        """The lowest (run, point) row, runs outermost, whose every pilot
+        block is rank deficient: ``(row, run, snr_db)``."""
+        dead = sorted((i * len(points) + col, r, point[1])
+                      for col, point in enumerate(points)
+                      for i, (r, fits) in enumerate(zip(runs, _one_row_fits(cfg, *point, runs)))
+                      if fits == [None])
+        assert dead
+        return dead[0]
 
     def test_run_without_a_usable_pilot_raises_naming_it(self):
         cfg = ExperimentConfig(**{**_DEGENERATE, "training_blocks": 1})
         runs = list(range(2, 10))
         points = [(idx, snr, 1) for idx, snr in enumerate(cfg.snr_db)]
-        for point in points:
-            dead = [r for r, fits in zip(runs, _one_row_fits(cfg, *point, runs))
-                    if fits == [None]]
-            if dead:
-                break
-        assert dead
+        _, run, snr_db = self._first_dead_row(cfg, points, runs)
         with pytest.raises(np.linalg.LinAlgError,
-                           match=rf"^run {dead[0]}, {point[1]:g} dB SNR, 1 users: "
+                           match=rf"^run {run}, {snr_db:g} dB SNR, 1 users: "
+                                 "every pilot block was rank deficient"):
+            harness._sigma2_trial(cfg, points, runs)
+
+    @pytest.mark.parametrize("max_rows", [1, 2])
+    def test_unusable_pilot_row_in_a_later_chunk_is_named(self, monkeypatch, max_rows):
+        cfg = ExperimentConfig(**{**_DEGENERATE, "training_blocks": 1})
+        runs = list(range(2, 10))
+        points = [(idx, snr, 1) for idx, snr in enumerate(cfg.snr_db)]
+        row, run, snr_db = self._first_dead_row(cfg, points, runs)
+        monkeypatch.setattr(harness, "_MAX_ROWS", max_rows)
+        assert row not in harness._plan_chunks(len(runs) * len(points), 1)[0][0]
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=rf"^run {run}, {snr_db:g} dB SNR, 1 users: "
                                  "every pilot block was rank deficient"):
             harness._sigma2_trial(cfg, points, runs)
 
@@ -338,19 +377,29 @@ class TestCsvOutput:
         assert lines[1] == "x,a"
         assert lines[2].startswith("1,5.0000000000e-01")
 
-    def test_map_runs_slices_contiguously_in_run_order(self):
-        # 5 runs over 3 workers: batches 0-1, 2-3 and 4, merged in run order
-        slices = []
+    def test_map_rows_chunks_contiguously_in_row_order(self, monkeypatch):
+        monkeypatch.setattr(harness, "_MAX_ROWS", 24)
+        # 5 rows over 3 workers: one chunk each, 0-1, 2-3 and 4, as runs were sliced
+        assert harness._plan_chunks(5, 3) == [[range(0, 2)], [range(2, 4)], [range(4, 5)]]
+        # 100 rows on one worker: five balanced chunks of at most 24
+        assert harness._plan_chunks(100, 1) == [[range(i, i + 20) for i in range(0, 100, 20)]]
+        monkeypatch.setattr(harness, "_MAX_ROWS", 2)
+        assert harness._plan_chunks(10, 3) == [[range(0, 2), range(2, 4)],
+                                               [range(4, 6), range(6, 8)], [range(8, 10)]]
+        chunks = []
 
-        def args_for(runs):
-            slices.append(runs)
-            return ([("run", np.array(runs))],)
+        def echo(cfg, rows, tag):
+            chunks.append((rows.runs, [point[0] for point in rows.points]))
+            return {"run": np.array(rows.runs), "tap": rows.taps[:, 0],
+                    "point": np.array([f"{tag}{point[0]}" for point in rows.points])}
 
-        cfg = _tiny_config(runs=5, workers=3)
-        joined = harness._map_runs(cfg, dict, args_for)
-        assert list(joined) == ["run"]
-        assert_array_equal(joined["run"], [0, 1, 2, 3, 4])
-        assert slices == [[0, 1], [2, 3], [4]]
+        cfg = _tiny_config(runs=3, workers=1)
+        joined = harness._map_rows(cfg, echo, [(0, 12.0, 2), (1, 8.0, 1)], [4, 6, 7], "p")
+        assert chunks == [([4, 4], [0, 1]), ([6, 6], [0, 1]), ([7, 7], [0, 1])]
+        assert_array_equal(joined["run"], [4, 4, 6, 6, 7, 7])
+        assert_array_equal(joined["point"], ["p0", "p1"] * 3)
+        taps, _ = harness._batch_inputs(cfg, [4, 6, 7])
+        assert_array_equal(joined["tap"], np.repeat(taps[:, 0], 2))
 
     def test_workers_do_not_change_output(self, tmp_path):
         cfg1 = _tiny_config(runs=3, workers=1)
