@@ -13,14 +13,16 @@ Two families of estimators live here:
 * The per-block maximum-likelihood fit of the short tap vector to the
   desired user's pilot reads the noise variance off the fit's residual,
   always divided by its degrees of freedom (bins minus fitted taps); the
-  power-inversion user count divides the time-averaged received power, less
-  the noise floor, by the channel energy. With several active users the
-  pilot fit folds their interference into its residual. The harness uses the
-  pilot fit for the ``estimators`` noise-variance sweep and the power
-  inversion, fed the true noise variance and taps, for the genie-input
-  user-count trace.
+  power-inversion user count divides the time-averaged received block
+  energy, which the group covariance's trace gives
+  (:attr:`GroupCovariance.received_power` times ``m``), less the noise
+  floor, by the channel energy. With several active users the pilot fit
+  folds their interference into its residual. The harness uses the pilot
+  fit for the ``estimators`` noise-variance sweep and the power inversion,
+  fed the true noise variance and taps, for the genie-input user-count
+  trace.
 
-The pilot fit, the accumulators and the estimates read from them take a
+The pilot fit, the group covariance and the estimates read from them take a
 leading run axis, each run's value bitwise equal to its own call without the
 axis.
 """
@@ -69,33 +71,12 @@ def ml_noise_variance(z, xdiag, num_taps: int):
     return sigma2_hat[()], taps_hat
 
 
-@dataclass
-class EstimatorState:
-    """Running accumulator for the time-averaged received power; the sum
-    takes the leading shape of the blocks folded into it."""
-
-    power_sum: float | np.ndarray = 0.0
-    blocks: int = 0
-
-    @property
-    def received_power(self) -> float:
-        if self.blocks < 1:
-            raise ValueError("no blocks accumulated yet")
-        return self.power_sum / self.blocks
-
-
-def update_power(state: EstimatorState, z) -> EstimatorState:
-    """Fold one received block's energy, one per run of an ``(R, m)`` batch,
-    into the time-averaged power."""
-    state.power_sum = state.power_sum + row_energy(np.asarray(z, dtype=complex))
-    state.blocks += 1
-    return state
-
-
 def estimate_user_count(p_r, sigma2, taps, nc: int, m: int, spectrum=None):
     """Active-user count from received power, noise floor and channel energy,
-    ``(p_r - sigma2 * m) * nc / p_h`` with ``p_h`` the energy of the taps'
-    spectrum. ``(R, L)`` taps with one power per run give one count per run.
+    ``(p_r - sigma2 * m) * nc / p_h`` with ``p_r`` the time-averaged block
+    energy, ``GroupCovariance.received_power * m``, and ``p_h`` the energy of
+    the taps' spectrum. ``(R, L)`` taps with one power per run give one
+    count per run.
     A caller that estimates on the same taps every block may pass their
     ``spectrum``, ``tap_spectrum(taps, m)``, which then replaces ``taps``.
     """

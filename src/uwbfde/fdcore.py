@@ -239,12 +239,11 @@ def cg_least_squares(x, op, d, iters: int, trace=None) -> int:
     """
     curvature_of = getattr(op, "curvature", lambda direction, filtered: row_energy(filtered))
     err = d - op.matvec(x)
-    grad = -op.rmatvec(err)
-    direction = -grad
-    grad_energy = row_energy(grad)
-    active = np.ones(grad_energy.shape, dtype=bool)
+    resid = op.rmatvec(err)                     # A^H (d - A x), the negated gradient
+    direction = resid.copy()                    # an identity rmatvec returns err itself
+    energy = row_energy(resid)
+    active = energy != 0.0
     for done in range(iters):
-        active &= grad_energy != 0.0
         if not active.any():
             return done
         filtered = op.matvec(direction)
@@ -252,19 +251,21 @@ def cg_least_squares(x, op, d, iters: int, trace=None) -> int:
         active &= curvature != 0.0
         if not active.any():
             return done
-        alpha = np.divide(grad_energy, curvature, out=np.zeros(curvature.shape),
+        alpha = np.divide(energy, curvature, out=np.zeros(curvature.shape),
                           where=active)[..., None]
         x += alpha * direction
+        if trace is not None:                   # resid may be err, which moves next
+            neg_dir_grad = np.einsum("...i,...i->...", direction.conj(), resid)
         err -= alpha * filtered
-        new_grad = -op.rmatvec(err)
-        new_energy = row_energy(new_grad)
-        beta = np.divide(new_energy, grad_energy, out=np.zeros(new_energy.shape),
+        resid = op.rmatvec(err)
+        new_energy = row_energy(resid)
+        beta = np.divide(new_energy, energy, out=np.zeros(new_energy.shape),
                          where=active)[..., None]
         if trace is not None:
-            neg_dir_grad = -np.einsum("...i,...i->...", direction.conj(), grad)
-            trace.append((grad_energy, neg_dir_grad, np.linalg.norm(err, axis=-1)))
-        direction = -new_grad + beta * direction
-        grad, grad_energy = new_grad, new_energy
+            trace.append((energy, neg_dir_grad, np.linalg.norm(err, axis=-1)))
+        direction = resid + beta * direction
+        energy = new_energy
+        active &= energy != 0.0
     return iters
 
 

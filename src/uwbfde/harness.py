@@ -65,13 +65,11 @@ import numpy as np
 from . import channel, da, estimators, sce
 from .channel import ChannelProfile, generate_cir, load_cir
 from .estimators import (
-    EstimatorState,
     GroupCovariance,
     estimate_user_count,
     ml_noise_variance,
     subspace_estimate,
     update_covariance,
-    update_power,
 )
 from .fdcore import (
     DivergenceError,
@@ -707,10 +705,11 @@ def estimator_kcount_trial(cfg: ExperimentConfig, user_set, runs) -> dict:
     each ``(R, blocks)``. Every (run, user count) pair is one row
     (:func:`_map_rows`); a run's rows share its generator seed.
 
-    Over ``cfg.training_blocks`` blocks this records the genie-input
-    power-inversion estimate (true noise variance and channel energy) and
-    the estimated-input subspace estimate of the per-group received
-    covariance, which reads neither the truth nor a pilot. The estimated
+    Over ``cfg.training_blocks`` blocks each row folds its blocks into one
+    per-group received covariance and records two estimates read off it: the
+    genie-input power inversion (the covariance's received power, with the
+    true noise variance and channel energy) and the estimated-input subspace
+    estimate, which reads neither the truth nor a pilot. The estimated
     traces hold the subspace estimator's startup values (its default cap of
     7 users) until more than ``cfg.spreading`` blocks are accumulated and
     never exceed that cap.
@@ -727,15 +726,14 @@ def _kcount_rows(cfg, rows):
     n, nc, m = cfg.block_length, cfg.spreading, cfg.chips_per_block
     sigma2 = rows.sigma2
     shape = (len(rows), cfg.training_blocks)
-    power = EstimatorState()
     cov = GroupCovariance.empty(n, nc, (len(rows),))
     k_float_genie, k_float_est = np.zeros(shape), np.zeros(shape)
     k_int_est = np.zeros(shape, dtype=np.int64)
     for i, (_, z) in enumerate(rows.blocks(cfg, cfg.training_blocks)):
-        update_power(power, z)
-        k_float_genie[:, i] = estimate_user_count(power.received_power, sigma2, rows.taps,
+        update_covariance(cov, z)
+        k_float_genie[:, i] = estimate_user_count(cov.received_power * m, sigma2, rows.taps,
                                                   nc, m, rows.spectrum)
-        guess = subspace_estimate(update_covariance(cov, z))
+        guess = subspace_estimate(cov)
         k_float_est[:, i] = guess.k_float
         k_int_est[:, i] = guess.k_int
     return {"k_float_genie": k_float_genie, "k_float_est": k_float_est,

@@ -13,13 +13,11 @@ from uwbfde import da, fdcore, sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 from uwbfde.harness import ExperimentConfig, _ber_trial, _received_blocks
 from uwbfde.estimators import (
-    EstimatorState,
     GroupCovariance,
     estimate_user_count,
     ml_noise_variance,
     subspace_estimate,
     update_covariance,
-    update_power,
 )
 
 RUNS, N, NC, TAPS, USERS = 4, 8, 4, 5, 2
@@ -266,25 +264,21 @@ def test_estimators_match_row_by_row():
     taps = _channels(14)
     cov = GroupCovariance.empty(N, NC, (RUNS,))
     covs = [GroupCovariance.empty(N, NC) for _ in range(RUNS)]
-    power = EstimatorState()
-    powers = [EstimatorState() for _ in range(RUNS)]
     for z, _, _ in _blocks(taps, 20, seed=15):
         z[2] = 0
         update_covariance(cov, z)
-        update_power(power, z)
         for r in range(RUNS):
             update_covariance(covs[r], z[r])
-            update_power(powers[r], z[r])
         _assert_rows_equal(cov.acc, [c.acc for c in covs])
-        _assert_rows_equal(power.power_sum, [p.power_sum for p in powers])
+        _assert_rows_equal(cov.received_power, [c.received_power for c in covs])
         est = subspace_estimate(cov, cap=3)
         rows = [subspace_estimate(c, cap=3) for c in covs]
         for field in ("sigma2", "k_float", "k_int"):
             _assert_rows_equal(getattr(est, field), [getattr(row, field) for row in rows])
         assert all(row.startup == est.startup for row in rows)
-        count = estimate_user_count(power.received_power, 0.05, taps, NC, M)
-        _assert_rows_equal(count, [estimate_user_count(p.received_power, 0.05, h, NC, M)
-                                   for p, h in zip(powers, taps)])
+        count = estimate_user_count(cov.received_power * M, 0.05, taps, NC, M)
+        _assert_rows_equal(count, [estimate_user_count(c.received_power * M, 0.05, h, NC, M)
+                                   for c, h in zip(covs, taps)])
     assert not est.startup
     assert est.k_int[2] == 0 and est.sigma2[2] == 0.0
     assert np.all(est.k_int[[0, 1, 3]] > 0)

@@ -55,7 +55,7 @@ def test_tracer_attributes_every_runner_method_and_uninstalls(monkeypatch):
         installed = set(tracing.find_wrappers())
     finally:
         tracer.uninstall()
-    assert missing == {"sce.build_mmse_sce_exact", "sce.detect_sce"}
+    assert missing == {"sce.build_mmse_sce_exact", "sce.detect_sce", "estimators.update_power"}
     assert not [name for name in missing if name.startswith("harness.")]
     for cls_name, _, methods in tracing.RUNNER_METHODS:
         assert {f"harness.{cls_name}.{method}" for method in methods} <= installed

@@ -10,13 +10,11 @@ from oracles import fourier_tap_basis
 from uwbfde import fdcore
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 from uwbfde.estimators import (
-    EstimatorState,
     GroupCovariance,
     estimate_user_count,
     ml_noise_variance,
     subspace_estimate,
     update_covariance,
-    update_power,
 )
 from uwbfde.sce import pilot_matrix
 
@@ -131,28 +129,30 @@ class TestMlNoiseVariance:
 
 
 class TestPowerAccumulator:
+    # the group covariance's trace is the received energy; times m its
+    # received power per bin is the time-averaged block energy
     def test_zero_block(self):
-        state = update_power(EstimatorState(), np.zeros(8, complex))
-        assert state.received_power == 0.0
+        state = update_covariance(GroupCovariance.empty(4, 2), np.zeros(8, complex))
+        assert state.received_power * 8 == 0.0
 
     def test_arithmetic_mean(self):
-        state = EstimatorState()
-        update_power(state, np.array([2.0 + 0j]))      # energy 4
-        update_power(state, np.array([2.0, 2.0], dtype=complex))  # energy 8
-        assert state.received_power == pytest.approx(6.0)
+        state = GroupCovariance.empty(1, 2)
+        update_covariance(state, np.array([2.0, 0.0], dtype=complex))   # energy 4
+        update_covariance(state, np.array([2.0, 2.0], dtype=complex))   # energy 8
+        assert state.received_power * 2 == pytest.approx(6.0)
 
     def test_converges_to_expected_power(self):
         rng = np.random.default_rng(14)
-        state = EstimatorState()
+        state = GroupCovariance.empty(16, 4)
         m, sigma2 = 64, 0.5
         for _ in range(10_000):
             z = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) * np.sqrt(sigma2 / 2)
-            update_power(state, z)
-        assert abs(state.received_power - sigma2 * m) / (sigma2 * m) < 0.02
+            update_covariance(state, z)
+        assert abs(state.received_power * m - sigma2 * m) / (sigma2 * m) < 0.02
 
     def test_requires_blocks_before_reading(self):
         with pytest.raises(ValueError):
-            _ = EstimatorState().received_power
+            _ = GroupCovariance.empty(4, 2).received_power
 
 
 class TestUserCount:
@@ -168,12 +168,12 @@ class TestUserCount:
         m = n * nc
         codes = fdcore.walsh_code_set(nc)
         taps = generate_cir(ChannelProfile(3, 0.2, seed=16))
-        state = EstimatorState()
+        state = GroupCovariance.empty(n, nc)
         for _ in range(1000):
             blocks = fdcore.random_bpsk(rng, nc * n).reshape(nc, n)
             z = synthesize_rx(blocks, codes, taps, 0.0, rng)
-            update_power(state, z)
-        assert estimate_user_count(state.received_power, 0.0, taps, nc, m) == pytest.approx(
+            update_covariance(state, z)
+        assert estimate_user_count(state.received_power * m, 0.0, taps, nc, m) == pytest.approx(
             nc, abs=0.15)
 
     def test_given_spectrum_replaces_the_taps_bitwise(self):
