@@ -19,8 +19,8 @@ Two families of estimators live here:
   floor, by the channel energy. With several active users the pilot fit
   folds their interference into its residual. The harness uses the pilot
   fit for the ``estimators`` noise-variance sweep and the power inversion,
-  fed the true noise variance and taps, for the genie-input user-count
-  trace.
+  fed the true noise variance and the taps' spectrum, for the genie-input
+  user-count trace.
 
 The pilot fit, the group covariance and the estimates read from them take a
 leading run axis, each run's value bitwise equal to its own call without the
@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fdcore import add_group_outer, by_symbol, row_energy, tap_spectrum
+from .fdcore import add_group_outer, by_symbol, row_energy
 from .sce import NormalEquations
 
 
@@ -71,17 +71,15 @@ def ml_noise_variance(z, xdiag, num_taps: int):
     return sigma2_hat[()], taps_hat
 
 
-def estimate_user_count(p_r, sigma2, taps, nc: int, m: int, spectrum=None):
+def estimate_user_count(p_r, sigma2, spectrum, nc: int):
     """Active-user count from received power, noise floor and channel energy,
     ``(p_r - sigma2 * m) * nc / p_h`` with ``p_r`` the time-averaged block
     energy, ``GroupCovariance.received_power * m``, and ``p_h`` the energy of
-    the taps' spectrum. ``(R, L)`` taps with one power per run give one
-    count per run.
-    A caller that estimates on the same taps every block may pass their
-    ``spectrum``, ``tap_spectrum(taps, m)``, which then replaces ``taps``.
+    the channel's m-bin ``spectrum``, ``tap_spectrum(taps, m)``. ``(R, m)``
+    spectra with one power per run give one count per run.
     """
-    p_h = row_energy(tap_spectrum(taps, m) if spectrum is None else spectrum)
-    return (p_r - sigma2 * m) * nc / p_h
+    m = spectrum.shape[-1]
+    return (p_r - sigma2 * m) * nc / row_energy(spectrum)
 
 
 # ---------------------------------------------------------------------------

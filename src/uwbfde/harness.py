@@ -19,12 +19,16 @@ Protocol notes
   balanced chunks of at most ``_MAX_ROWS`` rows, and a chunk's rows advance
   together, as the rows of ``(R, ...)`` arrays, through synthesis, the
   adaptive steps, the genie builds, detection and the estimators. The
-  channels and their spectra are built once per trial. Every BER experiment
-  runs one trial, :func:`_ber_trial`. A training curve (``ber-vs-blocks``)
-  has one point and scores every training block. A steady-state sweep
-  (``ber-vs-snr``, ``ber-vs-users``) trains every point of a chunk in one
-  pass, freezes every runner's weights, and scores ``eval_blocks`` more
-  blocks. The ``estimators`` noise-variance sweep and user-count traces put
+  channels and their spectra are built once per trial. A chunk
+  (:class:`_Rows`) carries its rows' inputs and generators, and it is the
+  one input of the block source, the block loop, the runners and the genie
+  build; a sweep's scoring pass continues the generators of its training
+  pass. A trial returns ``{name: (runs, points, ...)}`` arrays. Every BER
+  experiment runs one trial, :func:`_ber_trial`. A training curve
+  (``ber-vs-blocks``) has one point and scores every training block. A
+  steady-state sweep (``ber-vs-snr``, ``ber-vs-users``) trains every point
+  of a chunk in one pass, freezes every runner's weights, and scores
+  ``eval_blocks`` more blocks. The ``estimators`` noise-variance sweep and user-count traces put
   their points on the same axis. ``--workers`` deals the chunks to worker
   processes in contiguous groups, and the chunks' results join in row
   order. Every row is computed as it would be alone, so output is
@@ -51,7 +55,8 @@ Protocol notes
   without a usable pilot block.
 * Every experiment function first calls ``cfg.validate(<its name>)``, the
   one place that refuses a config value that cannot run or that the
-  experiment would ignore; the CLI adds only its ``--check`` rule.
+  experiment would ignore (README lists the ignored values it still
+  accepts); the CLI adds only its ``--check`` rule.
 """
 
 from __future__ import annotations
@@ -138,7 +143,8 @@ class ExperimentConfig:
 
     def validate(self, experiment: str):
         """Reject a value that cannot run, or that ``experiment`` would
-        accept and then ignore. Every experiment function calls this first."""
+        accept and then ignore (not yet every such value; see README).
+        Every experiment function calls this first."""
         if self.spreading < 1 or (self.spreading & (self.spreading - 1)) != 0:
             raise ValueError(f"spreading gain must be a power of two, got {self.spreading}")
         if self.users < 1:
@@ -271,11 +277,11 @@ class _Block:
 
 
 class _Runner:
-    """One algorithm advanced over a batch of rows: adapt, estimate, detect.
+    """One algorithm advanced over a :class:`_Rows` chunk: adapt, estimate,
+    detect.
 
-    ``batch`` is the leading shape of the rows, ``(R,)`` or ``()`` for a
-    single run; ``users`` and ``sigma2`` are scalars or one value per row.
-    An adaptive algorithm gets state of that leading shape; a genie reads
+    It reads its rows' users and noise variances from the chunk. An adaptive
+    algorithm gets state with one row per chunk row; a genie reads
     ``genie``, the MMSE weights of :func:`_genie_weights`, as its
     ``detector``. Every detector decides by applying its length-m weights
     to the block's :class:`da.RxOperator`; subclasses name their scheme,
@@ -287,16 +293,16 @@ class _Runner:
 
     scheme = ""
 
-    def __init__(self, algo, cfg, users, sigma2, batch, codes, genie):
+    def __init__(self, algo, cfg, rows, genie):
         self.kind = algo.kind
         self.step = algo.step
         self.cfg = cfg
-        self.users, self.sigma2 = users, sigma2
+        self.users, self.sigma2 = rows.users, rows.sigma2
         self.state = self.detector = None
         if algo.step is None:
             self.detector = genie
         else:
-            self.state = algo.new_state(cfg, batch)
+            self.state = algo.new_state(cfg, (len(rows),))
 
     def observe(self, rx: _Block):
         """Does nothing; no runner keeps estimates of its own. It stays as the
@@ -327,10 +333,10 @@ class _SceRunner(_Runner):
 
     scheme = "sce"
 
-    def __init__(self, algo, cfg, users, sigma2, batch, codes, genie):
-        super().__init__(algo, cfg, users, sigma2, batch, codes, genie)
+    def __init__(self, algo, cfg, rows, genie):
+        super().__init__(algo, cfg, rows, genie)
         self.nc, self.m = cfg.spreading, cfg.chips_per_block
-        self.despread_bins = np.conj(np.fft.fft(codes[0], self.m)) / np.sqrt(self.nc)
+        self.despread_bins = np.conj(np.fft.fft(rows.codes[0], self.m)) / np.sqrt(self.nc)
 
     @staticmethod
     def step_args(rx: _Block):
@@ -400,47 +406,43 @@ SCHEMES = (*dict.fromkeys(algo.runner.scheme for algo in _ALGORITHMS.values()), 
 ALGORITHMS = (*dict.fromkeys(algo.kind for algo in _ALGORITHMS.values()), "all")
 
 
-def _genie_weights(cfg, users, sigma2, taps, codes) -> np.ndarray:
-    """MMSE weights of both genies for every row, ``(..., m)``: one
-    :func:`da.build_mmse_da` call per distinct (users, sigma2) point, on that
-    point's rows, with a noiseless point floored at ``_GENIE_RIDGE``."""
-    batch = taps.shape[:-1]
-    users, sigma2 = np.broadcast_to(users, batch), np.broadcast_to(sigma2, batch)
-    weights = np.empty((*batch, cfg.chips_per_block), dtype=complex)
-    for k, s2 in sorted(set(zip(users.flat, sigma2.flat))):
-        rows = (users == k) & (sigma2 == s2)
-        weights[rows] = da.build_mmse_da(taps[rows], codes[:k], max(s2, _GENIE_RIDGE),
-                                         cfg.block_length)
+def _genie_weights(cfg, rows) -> np.ndarray:
+    """MMSE weights of both genies for every row of a :class:`_Rows` chunk,
+    ``(R, m)``: one :func:`da.build_mmse_da` call per distinct (users,
+    sigma2) point, on that point's rows, with a noiseless point floored at
+    ``_GENIE_RIDGE``."""
+    users, sigma2 = rows.users, rows.sigma2
+    weights = np.empty((len(rows), cfg.chips_per_block), dtype=complex)
+    for k, s2 in sorted(set(zip(users, sigma2))):
+        at = (users == k) & (sigma2 == s2)
+        weights[at] = da.build_mmse_da(rows.taps[at], rows.codes[:k], max(s2, _GENIE_RIDGE),
+                                       cfg.block_length)
     return weights
 
 
-def _new_runners(cfg, users, sigma2, taps, codes, algo_keys):
-    """One runner per algorithm over the rows of ``taps``; the genies share
+def _new_runners(cfg, rows, algo_keys):
+    """One runner per algorithm over a :class:`_Rows` chunk; the genies share
     one weight array."""
-    taps = np.asarray(taps)
     genie = None
     if any(_ALGORITHMS[key].step is None for key in algo_keys):
-        genie = _genie_weights(cfg, users, sigma2, taps, codes)
-    return {key: _ALGORITHMS[key].runner(_ALGORITHMS[key], cfg, users, sigma2,
-                                         taps.shape[:-1], codes, genie)
+        genie = _genie_weights(cfg, rows)
+    return {key: _ALGORITHMS[key].runner(_ALGORITHMS[key], cfg, rows, genie)
             for key in algo_keys}
 
 
-def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks, synthesize=True,
-                     spectrum=None):
-    """Yield ``(blocks, z)``, the ``(..., K, n)`` symbols and ``(..., m)``
-    spectrum, for each of ``n_blocks`` blocks. ``taps`` is ``(R, L)`` with
-    ``rng`` a list of R generators, or ``(L,)`` with one generator; ``users``
-    and ``sigma2`` are scalars or one value per row; ``spectrum`` is as for
-    :func:`channel.synthesize_rx`. Each row draws its bits, the values of
+def _received_blocks(rows, n, n_blocks, synthesize=True):
+    """Yield ``(blocks, z)``, the ``(R, K, n)`` symbols and ``(R, m)``
+    spectrum, for each of ``n_blocks`` blocks of a :class:`_Rows` chunk,
+    which carries each row's users, noise variance, channel spectrum and
+    generator. Each row draws its bits, the values of
     :func:`fdcore.random_bits` (raw words land in one buffer, read once per
     block), then its noise (:func:`channel.draw_noise`), from its own
     generator; ``K`` is the largest user count, and a row with fewer users
     has all-zero symbols for the others. Without ``synthesize`` the blocks
     are only drawn, so every generator ends where it would, and nothing is
     yielded."""
-    gens = rng if np.ndim(taps) == 2 else [rng]
-    counts = np.broadcast_to(users, len(gens)) * n
+    gens, sigma2 = rows.rngs, rows.sigma2
+    counts = rows.users * n
     width = int(counts.max())
     drawn = np.arange(width) < counts[:, None]
     raw = [reads_raw_words(g, count) for g, count in zip(gens, counts)]
@@ -453,33 +455,34 @@ def _received_blocks(users, n, codes, taps, sigma2, rng, n_blocks, synthesize=Tr
             else:
                 drawn_ints[row] = g.integers(0, 2, count)
         if not synthesize:
-            channel.draw_noise(gens, sigma2, n * codes.shape[1])
+            channel.draw_noise(gens, sigma2, n * rows.codes.shape[1])
             continue
         ints = (words.view("<u4") >> 31)[:, :width]        # low half first
         for row, values in drawn_ints.items():
             ints[row, :values.size] = values
         bits = np.where(drawn, ints * 2.0 - 1.0, 0.0)     # as fdcore.random_bpsk
-        blocks = bits.reshape(*np.shape(taps)[:-1], -1, n)
-        yield blocks, channel.synthesize_rx(blocks, codes, taps, sigma2, rng, spectrum)
+        blocks = bits.reshape(len(gens), -1, n)
+        yield blocks, channel.synthesize_rx(blocks, rows.codes, rows.taps, sigma2, gens,
+                                            rows.spectrum)
 
 
 # check_finite reports a diverging row with its context; numpy's warnings would repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
-                     errors_out=None, where=("run",), cov=None, spectrum=None) -> dict:
-    """Advance every runner over ``n_blocks`` blocks of every row, filling
-    ``errors_out`` (``key -> (..., n_blocks)`` error counts). On estimated
-    inputs ``cov`` is the trial's :class:`GroupCovariance`: each block is
-    folded into it once, and each scored block carries its one subspace
-    estimate to every runner. Without ``errors_out`` no block is scored, so
-    none is detected; a frozen runner only detects. So when no runner has
-    state and no block is scored, nothing reads the blocks, and they are
-    only drawn. Runners without state (genies and frozen runners) that hold
-    one weight array share its decision on each block.
+def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) -> dict:
+    """Advance every runner over ``n_blocks`` blocks of every row of a
+    :class:`_Rows` chunk, which carries the rows' inputs and generators
+    (:func:`_received_blocks`), filling ``errors_out`` (``key -> (R,
+    n_blocks)`` error counts). On estimated inputs ``cov`` is the trial's
+    :class:`GroupCovariance`: each block is folded into it once, and each
+    scored block carries its one subspace estimate to every runner. Without
+    ``errors_out`` no block is scored, so none is detected; a frozen runner
+    only detects. So when no runner has state and no block is scored,
+    nothing reads the blocks, and they are only drawn. Runners without state
+    (genies and frozen runners) that hold one weight array share its
+    decision on each block.
 
-    ``users``, ``sigma2``, ``taps``, ``rng`` and ``spectrum`` are as for
-    :func:`_received_blocks`. Returns the first divergence of each diverged
-    row, ``{row: message}``, the message naming ``where[row]``, the
+    Returns the first divergence of each diverged row, ``{row: message}``,
+    the message naming the row's run and point (``rows.where``), the
     algorithm and the block. A diverged row keeps its non-finite state,
     which every later update leaves non-finite, and its later divergences
     are not recorded.
@@ -488,13 +491,12 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
     # the genies read no pilot; only the adaptive SCE steps do
     need_pilot = any(isinstance(r, _SceRunner) and r.state is not None
                      for r in runners.values())
-    code0 = codes[0]
+    code0 = rows.codes[0]
     diverged = {}
     # a pass that no runner reads is only drawn, and yields no block to this loop
     read = errors_out is not None or any(r.state is not None for r in runners.values())
-    for i, (blocks, z) in enumerate(_received_blocks(users, n, codes, taps, sigma2, rng,
-                                                      n_blocks, read, spectrum)):
-        desired = blocks[..., 0, :]
+    for i, (blocks, z) in enumerate(_received_blocks(rows, n, n_blocks, read)):
+        desired = blocks[:, 0]
         normal = (sce.NormalEquations(z, pilot_matrix(spread(desired, code0)), cfg.cir_taps)
                   if need_pilot else None)
         estimate = None
@@ -511,13 +513,13 @@ def _simulate_blocks(cfg, users, sigma2, taps, codes, runners, rng, n_blocks,
                 shared = key if runner.state is not None else id(runner.detector)
                 if shared not in decided:
                     decided[shared] = np.count_nonzero(runner.detect(rx) != desired, axis=-1)
-                errors_out[key][..., i] = decided[shared]
+                errors_out[key][:, i] = decided[shared]
             try:
                 runner.update(rx)
             except DivergenceError as exc:
                 for row in exc.rows:
-                    diverged.setdefault(
-                        int(row), f"{where[row]}, {key}, block {i + 1} of {n_blocks}: {exc}")
+                    diverged.setdefault(int(row), f"{rows.where[row]}, {key}, "
+                                                  f"block {i + 1} of {n_blocks}: {exc}")
     return diverged
 
 
@@ -540,14 +542,16 @@ _MAX_ROWS = 40
 @dataclass
 class _Rows:
     """A contiguous chunk of a trial's (run, point) rows, runs outermost:
-    each row's run and ``(point_idx, snr_db, users)`` point, and its run's
-    taps ``(R, L)`` and their m-bin spectrum ``(R, m)``."""
+    each row's run and ``(point_idx, snr_db, users)`` point, its run's taps
+    ``(R, L)`` and their m-bin spectrum ``(R, m)``, the spreading codes, and
+    each row's data generator, which every pass over the chunk continues."""
 
     runs: list
     points: list
     taps: np.ndarray
     spectrum: np.ndarray
     codes: np.ndarray
+    rngs: list
 
     def __len__(self):
         return len(self.runs)
@@ -566,14 +570,6 @@ class _Rows:
         return [f"run {r}, {snr_db:g} dB SNR, {users} users"
                 for r, (_, snr_db, users) in zip(self.runs, self.points)]
 
-    def rngs(self, cfg) -> list:
-        return [_data_rng(cfg, r, point[0]) for r, point in zip(self.runs, self.points)]
-
-    def blocks(self, cfg, n_blocks):
-        """:func:`_received_blocks` over these rows."""
-        return _received_blocks(self.users, cfg.block_length, self.codes, self.taps,
-                                self.sigma2, self.rngs(cfg), n_blocks, spectrum=self.spectrum)
-
 
 def _plan_chunks(rows: int, workers: int) -> list[list[range]]:
     """Cut ``rows`` rows into contiguous, balanced chunks of at most
@@ -590,9 +586,12 @@ def _map_rows(cfg, trial, points, runs, *args) -> dict:
     outermost, through ``trial(cfg, rows, *args)`` one :class:`_Rows` chunk
     at a time (:func:`_plan_chunks`, one contiguous group of chunks per
     worker process), and join the chunks' ``{name: (rows, ...)}`` results
-    in row order. The channels and their spectra are built (a ``cir_file``
-    read) once per trial. A chunk raises for its lowest failed row, so the
-    trial's lowest failed row raises."""
+    in row order as ``{name: (runs, points, ...)}``; no rows give ``{}``.
+    The channels and their spectra are built (a ``cir_file`` read) once per
+    trial, and each row's generator once per chunk. A chunk raises for its
+    lowest failed row, so the trial's lowest failed row raises."""
+    if not points:
+        return {}
     taps, codes = _batch_inputs(cfg, runs)
     inputs = (list(runs), list(points), taps, tap_spectrum(taps, cfg.chips_per_block), codes)
     groups = _plan_chunks(len(runs) * len(points), cfg.workers)
@@ -604,7 +603,8 @@ def _map_rows(cfg, trial, points, runs, *args) -> dict:
                                               groups, [args] * len(groups)) for part in group]
     else:
         parts = _run_chunks(cfg, trial, inputs, groups[0], args)
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    joined = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    return {name: v.reshape(len(runs), len(points), *v.shape[1:]) for name, v in joined.items()}
 
 
 def _run_chunks(cfg, trial, inputs, chunks, args) -> list[dict]:
@@ -613,9 +613,11 @@ def _run_chunks(cfg, trial, inputs, chunks, args) -> list[dict]:
     parts = []
     for chunk in chunks:
         run_of = [row // len(points) for row in chunk]
-        rows = _Rows([runs[i] for i in run_of], [points[row % len(points)] for row in chunk],
-                     taps[run_of], spectrum[run_of], codes)
-        parts.append(trial(cfg, rows, *args))
+        row_runs = [runs[i] for i in run_of]
+        row_points = [points[row % len(points)] for row in chunk]
+        rngs = [_data_rng(cfg, r, point[0]) for r, point in zip(row_runs, row_points)]
+        parts.append(trial(cfg, _Rows(row_runs, row_points, taps[run_of], spectrum[run_of],
+                                      codes, rngs), *args))
     return parts
 
 
@@ -629,30 +631,26 @@ def _ber_trial(cfg, points, algo_keys, runs, curve=False):
     Every (run, point) pair is one row (:func:`_map_rows`): it draws from
     its own generator and keeps its run's channel. A diverged run raises at
     its first diverged point; the lowest-index diverged run raises."""
-    errors = _map_rows(cfg, _ber_rows, points, runs, algo_keys, curve)
-    return {key: e.reshape(len(runs), len(points), *e.shape[1:]) for key, e in errors.items()}
+    return _map_rows(cfg, _ber_rows, points, runs, algo_keys, curve)
 
 
 def _ber_rows(cfg, rows, algo_keys, curve):
     """:func:`_ber_trial` on one chunk of rows, which all train and are
     scored together: ``{key: (rows, blocks)}``."""
-    users, sigma2, rngs = rows.users, rows.sigma2, rows.rngs(cfg)
-    runners = _new_runners(cfg, users, sigma2, rows.taps, rows.codes, algo_keys)
+    runners = _new_runners(cfg, rows, algo_keys)
     scored = cfg.training_blocks if curve else cfg.eval_blocks
     errors = {key: np.zeros((len(rows), scored), dtype=np.int64) for key in algo_keys}
     cov = (GroupCovariance.empty(cfg.block_length, cfg.spreading, (len(rows),))
            if cfg.use_estimated_sigma2 or cfg.use_estimated_k else None)
-    diverged = _simulate_blocks(cfg, users, sigma2, rows.taps, rows.codes, runners, rngs,
-                                cfg.training_blocks, errors_out=errors if curve else None,
-                                where=rows.where, cov=cov, spectrum=rows.spectrum)
+    diverged = _simulate_blocks(cfg, rows, runners, cfg.training_blocks,
+                                errors_out=errors if curve else None, cov=cov)
     if diverged:
         raise DivergenceError(diverged[min(diverged)])
     if not curve:
         estimate = None if cov is None else subspace_estimate(cov)
         for runner in runners.values():
             runner.freeze(estimate)
-        _simulate_blocks(cfg, users, sigma2, rows.taps, rows.codes, runners, rngs,
-                         cfg.eval_blocks, errors_out=errors, spectrum=rows.spectrum)
+        _simulate_blocks(cfg, rows, runners, cfg.eval_blocks, errors_out=errors)
     return errors
 
 
@@ -668,8 +666,7 @@ def _sigma2_trial(cfg, points, runs):
     then refitted row by row and the degenerate rows are left out of their
     means. The lowest row with no usable block raises ``LinAlgError``.
     """
-    per_row = _map_rows(cfg, _sigma2_rows, points, runs)["sigma2"]
-    return {"sigma2": per_row.reshape(len(runs), len(points))}
+    return _map_rows(cfg, _sigma2_rows, points, runs)
 
 
 def _sigma2_rows(cfg, rows):
@@ -677,7 +674,7 @@ def _sigma2_rows(cfg, rows):
     total = np.zeros(len(rows))
     used = np.zeros(len(rows), dtype=int)
     code0 = rows.codes[0]
-    for blocks, z in rows.blocks(cfg, cfg.training_blocks):
+    for blocks, z in _received_blocks(rows, cfg.block_length, cfg.training_blocks):
         xdiag = pilot_matrix(spread(blocks[:, 0], code0))
         try:
             s2, _ = ml_noise_variance(z, xdiag, cfg.cir_taps)
@@ -716,7 +713,7 @@ def estimator_kcount_trial(cfg: ExperimentConfig, user_set, runs) -> dict:
     """
     points = [(10_000, cfg.snr_db[-1], users) for users in user_set]
     traces = _map_rows(cfg, _kcount_rows, points, runs)
-    return {f"{name}_k{users}": trace.reshape(len(runs), len(points), -1)[:, col]
+    return {f"{name}_k{users}": trace[:, col]
             for col, users in enumerate(user_set) for name, trace in traces.items()}
 
 
@@ -729,10 +726,9 @@ def _kcount_rows(cfg, rows):
     cov = GroupCovariance.empty(n, nc, (len(rows),))
     k_float_genie, k_float_est = np.zeros(shape), np.zeros(shape)
     k_int_est = np.zeros(shape, dtype=np.int64)
-    for i, (_, z) in enumerate(rows.blocks(cfg, cfg.training_blocks)):
+    for i, (_, z) in enumerate(_received_blocks(rows, n, cfg.training_blocks)):
         update_covariance(cov, z)
-        k_float_genie[:, i] = estimate_user_count(cov.received_power * m, sigma2, rows.taps,
-                                                  nc, m, rows.spectrum)
+        k_float_genie[:, i] = estimate_user_count(cov.received_power * m, sigma2, rows.spectrum, nc)
         guess = subspace_estimate(cov)
         k_float_est[:, i] = guess.k_float
         k_int_est[:, i] = guess.k_int

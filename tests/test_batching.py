@@ -11,7 +11,7 @@ from scipy.linalg import toeplitz
 from oracles import build_mmse_sce_exact, detect_sce, detect_sce_exact, received_blocks
 from uwbfde import da, fdcore, sce
 from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
-from uwbfde.harness import ExperimentConfig, _ber_trial, _received_blocks
+from uwbfde.harness import ExperimentConfig, _ber_trial, _received_blocks, _Rows
 from uwbfde.estimators import (
     GroupCovariance,
     estimate_user_count,
@@ -75,24 +75,33 @@ def test_synthesis_rows_equal_single_run_calls():
 
 
 # n = 5 with 1-3 users: odd and even bit counts in one batch, and one noiseless row
-SOURCE_N, SOURCE_USERS, SOURCE_SIGMA2 = 5, [1, 2, 3, 2], [0.1, 0.0, 0.05, 0.2]
+SOURCE_N, SOURCE_USERS, SOURCE_SNR_DB = 5, [1, 2, 3, 2], [10.0, np.inf, 13.0, 7.0]
+
+
+def _source_rows(taps, n, gens, users=SOURCE_USERS, snr_db=SOURCE_SNR_DB):
+    """A chunk of one row per generator, on ``taps`` ``(R, L)``."""
+    points = [(0, s, k) for k, s in zip(users, snr_db, strict=True)]
+    return _Rows(list(range(len(gens))), points, taps, fdcore.tap_spectrum(taps, n * NC),
+                 CODES, gens)
+
+
+def _assert_source_matches(got, expected, users):
+    for (blocks, z), (symbols, z_ref) in zip(got, expected, strict=True):
+        assert_array_equal(z, z_ref)
+        for row, k, ref in zip(blocks, users, symbols, strict=True):
+            assert_array_equal(row[:k], ref)
+            assert not row[k:].any()
 
 
 @pytest.mark.parametrize("drawn_only", [0, 3])
 def test_block_source_matches_the_row_by_row_oracle(drawn_only):
     # blocks that are only drawn leave every generator where synthesis would
     taps = _channels(17)
-    expected = list(received_blocks(SOURCE_USERS, SOURCE_N, CODES, taps, SOURCE_SIGMA2,
+    rows = _source_rows(taps, SOURCE_N, _rngs(17))
+    expected = list(received_blocks(SOURCE_USERS, SOURCE_N, CODES, taps, rows.sigma2,
                                     _rngs(17), drawn_only + 4))[drawn_only:]
-    rngs = _rngs(17)
-    assert list(_received_blocks(SOURCE_USERS, SOURCE_N, CODES, taps, SOURCE_SIGMA2, rngs,
-                                 drawn_only, synthesize=False)) == []
-    got = list(_received_blocks(SOURCE_USERS, SOURCE_N, CODES, taps, SOURCE_SIGMA2, rngs, 4))
-    for (blocks, z), (symbols, z_ref) in zip(got, expected, strict=True):
-        assert_array_equal(z, z_ref)
-        for row, users, ref in zip(blocks, SOURCE_USERS, symbols):
-            assert_array_equal(row[:users], ref)
-            assert not row[users:].any()
+    assert list(_received_blocks(rows, SOURCE_N, drawn_only, synthesize=False)) == []
+    _assert_source_matches(_received_blocks(rows, SOURCE_N, 4), expected, SOURCE_USERS)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -105,31 +114,20 @@ def test_block_source_on_mixed_generators_matches_the_oracle(n):
         return [np.random.Generator(kind(19 + r)) for r, kind in enumerate(kinds)]
 
     taps = _channels(19)
-    expected = list(received_blocks(SOURCE_USERS, n, CODES, taps, SOURCE_SIGMA2, gens(), 5))
-    rngs = gens()
-    assert list(_received_blocks(SOURCE_USERS, n, CODES, taps, SOURCE_SIGMA2, rngs, 2,
-                                 synthesize=False)) == []
-    got = list(_received_blocks(SOURCE_USERS, n, CODES, taps, SOURCE_SIGMA2, rngs, 3,
-                                spectrum=fdcore.tap_spectrum(taps, n * NC)))
-    for (blocks, z), (symbols, z_ref) in zip(got, expected[2:], strict=True):
-        assert_array_equal(z, z_ref)
-        for row, users, ref in zip(blocks, SOURCE_USERS, symbols):
-            assert_array_equal(row[:users], ref)
-            assert not row[users:].any()
+    rows = _source_rows(taps, n, gens())
+    expected = list(received_blocks(SOURCE_USERS, n, CODES, taps, rows.sigma2, gens(), 5))
+    assert list(_received_blocks(rows, n, 2, synthesize=False)) == []
+    _assert_source_matches(_received_blocks(rows, n, 3), expected[2:], SOURCE_USERS)
 
 
 @pytest.mark.parametrize("users", [1, 2])
 def test_block_source_with_one_generator_matches_the_oracle(users):
-    taps = _channels(18)[0]
-    expected = list(received_blocks([users], SOURCE_N, CODES, taps[None], [0.1],
+    taps = _channels(18)[:1]
+    rows = _source_rows(taps, SOURCE_N, [np.random.default_rng(18)], [users], [10.0])
+    expected = list(received_blocks([users], SOURCE_N, CODES, taps, rows.sigma2,
                                     [np.random.default_rng(18)], 5))[2:]
-    rng = np.random.default_rng(18)
-    assert list(_received_blocks(users, SOURCE_N, CODES, taps, 0.1, rng, 2,
-                                 synthesize=False)) == []
-    got = list(_received_blocks(users, SOURCE_N, CODES, taps, 0.1, rng, 3))
-    for (blocks, z), (symbols, z_ref) in zip(got, expected, strict=True):
-        assert_array_equal(blocks, symbols[0])
-        assert_array_equal(z, z_ref[0])
+    assert list(_received_blocks(rows, SOURCE_N, 2, synthesize=False)) == []
+    _assert_source_matches(_received_blocks(rows, SOURCE_N, 3), expected, [users])
 
 
 @pytest.mark.parametrize("kind", ["lms", "rls", "cg"])
@@ -276,8 +274,10 @@ def test_estimators_match_row_by_row():
         for field in ("sigma2", "k_float", "k_int"):
             _assert_rows_equal(getattr(est, field), [getattr(row, field) for row in rows])
         assert all(row.startup == est.startup for row in rows)
-        count = estimate_user_count(cov.received_power * M, 0.05, taps, NC, M)
-        _assert_rows_equal(count, [estimate_user_count(c.received_power * M, 0.05, h, NC, M)
+        count = estimate_user_count(cov.received_power * M, 0.05,
+                                    fdcore.tap_spectrum(taps, M), NC)
+        _assert_rows_equal(count, [estimate_user_count(c.received_power * M, 0.05,
+                                                       fdcore.tap_spectrum(h, M), NC)
                                    for c, h in zip(covs, taps)])
     assert not est.startup
     assert est.k_int[2] == 0 and est.sigma2[2] == 0.0

@@ -158,7 +158,8 @@ class TestPowerAccumulator:
 class TestUserCount:
     def test_formula_inversion(self):
         # unit channel energy, no noise: the count reads straight off the power
-        assert estimate_user_count(p_r=3 / 4, sigma2=0.0, taps=[1.0], nc=4, m=1) == 3.0
+        spectrum = fdcore.tap_spectrum([1.0], 1)
+        assert estimate_user_count(p_r=3 / 4, sigma2=0.0, spectrum=spectrum, nc=4) == 3.0
 
     def test_full_load_noiseless_consistency(self):
         # at full load the code mixing is exactly the identity, so the
@@ -173,21 +174,14 @@ class TestUserCount:
             blocks = fdcore.random_bpsk(rng, nc * n).reshape(nc, n)
             z = synthesize_rx(blocks, codes, taps, 0.0, rng)
             update_covariance(state, z)
-        assert estimate_user_count(state.received_power * m, 0.0, taps, nc, m) == pytest.approx(
-            nc, abs=0.15)
-
-    def test_given_spectrum_replaces_the_taps_bitwise(self):
-        taps = np.stack([generate_cir(ChannelProfile(3, 0.2, seed=[17, r])) for r in range(4)])
-        p_r = np.array([0.5, 1.0, 2.0, 3.0])
-        assert_array_equal(estimate_user_count(p_r, 0.1, None, 4, 16,
-                                               fdcore.tap_spectrum(taps, 16)),
-                           estimate_user_count(p_r, 0.1, taps, 4, 16))
+        assert estimate_user_count(state.received_power * m, 0.0, fdcore.tap_spectrum(taps, m),
+                                   nc) == pytest.approx(nc, abs=0.15)
 
     def test_monotonicity(self):
-        taps = [1.0]
-        base = estimate_user_count(2.0, 0.1, taps, 4, 1)
-        assert estimate_user_count(3.0, 0.1, taps, 4, 1) > base
-        assert estimate_user_count(2.0, 0.5, taps, 4, 1) < base
+        spectrum = fdcore.tap_spectrum([1.0], 1)
+        base = estimate_user_count(2.0, 0.1, spectrum, 4)
+        assert estimate_user_count(3.0, 0.1, spectrum, 4) > base
+        assert estimate_user_count(2.0, 0.5, spectrum, 4) < base
 
 
 def _covariance(rng, n, nc, taps, sigma2, users, blocks):

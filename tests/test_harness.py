@@ -16,7 +16,7 @@ from uwbfde.channel import ChannelProfile, generate_cir, synthesize_rx
 from uwbfde import da, harness, sce
 from uwbfde.cli import build_parser, config_from_args, main as cli_main
 from uwbfde.estimators import GroupCovariance, ml_noise_variance
-from uwbfde.fdcore import DivergenceError, random_bpsk, spread, walsh_code_set
+from uwbfde.fdcore import DivergenceError, random_bpsk, spread, tap_spectrum, walsh_code_set
 from uwbfde.harness import (
     CurveSet,
     ExperimentConfig,
@@ -71,6 +71,12 @@ def _tiny_config(**overrides):
                 base_seed=77, decay_rate=0.2, cg_iters=3)
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _chunk(cfg, runs, points, taps, rngs):
+    """A :class:`harness._Rows` chunk of one row per point, on ``taps`` ``(R, L)``."""
+    return harness._Rows(list(runs), points, taps, tap_spectrum(taps, cfg.chips_per_block),
+                         walsh_code_set(cfg.spreading), rngs)
 
 
 class TestConfigValidation:
@@ -243,13 +249,12 @@ _DEGENERATE = dict(users=1, block_length=4, spreading=2, cir_taps=3, cp_chips=2,
 def _one_row_fits(cfg, point_idx, snr_db, users, runs):
     """Each run's one-row pilot fits at a sweep point, ``None`` where the
     pilot is rank deficient."""
-    taps, codes = harness._batch_inputs(cfg, runs)
-    rngs = [harness._data_rng(cfg, r, point_idx) for r in runs]
+    taps, _ = harness._batch_inputs(cfg, runs)
+    rows = _chunk(cfg, runs, [(point_idx, snr_db, users)] * len(runs), taps,
+                  [harness._data_rng(cfg, r, point_idx) for r in runs])
     fits = [[] for _ in runs]
-    for blocks, z in harness._received_blocks(users, cfg.block_length, codes, taps,
-                                              cfg.sigma2_for(snr_db), rngs,
-                                              cfg.training_blocks):
-        xdiag = pilot_matrix(spread(blocks[:, 0], codes[0]))
+    for blocks, z in harness._received_blocks(rows, cfg.block_length, cfg.training_blocks):
+        xdiag = pilot_matrix(spread(blocks[:, 0], rows.codes[0]))
         for row, run_fits in enumerate(fits):
             try:
                 run_fits.append(ml_noise_variance(z[row], xdiag[row], cfg.cir_taps)[0])
@@ -339,30 +344,32 @@ class TestEstimatedInputs:
         cfg = _tiny_config(spreading=4, users=2, scheme="sce",
                            use_estimated_sigma2=True, use_estimated_k=True)
         keys = ["sce-lms", "sce-rls", "sce-cg"]
-        codes = walsh_code_set(cfg.spreading)
-        taps = generate_cir(ChannelProfile(cfg.cir_taps, cfg.decay_rate, seed=5))
-        sigma2 = cfg.sigma2_for(cfg.snr_db[0])
+        taps = generate_cir(ChannelProfile(cfg.cir_taps, cfg.decay_rate, seed=5))[None]
         inputs = []
 
         def recording_build(h_hat, k_est, sigma2_est, nc, m):
-            inputs.append((k_est, sigma2_est))
+            inputs.append((k_est.tolist(), sigma2_est.tolist()))
             return build_mmse_sce(h_hat, k_est, sigma2_est, nc, m)
 
         monkeypatch.setattr(harness, "build_mmse_sce", recording_build)
 
-        def equalizer_inputs(users_seen, sigma2_seen):
+        def one_row(users, snr_db):
+            return _chunk(cfg, [0], [(0, snr_db, users)], taps, [np.random.default_rng(6)])
+
+        def equalizer_inputs(users_seen, snr_db_seen):
+            # the runners read users_seen and snr_db_seen off their chunk;
+            # the blocks are drawn on the true ones
             inputs.clear()
-            runners = _new_runners(cfg, users_seen, sigma2_seen, taps, codes, keys)
-            errors = {key: np.zeros(cfg.training_blocks, dtype=np.int64) for key in keys}
-            _simulate_blocks(cfg, cfg.users, sigma2, taps, codes, runners,
-                             np.random.default_rng(6), cfg.training_blocks,
-                             errors_out=errors,
-                             cov=GroupCovariance.empty(cfg.block_length, cfg.spreading))
+            runners = _new_runners(cfg, one_row(users_seen, snr_db_seen), keys)
+            errors = {key: np.zeros((1, cfg.training_blocks), dtype=np.int64) for key in keys}
+            _simulate_blocks(cfg, one_row(cfg.users, cfg.snr_db[0]), runners,
+                             cfg.training_blocks, errors_out=errors,
+                             cov=GroupCovariance.empty(cfg.block_length, cfg.spreading, (1,)))
             return list(inputs)
 
-        truth = equalizer_inputs(cfg.users, sigma2)
+        truth = equalizer_inputs(cfg.users, cfg.snr_db[0])
         assert len(truth) == len(keys) * cfg.training_blocks
-        assert truth == equalizer_inputs(3, 50.0)
+        assert truth == equalizer_inputs(3, -17.0)     # sigma2 about 50
 
 
 class TestCsvOutput:
@@ -394,12 +401,16 @@ class TestCsvOutput:
                     "point": np.array([f"{tag}{point[0]}" for point in rows.points])}
 
         cfg = _tiny_config(runs=3, workers=1)
+        # a trial without rows (no point fits the config) runs no chunk
+        assert harness._map_rows(cfg, echo, [], [4, 6, 7], "p") == {}
+        assert chunks == []
         joined = harness._map_rows(cfg, echo, [(0, 12.0, 2), (1, 8.0, 1)], [4, 6, 7], "p")
         assert chunks == [([4, 4], [0, 1]), ([6, 6], [0, 1]), ([7, 7], [0, 1])]
-        assert_array_equal(joined["run"], [4, 4, 6, 6, 7, 7])
-        assert_array_equal(joined["point"], ["p0", "p1"] * 3)
+        # results come back (runs, points, ...)
+        assert_array_equal(joined["run"], [[4, 4], [6, 6], [7, 7]])
+        assert_array_equal(joined["point"], [["p0", "p1"]] * 3)
         taps, _ = harness._batch_inputs(cfg, [4, 6, 7])
-        assert_array_equal(joined["tap"], np.repeat(taps[:, 0], 2))
+        assert_array_equal(joined["tap"], np.repeat(taps[:, :1], 2, axis=1))
 
     def test_workers_do_not_change_output(self, tmp_path):
         cfg1 = _tiny_config(runs=3, workers=1)
@@ -491,6 +502,20 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "est_sigma2.csv").exists()
         assert (tmp_path / "est_kcount.csv").exists()
+
+    def test_estimators_without_a_kcount_user_count(self, tmp_path):
+        # no kcount user count (2, 3 or 4) fits nc = 1: the sigma2 sweep runs
+        # for one user, and the kcount file holds only its block column
+        rc = cli_main(["--experiment", "estimators", "--spreading", "1", "--users", "1",
+                       "--block-length", "16", "--cir-length", "3", "--cp-chips", "2",
+                       "--blocks", "5", "--runs", "2", "--out", str(tmp_path / "est.csv")])
+        assert rc == 0
+        sigma2 = (tmp_path / "est_sigma2.csv").read_text().splitlines()
+        assert [line for line in sigma2 if not line.startswith("#")][0] == (
+            "snr_db,sigma2_theory,sigma2_hat_k1")
+        kcount = [line for line in (tmp_path / "est_kcount.csv").read_text().splitlines()
+                  if not line.startswith("#")]
+        assert kcount == ["block", "1", "2", "3", "4", "5"]
 
     def test_cir_file_flag(self, tmp_path):
         cir = tmp_path / "taps.txt"
@@ -749,11 +774,13 @@ class TestSceKernel:
 
     CFG = _tiny_config(block_length=8, spreading=4, users=3, cir_taps=3)
 
-    def _runner(self, key, users, sigma2, h_hat):
-        codes = walsh_code_set(self.CFG.spreading)
-        runner = _new_runners(self.CFG, users, sigma2, np.asarray(h_hat), codes, [key])[key]
+    def _runner(self, key, points, h_hat):
+        """A runner over one row per ``(point_idx, snr_db, users)`` point,
+        holding the ``(R, L)`` channel estimate ``h_hat``; it draws no block."""
+        rows = _chunk(self.CFG, range(len(points)), points, np.asarray(h_hat), None)
+        runner = _new_runners(self.CFG, rows, [key])[key]
         runner.state.h_hat[...] = h_hat
-        return runner, codes
+        return runner, rows
 
     def _block(self, z):
         return harness._Block(z, None, None, da.RxOperator(z, self.CFG.block_length))
@@ -764,11 +791,12 @@ class TestSceKernel:
         rows, m, nc = 5, self.CFG.chips_per_block, self.CFG.spreading
         h_hat = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
         h_hat[2] = [1.0, -1.0, 0.0]     # bin 0 dead, and with sigma2 = 0 zero-forced
-        users = np.array([1, 2, 3, 4, 2])
-        sigma2 = np.array([0.5, 0.1, 0.0, 1e-3, 2.0])
-        runner, codes = self._runner(key, users, sigma2, h_hat)
-        det = build_mmse_sce(h_hat, users, sigma2, nc, m)
-        assert det[2, 0] == 0
+        users = [1, 2, 3, 4, 2]
+        snr_db = [3.0, 10.0, np.inf, 30.0, -3.0]   # sigma2 about 0.5, 0.1, 0, 1e-3 and 2
+        runner, chunk = self._runner(key, [(0, s, k) for k, s in zip(users, snr_db)], h_hat)
+        codes = chunk.codes
+        det = build_mmse_sce(h_hat, chunk.users, chunk.sigma2, nc, m)
+        assert chunk.sigma2[2] == 0 and det[2, 0] == 0
         for _ in range(10):
             z = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
             rx = self._block(z)
@@ -779,14 +807,14 @@ class TestSceKernel:
     def test_noiseless_single_user_perfect_estimate(self):
         rng = np.random.default_rng(19)
         taps = generate_cir(ChannelProfile(3, 0.2, seed=20))
-        runner, codes = self._runner("sce-lms", 1, 0.0, taps)
+        runner, chunk = self._runner("sce-lms", [(0, np.inf, 1)], taps[None])
         for _ in range(20):
             b = random_bpsk(rng, self.CFG.block_length)
-            z = synthesize_rx(b[None, :], codes, taps, 0.0, rng)
-            assert_array_equal(runner.detect(self._block(z)), b)
+            z = synthesize_rx(b[None, :], chunk.codes, taps, 0.0, rng)
+            assert_array_equal(runner.detect(self._block(z[None])), b[None])
 
     def test_zero_input_resolves_positive(self):
-        runner, _ = self._runner("sce-rls", 2, 0.1, np.ones((2, 3), complex))
+        runner, _ = self._runner("sce-rls", [(0, 10.0, 2)] * 2, np.ones((2, 3), complex))
         z = np.zeros((2, self.CFG.chips_per_block), complex)
         assert_array_equal(runner.detect(self._block(z)),
                            np.ones((2, self.CFG.block_length)))
