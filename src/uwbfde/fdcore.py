@@ -26,6 +26,10 @@ Conventions
   application, row energy, the genie covariance) act on the last axis and
   accept ``(R, ...)`` arrays, one row per Monte-Carlo run. Each row's result is
   bitwise equal to the result of a call with that row alone.
+* Row kernels on BLAS-backed primitives (``matmul``, ``np.vecdot``) keep
+  that equality only on C-contiguous operands: numpy's batched ``matmul``
+  takes another path when the row axis is not outermost in memory, so
+  batched matrices are made C-contiguous where they are built.
 * ``tap_spectrum`` absorbs the ``sqrt(m)`` factor, i.e. bin ``a`` of
   ``tap_spectrum(h, m)`` is ``sum_l h[l] * exp(-2j*pi*a*l/m)``, which is the
   channel frequency response and equals the diagonal that a circulant matrix
@@ -127,7 +131,7 @@ def tap_spectrum_adjoint(bins, num_taps: int) -> np.ndarray:
 
 def row_energy(v):
     """Squared norm of each row (last axis) of ``v``."""
-    return np.einsum("...i,...i->...", v.conj(), v).real
+    return np.vecdot(v, v).real
 
 
 def by_symbol(vec, n: int) -> np.ndarray:
@@ -148,10 +152,8 @@ def from_symbol(grouped) -> np.ndarray:
 def add_group_outer(acc, left, right):
     """Add each symbol group's outer product ``left_g right_g^T`` to ``acc``
     in place: ``acc`` is ``(..., n, nc, nc)``, ``left`` and ``right`` are
-    ``(..., n, nc)``. Column by column, so no ``(..., n, nc, nc)``
-    temporary is built; each entry is bitwise ``left[i] * right[j]``."""
-    for j in range(acc.shape[-1]):
-        acc[..., j] += left * right[..., j, None]
+    ``(..., n, nc)``. Each entry gains bitwise ``left[i] * right[j]``."""
+    acc += left[..., :, None] * right[..., None, :]
 
 
 def genie_covariance(taps, codes, sigma2: float, n: int):

@@ -45,8 +45,9 @@ Protocol notes
   per-bin equalizer followed by time-domain despreading with the desired
   code is the weight vector ``conj(d) * conj(FFT_m(c_0)) / sqrt(nc)``.
   Both genies apply one MMSE weight vector per row (:func:`da.build_mmse_da`,
-  built once per sweep point), and runners without state that share a
-  weight array share its decision on each scored block.
+  built once per sweep point). One :func:`da.detect_da` call decides every
+  runner on a scored block, on one buffer of their weights
+  (:func:`_weight_slots`), where the genies share a slot.
 * A diverging row is recorded at its first non-finite update. It stays
   non-finite, which touches no other row, and its later divergences are not
   recorded while the other rows of its chunk finish. The experiment then
@@ -345,10 +346,15 @@ class _SceRunner(_Runner):
     def weights(self, estimate=None):
         if self.state is None:
             return self.detector
+        return self.equalize(self.state.h_hat, estimate)
+
+    def equalize(self, h_hat, estimate, out=None):
+        """The weights ``conj(d) * despread_bins`` built on ``(..., R, L)``
+        tap estimates with this runner's inputs, so one build serves a stack."""
         sigma2 = estimate.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
         k_used = estimate.k_int if self.cfg.use_estimated_k else self.users
-        det = build_mmse_sce(self.state.h_hat, k_used, sigma2, self.nc, self.m)
-        return np.conj(det) * self.despread_bins
+        det = build_mmse_sce(h_hat, k_used, sigma2, self.nc, self.m)
+        return np.multiply(np.conj(det), self.despread_bins, out=out)
 
 
 class _DaRunner(_Runner):
@@ -466,6 +472,37 @@ def _received_blocks(rows, n, n_blocks, synthesize=True):
                                             rows.spectrum)
 
 
+def _weight_slots(cfg, rows, runners):
+    """One ``(D, R, m)`` buffer of every runner's weights and each key's
+    slot. The S adaptive SCE runners take the first slots, rebuilt on each
+    scored block from one ``(S, R, L)`` stack that their ``h_hat`` become
+    views of; a DA runner's ``w_hat`` becomes a view of its slot; each
+    distinct stateless weight array takes one slot. Returns ``(weights,
+    slot, sce_runners, taps)``."""
+    adaptive = sorted((key for key, r in runners.items() if r.state is not None),
+                      key=lambda key: not isinstance(runners[key], _SceRunner))
+    slot, fixed = {key: i for i, key in enumerate(adaptive)}, {}
+    for key, runner in runners.items():
+        if runner.state is None:
+            slot[key] = fixed.setdefault(id(runner.detector), len(adaptive) + len(fixed))
+    weights = np.empty((len(adaptive) + len(fixed), len(rows), cfg.chips_per_block),
+                       dtype=complex)
+    sce_runners, taps = [], None
+    for key, runner in runners.items():
+        if runner.state is None:
+            weights[slot[key]] = runner.detector
+        elif isinstance(runner, _SceRunner):
+            sce_runners.append(runner)
+        else:
+            weights[slot[key]] = runner.state.w_hat
+            runner.state.w_hat = weights[slot[key]]
+    if sce_runners:
+        taps = np.stack([runner.state.h_hat for runner in sce_runners])
+        for runner, h_hat in zip(sce_runners, taps):
+            runner.state.h_hat = h_hat
+    return weights, slot, sce_runners, taps
+
+
 # check_finite reports a diverging row with its context; numpy's warnings would repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) -> dict:
@@ -477,9 +514,9 @@ def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) ->
     scored block carries its one subspace estimate to every runner. Without
     ``errors_out`` no block is scored, so none is detected; a frozen runner
     only detects. So when no runner has state and no block is scored,
-    nothing reads the blocks, and they are only drawn. Runners without state
-    (genies and frozen runners) that hold one weight array share its
-    decision on each block.
+    nothing reads the blocks, and they are only drawn. A scored block is
+    decided for every runner before any update, in one :func:`da.detect_da`
+    call (:func:`_weight_slots`).
 
     Returns the first divergence of each diverged row, ``{row: message}``,
     the message naming the row's run and point (``rows.where``), the
@@ -493,6 +530,8 @@ def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) ->
                      for r in runners.values())
     code0 = rows.codes[0]
     diverged = {}
+    if errors_out is not None:
+        weights, slot, sce_runners, taps = _weight_slots(cfg, rows, runners)
     # a pass that no runner reads is only drawn, and yields no block to this loop
     read = errors_out is not None or any(r.state is not None for r in runners.values())
     for i, (blocks, z) in enumerate(_received_blocks(rows, n, n_blocks, read)):
@@ -505,15 +544,14 @@ def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) ->
             if errors_out is not None:
                 estimate = subspace_estimate(cov)
         rx = _Block(z, desired, normal, da.RxOperator(z, n), estimate)
-        # each runner holds its weight array, so no id is reused within the block
-        decided = {}
+        if errors_out is not None:
+            if sce_runners:
+                sce_runners[0].equalize(taps, estimate, out=weights[:len(sce_runners)])
+            wrong = np.count_nonzero(da.detect_da(rx.op, weights) != desired, axis=-1)
+            for key, at in slot.items():
+                errors_out[key][:, i] = wrong[at]
         for key, runner in runners.items():
             runner.observe(rx)
-            if errors_out is not None:
-                shared = key if runner.state is not None else id(runner.detector)
-                if shared not in decided:
-                    decided[shared] = np.count_nonzero(runner.detect(rx) != desired, axis=-1)
-                errors_out[key][:, i] = decided[shared]
             try:
                 runner.update(rx)
             except DivergenceError as exc:

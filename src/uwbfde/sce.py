@@ -113,7 +113,8 @@ def pilot_normal_matrix(xdiag, num_taps: int) -> np.ndarray:
 
     Entry (p, q) is ``sum_a |xdiag[a]|^2 * exp(2j*pi*a*(p-q)/m)``; computed
     from one inverse FFT of the bin powers, with lags beyond the bin count
-    wrapping periodically. An ``(R, m)`` stack of pilots gives ``(R, L, L)``.
+    wrapping periodically. An ``(R, m)`` stack of pilots gives a C-contiguous
+    ``(R, L, L)`` array.
     """
     xdiag = np.asarray(xdiag, dtype=complex)
     m = xdiag.shape[-1]
@@ -123,7 +124,9 @@ def pilot_normal_matrix(xdiag, num_taps: int) -> np.ndarray:
     # lags -(L-1)..(L-1): entry (p, q) is lag p - q, and lag -d is conj(lag d)
     both = np.concatenate([lags[..., :0:-1].conj(), lags], axis=-1)
     taps = np.arange(num_taps)
-    return both[..., num_taps - 1 + taps[:, None] - taps[None, :]]
+    # fancy indexing leaves the row axis innermost in memory; batched matmul
+    # takes another path on that layout than on one row, so make it C order
+    return np.ascontiguousarray(both[..., num_taps - 1 + taps[:, None] - taps[None, :]])
 
 
 class PilotOperator:
@@ -151,7 +154,8 @@ class NormalEquations:
     """A block's cost ``||z - A h||^2`` on :class:`PilotOperator` in normal
     form, ``gram = A^H A`` and ``rhs = A^H z``. As a CG operator it poses
     ``gram h = rhs``: an identity ``rmatvec`` and the curvature ``d^H gram d``.
-    ``(R, L, L)`` grams apply by ``einsum``, each row bitwise as alone."""
+    ``(R, L, L)`` grams apply by ``matmul`` and the curvature is a
+    ``vecdot``, each row bitwise as alone on C-contiguous grams."""
 
     def __init__(self, z, xdiag, num_taps: int):
         self.op = PilotOperator(xdiag, num_taps)
@@ -159,7 +163,7 @@ class NormalEquations:
         self.rhs = self.op.rmatvec(z)
 
     def matvec(self, h) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self.gram, h)
+        return (self.gram @ h[..., None])[..., 0]
 
     @staticmethod
     def rmatvec(r) -> np.ndarray:
@@ -167,7 +171,7 @@ class NormalEquations:
 
     @staticmethod
     def curvature(direction, filtered) -> np.ndarray:
-        return np.einsum("...i,...i->...", direction.conj(), filtered).real
+        return np.vecdot(direction, filtered).real
 
 
 def _normal(z, xdiag, num_taps: int) -> NormalEquations:

@@ -348,6 +348,7 @@ class TestEstimatedInputs:
         inputs = []
 
         def recording_build(h_hat, k_est, sigma2_est, nc, m):
+            assert h_hat.shape[0] == len(keys)     # one build on the runners' stack
             inputs.append((k_est.tolist(), sigma2_est.tolist()))
             return build_mmse_sce(h_hat, k_est, sigma2_est, nc, m)
 
@@ -368,7 +369,7 @@ class TestEstimatedInputs:
             return list(inputs)
 
         truth = equalizer_inputs(cfg.users, cfg.snr_db[0])
-        assert len(truth) == len(keys) * cfg.training_blocks
+        assert len(truth) == cfg.training_blocks
         assert truth == equalizer_inputs(3, -17.0)     # sigma2 about 50
 
 
@@ -758,10 +759,12 @@ class TestSharedDecision:
         cfg = _tiny_config(spreading=4, eval_blocks=10)
         keys, points, runs = cfg.algo_keys(), [(0, 4.0, 3), (1, 12.0, 2)], [0, 1]
         errors = _ber_trial(cfg, points, keys, runs)
-        # six frozen adaptive runners and the genies' one array, on every scored block
-        assert len(detected) == 7 * cfg.eval_blocks
-        for block in range(cfg.eval_blocks):
-            assert len({id(w) for w in detected[7 * block:7 * block + 7]}) == 7
+        # one call per scored block, on the six frozen adaptive runners' and
+        # the genies' one array, each in a slot of its own
+        assert len(detected) == cfg.eval_blocks
+        for w in detected:
+            assert w.shape[0] == 7
+            assert len({w[slot].tobytes() for slot in range(7)}) == 7
         for key in keys:
             assert_array_equal(errors[key], _ber_trial(cfg, points, [key], runs)[key])
 

@@ -408,6 +408,39 @@ class TestNormalEquations:
             fdcore.cg_least_squares(cgls, sce.PilotOperator(xdiag, num_taps), z, iters)
             assert_allclose(state.h_hat, cgls, rtol=1e-8)
 
+    def test_gram_is_c_contiguous(self):
+        _, xdiag = self._batch()
+        gram = sce.pilot_normal_matrix(xdiag, self.TAPS)
+        assert gram.shape == (len(xdiag), self.TAPS, self.TAPS)
+        assert gram.flags.c_contiguous
+
+    @pytest.mark.parametrize("num_taps", [3, 5, 34, 35])
+    def test_row_kernels_equal_one_row_calls_on_offset_rows(self, num_taps):
+        # batched matmul takes another path than one row's when the row axis
+        # of the gram is not outermost in memory; the inputs are rows cut from
+        # buffers offset by one element
+        rng = np.random.default_rng(num_taps)
+        rows, m = 8, 256
+
+        def offset_rows(length):
+            buf = _random_complex(rng, rows * length + 1)
+            return buf[1:].reshape(rows, length)
+
+        z, xdiag = offset_rows(m), offset_rows(m)
+        h, direction = offset_rows(num_taps), offset_rows(num_taps)
+        normal = sce.NormalEquations(z, xdiag, num_taps)
+        filtered = normal.matvec(direction)
+        product = normal.matvec(h)
+        curvature = normal.curvature(direction, filtered)
+        energy = fdcore.row_energy(h)
+        for r in range(rows):
+            single = sce.NormalEquations(z[r], xdiag[r], num_taps)
+            np.testing.assert_array_equal(product[r], single.matvec(h[r]))
+            np.testing.assert_array_equal(filtered[r], single.matvec(direction[r]))
+            np.testing.assert_array_equal(curvature[r],
+                                          single.curvature(direction[r], filtered[r]))
+            np.testing.assert_array_equal(energy[r], fdcore.row_energy(h[r]))
+
     def test_every_step_accepts_the_prepared_equations(self):
         z, xdiag = self._batch()
         normal = sce.NormalEquations(z, xdiag, self.TAPS)
