@@ -27,12 +27,13 @@ Protocol notes
   experiment runs one trial, :func:`_ber_trial`. A training curve
   (``ber-vs-blocks``) has one point and scores every training block. A
   steady-state sweep (``ber-vs-snr``, ``ber-vs-users``) trains every point
-  of a chunk in one pass, freezes every runner's weights, and scores
-  ``eval_blocks`` more blocks. The ``estimators`` noise-variance sweep and user-count traces put
-  their points on the same axis. ``--workers`` deals the chunks to worker
-  processes in contiguous groups, and the chunks' results join in row
-  order. Every row is computed as it would be alone, so output is
-  byte-identical for any worker count and chunk size.
+  of a chunk in one pass, freezes every runner's weights (one stacked build
+  of the adaptive SCE weights, then every state is dropped), and scores
+  ``eval_blocks`` more blocks. The ``estimators`` noise-variance sweep and
+  user-count traces put their points on the same axis. ``--workers`` deals
+  the chunks to worker processes in contiguous groups, and the chunks'
+  results join in row order. Every row is computed as it would be alone, so
+  output is byte-identical for any worker count and chunk size.
 * On estimated inputs a BER trial folds each training block once into one
   per-group covariance of its rows, and every adaptive SCE runner builds
   its weights on the one subspace estimate taken from it.
@@ -45,9 +46,10 @@ Protocol notes
   per-bin equalizer followed by time-domain despreading with the desired
   code is the weight vector ``conj(d) * conj(FFT_m(c_0)) / sqrt(nc)``.
   Both genies apply one MMSE weight vector per row (:func:`da.build_mmse_da`,
-  built once per sweep point). One :func:`da.detect_da` call decides every
-  runner on a scored block, on one buffer of their weights
-  (:func:`_weight_slots`), where the genies share a slot.
+  built once per sweep point). A chunk's runners are built once, with one
+  buffer of their weights where the genies share a slot (:class:`_Runners`),
+  and one :func:`da.detect_da` call on it decides every runner on a scored
+  block.
 * A diverging row is recorded at its first non-finite update. It stays
   non-finite, which touches no other row, and its later divergences are not
   recorded while the other rows of its chunk finish. The experiment then
@@ -68,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channel, da, estimators, sce
+from . import channel, da, sce
 from .channel import ChannelProfile, generate_cir, load_cir
 from .estimators import (
     GroupCovariance,
@@ -274,36 +276,26 @@ class _Block:
     desired: np.ndarray             # (..., n) desired user's symbols
     normal: sce.NormalEquations | None  # pilot fit's normal equations, for adaptive SCE
     op: da.RxOperator               # received-data operator, for DA and every detection
-    estimate: estimators.SubspaceEstimate | None = None  # the trial's, on estimated inputs
 
 
 class _Runner:
-    """One algorithm advanced over a :class:`_Rows` chunk: adapt, estimate,
-    detect.
+    """One algorithm advanced over a :class:`_Rows` chunk: it adapts, and it
+    detects on ``weights``, its ``(R, m)`` slot of the chunk's
+    :class:`_Runners` buffer.
 
-    It reads its rows' users and noise variances from the chunk. An adaptive
-    algorithm gets state with one row per chunk row; a genie reads
-    ``genie``, the MMSE weights of :func:`_genie_weights`, as its
-    ``detector``. Every detector decides by applying its length-m weights
-    to the block's :class:`da.RxOperator`; subclasses name their scheme,
-    step inputs and weights, which read the trial's subspace estimate when
-    one is given. :meth:`freeze` builds an adaptive runner's weights once
-    and drops its state: it then detects like a genie, and its ``update``
-    does nothing.
+    An adaptive algorithm gets state with one row per chunk row, which
+    ``update`` advances by one block; a genie has none, and its slot holds
+    the MMSE weights of :func:`_genie_weights`. ``detect`` applies the slot's
+    length-m weights to the block's :class:`da.RxOperator` as they stand. A
+    sweep drops every state once its weights are frozen; ``update`` then
+    does nothing. A runner holds no reference to its :class:`_Runners`.
     """
 
     scheme = ""
 
-    def __init__(self, algo, cfg, rows, genie):
-        self.kind = algo.kind
-        self.step = algo.step
-        self.cfg = cfg
-        self.users, self.sigma2 = rows.users, rows.sigma2
-        self.state = self.detector = None
-        if algo.step is None:
-            self.detector = genie
-        else:
-            self.state = algo.new_state(cfg, (len(rows),))
+    def __init__(self, algo, cfg, rows, weights):
+        self.kind, self.step, self.weights = algo.kind, algo.step, weights
+        self.state = None if algo.step is None else algo.new_state(cfg, (len(rows),))
 
     def observe(self, rx: _Block):
         """Does nothing; no runner keeps estimates of its own. It stays as the
@@ -312,71 +304,45 @@ class _Runner:
 
     def update(self, rx: _Block):
         if self.state is not None:
-            self.step(self.state, *self.step_args(rx))
+            self.step(self.state, rx)
 
     def detect(self, rx: _Block):
-        return da.detect_da(rx.op, self.weights(rx.estimate))
-
-    def freeze(self, estimate):
-        self.detector, self.state = self.weights(estimate), None
+        return da.detect_da(rx.op, self.weights)
 
 
 class _SceRunner(_Runner):
-    """An SCE algorithm; with estimated inputs it builds its weights on the
-    trial's one subspace estimate of sigma2 and K, which every adaptive SCE
-    runner shares: on every scored block of a training curve, and once when
-    a sweep freezes it. Its per-bin equalizer ``d``, followed by despreading
-    with the desired code ``c_0``, acts on a received block as the weight
-    vector ``conj(d) * despread_bins`` does, with ``despread_bins =
-    conj(FFT_m(c_0)) / sqrt(nc)``. Its genie is the DA genie: the per-group
-    MMSE detector ``R_g^-1 diag(hbar_g)`` collapses the same way to
-    ``conj(R_g^-1 lam_0,g) / sqrt(nc)``."""
+    """An SCE algorithm; an adaptive one's ``h_hat`` is its row of the
+    :class:`_Runners` tap stack, from which the set builds its weights. Its
+    per-bin equalizer ``d``, followed by despreading with the desired code
+    ``c_0``, acts on a received block as the weight vector ``conj(d) *
+    despread_bins`` does, with ``despread_bins = conj(FFT_m(c_0)) /
+    sqrt(nc)``. Its genie is the DA genie: the per-group MMSE detector
+    ``R_g^-1 diag(hbar_g)`` collapses the same way to ``conj(R_g^-1 lam_0,g)
+    / sqrt(nc)``."""
 
     scheme = "sce"
 
-    def __init__(self, algo, cfg, rows, genie):
-        super().__init__(algo, cfg, rows, genie)
-        self.nc, self.m = cfg.spreading, cfg.chips_per_block
-        self.despread_bins = np.conj(np.fft.fft(rows.codes[0], self.m)) / np.sqrt(self.nc)
-
-    @staticmethod
-    def step_args(rx: _Block):
-        return rx.z, rx.normal
-
-    def weights(self, estimate=None):
-        if self.state is None:
-            return self.detector
-        return self.equalize(self.state.h_hat, estimate)
-
-    def equalize(self, h_hat, estimate, out=None):
-        """The weights ``conj(d) * despread_bins`` built on ``(..., R, L)``
-        tap estimates with this runner's inputs, so one build serves a stack."""
-        sigma2 = estimate.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
-        k_used = estimate.k_int if self.cfg.use_estimated_k else self.users
-        det = build_mmse_sce(h_hat, k_used, sigma2, self.nc, self.m)
-        return np.multiply(np.conj(det), self.despread_bins, out=out)
-
 
 class _DaRunner(_Runner):
-    """A DA algorithm."""
+    """A DA algorithm; an adaptive one's ``w_hat`` is its weight slot, which
+    its step updates in place."""
 
     scheme = "da"
 
-    @staticmethod
-    def step_args(rx: _Block):
-        return rx.op, rx.desired
-
-    def weights(self, estimate=None):
-        return self.detector if self.state is None else self.state.w_hat
+    def __init__(self, algo, cfg, rows, weights):
+        super().__init__(algo, cfg, rows, weights)
+        if self.state is not None:
+            weights[...] = self.state.w_hat
+            self.state.w_hat = weights
 
 
 @dataclass(frozen=True)
 class _Algorithm:
     """One detector: its runner class and, for an adaptive algorithm, its
     state constructor ``new_state(cfg, batch)`` and block step ``step(state,
-    *step_args, counter=None)``; without them it is its scheme's genie. The
-    lambdas look the module functions up at call time, so wrappers installed
-    on the modules apply."""
+    rx, counter=None)`` on a :class:`_Block`; without them it is its
+    scheme's genie. The lambdas look the module functions up at call time,
+    so wrappers installed on the modules apply."""
 
     kind: str
     runner: type
@@ -387,25 +353,25 @@ class _Algorithm:
 _ALGORITHMS = {f"{algo.runner.scheme}-{algo.kind}": algo for algo in (
     _Algorithm("lms", _SceRunner,
                lambda cfg, batch: sce.new_lms_state(cfg.cir_taps, cfg.resolved_mu_h, batch),
-               lambda *args: sce.sce_lms_step(*args)),
+               lambda state, rx, *counter: sce.sce_lms_step(state, rx.z, rx.normal, *counter)),
     _Algorithm("rls", _SceRunner,
                lambda cfg, batch: sce.new_rls_state(cfg.cir_taps, cfg.lambda_h,
                                                     cfg.delta_init, batch),
-               lambda *args: sce.sce_rls_step(*args)),
+               lambda state, rx, *counter: sce.sce_rls_step(state, rx.z, rx.normal, *counter)),
     _Algorithm("cg", _SceRunner,
                lambda cfg, batch: sce.new_cg_state(cfg.cir_taps, cfg.cg_iters, batch),
-               lambda *args: sce.sce_cg_step(*args)),
+               lambda state, rx, *counter: sce.sce_cg_step(state, rx.z, rx.normal, *counter)),
     _Algorithm("mmse", _SceRunner),
     _Algorithm("lms", _DaRunner,
                lambda cfg, batch: da.new_lms_state(cfg.chips_per_block, cfg.mu_w, batch),
-               lambda *args: da.da_lms_step(*args)),
+               lambda state, rx, *counter: da.da_lms_step(state, rx.op, rx.desired, *counter)),
     _Algorithm("rls", _DaRunner,
                lambda cfg, batch: da.new_rls_state(cfg.block_length, cfg.spreading,
                                                    cfg.lambda_w, cfg.delta_init, batch),
-               lambda *args: da.da_rls_step(*args)),
+               lambda state, rx, *counter: da.da_rls_step(state, rx.op, rx.desired, *counter)),
     _Algorithm("cg", _DaRunner,
                lambda cfg, batch: da.new_cg_state(cfg.chips_per_block, cfg.cg_iters, batch),
-               lambda *args: da.da_cg_step(*args)),
+               lambda state, rx, *counter: da.da_cg_step(state, rx.op, rx.desired, *counter)),
     _Algorithm("mmse", _DaRunner),
 )}
 SCHEMES = (*dict.fromkeys(algo.runner.scheme for algo in _ALGORITHMS.values()), "both")
@@ -426,14 +392,49 @@ def _genie_weights(cfg, rows) -> np.ndarray:
     return weights
 
 
-def _new_runners(cfg, rows, algo_keys):
-    """One runner per algorithm over a :class:`_Rows` chunk; the genies share
-    one weight array."""
-    genie = None
-    if any(_ALGORITHMS[key].step is None for key in algo_keys):
-        genie = _genie_weights(cfg, rows)
-    return {key: _ALGORITHMS[key].runner(_ALGORITHMS[key], cfg, rows, genie)
-            for key in algo_keys}
+class _Runners(dict):
+    """Every runner of a :class:`_Rows` chunk, by key, built once per chunk
+    with ``weights``, one ``(D, R, m)`` buffer of their weights, and
+    ``slot``, each key's slot in it. The S adaptive SCE runners take the
+    first slots, and their ``h_hat`` are views of the ``(S, R, L)`` stack
+    ``taps``, which :meth:`equalize` turns into their weights in one
+    :func:`build_mmse_sce` call. Each adaptive DA runner's ``w_hat`` is its
+    slot; both genies share the last slot, which :func:`_genie_weights`
+    fills."""
+
+    def __init__(self, cfg, rows, algo_keys):
+        # adaptive SCE, then adaptive DA, then the genies
+        order = sorted(algo_keys, key=lambda key: (_ALGORITHMS[key].step is None,
+                                                   _ALGORITHMS[key].runner is _DaRunner))
+        adaptive = sum(_ALGORITHMS[key].step is not None for key in algo_keys)
+        self.slot = {key: min(i, adaptive) for i, key in enumerate(order)}
+        self.weights = np.empty((len(set(self.slot.values())), len(rows), cfg.chips_per_block),
+                                dtype=complex)
+        if adaptive < len(algo_keys):
+            self.weights[adaptive] = _genie_weights(cfg, rows)
+        super().__init__((key, _ALGORITHMS[key].runner(_ALGORITHMS[key], cfg, rows,
+                                                       self.weights[self.slot[key]]))
+                         for key in algo_keys)
+        sce_states = [self[key].state for key in order[:adaptive]
+                      if isinstance(self[key], _SceRunner)]
+        self.taps = np.array([state.h_hat for state in sce_states])
+        for state, h_hat in zip(sce_states, self.taps):
+            state.h_hat = h_hat
+        self.cfg, self.users, self.sigma2 = cfg, rows.users, rows.sigma2
+        self.despread_bins = (np.conj(np.fft.fft(rows.codes[0], cfg.chips_per_block))
+                              / np.sqrt(cfg.spreading))
+
+    def equalize(self, cov):
+        """Rebuild the adaptive SCE slots, ``conj(d) * despread_bins``, on
+        the tap stack in one :func:`build_mmse_sce` call. On estimated
+        inputs they read the one subspace estimate of the trial's
+        :class:`GroupCovariance` ``cov``."""
+        estimate = None if cov is None else subspace_estimate(cov)
+        sigma2 = estimate.sigma2 if self.cfg.use_estimated_sigma2 else self.sigma2
+        k_used = estimate.k_int if self.cfg.use_estimated_k else self.users
+        det = build_mmse_sce(self.taps, k_used, sigma2, self.cfg.spreading,
+                             self.cfg.chips_per_block)
+        np.multiply(np.conj(det), self.despread_bins, out=self.weights[:len(self.taps)])
 
 
 def _received_blocks(rows, n, n_blocks, synthesize=True):
@@ -472,37 +473,6 @@ def _received_blocks(rows, n, n_blocks, synthesize=True):
                                             rows.spectrum)
 
 
-def _weight_slots(cfg, rows, runners):
-    """One ``(D, R, m)`` buffer of every runner's weights and each key's
-    slot. The S adaptive SCE runners take the first slots, rebuilt on each
-    scored block from one ``(S, R, L)`` stack that their ``h_hat`` become
-    views of; a DA runner's ``w_hat`` becomes a view of its slot; each
-    distinct stateless weight array takes one slot. Returns ``(weights,
-    slot, sce_runners, taps)``."""
-    adaptive = sorted((key for key, r in runners.items() if r.state is not None),
-                      key=lambda key: not isinstance(runners[key], _SceRunner))
-    slot, fixed = {key: i for i, key in enumerate(adaptive)}, {}
-    for key, runner in runners.items():
-        if runner.state is None:
-            slot[key] = fixed.setdefault(id(runner.detector), len(adaptive) + len(fixed))
-    weights = np.empty((len(adaptive) + len(fixed), len(rows), cfg.chips_per_block),
-                       dtype=complex)
-    sce_runners, taps = [], None
-    for key, runner in runners.items():
-        if runner.state is None:
-            weights[slot[key]] = runner.detector
-        elif isinstance(runner, _SceRunner):
-            sce_runners.append(runner)
-        else:
-            weights[slot[key]] = runner.state.w_hat
-            runner.state.w_hat = weights[slot[key]]
-    if sce_runners:
-        taps = np.stack([runner.state.h_hat for runner in sce_runners])
-        for runner, h_hat in zip(sce_runners, taps):
-            runner.state.h_hat = h_hat
-    return weights, slot, sce_runners, taps
-
-
 # check_finite reports a diverging row with its context; numpy's warnings would repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) -> dict:
@@ -511,12 +481,13 @@ def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) ->
     (:func:`_received_blocks`), filling ``errors_out`` (``key -> (R,
     n_blocks)`` error counts). On estimated inputs ``cov`` is the trial's
     :class:`GroupCovariance`: each block is folded into it once, and each
-    scored block carries its one subspace estimate to every runner. Without
-    ``errors_out`` no block is scored, so none is detected; a frozen runner
-    only detects. So when no runner has state and no block is scored,
-    nothing reads the blocks, and they are only drawn. A scored block is
-    decided for every runner before any update, in one :func:`da.detect_da`
-    call (:func:`_weight_slots`).
+    scored block builds the adaptive SCE weights on its one subspace
+    estimate. Without ``errors_out`` no block is scored, so none is
+    detected; a frozen runner only detects. So when no runner has state and
+    no block is scored, nothing reads the blocks, and they are only drawn. A
+    scored block is decided for every runner before any update, in one
+    :func:`da.detect_da` call on the ``runners`` buffer, after one
+    :meth:`_Runners.equalize` while the SCE runners adapt.
 
     Returns the first divergence of each diverged row, ``{row: message}``,
     the message naming the row's run and point (``rows.where``), the
@@ -525,30 +496,25 @@ def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) ->
     are not recorded.
     """
     n = cfg.block_length
+    adapting = any(r.state is not None for r in runners.values())
     # the genies read no pilot; only the adaptive SCE steps do
-    need_pilot = any(isinstance(r, _SceRunner) and r.state is not None
-                     for r in runners.values())
+    sce_adapts = adapting and len(runners.taps) > 0
     code0 = rows.codes[0]
     diverged = {}
-    if errors_out is not None:
-        weights, slot, sce_runners, taps = _weight_slots(cfg, rows, runners)
     # a pass that no runner reads is only drawn, and yields no block to this loop
-    read = errors_out is not None or any(r.state is not None for r in runners.values())
+    read = errors_out is not None or adapting
     for i, (blocks, z) in enumerate(_received_blocks(rows, n, n_blocks, read)):
         desired = blocks[:, 0]
         normal = (sce.NormalEquations(z, pilot_matrix(spread(desired, code0)), cfg.cir_taps)
-                  if need_pilot else None)
-        estimate = None
+                  if sce_adapts else None)
         if cov is not None:
             update_covariance(cov, z)
-            if errors_out is not None:
-                estimate = subspace_estimate(cov)
-        rx = _Block(z, desired, normal, da.RxOperator(z, n), estimate)
+        rx = _Block(z, desired, normal, da.RxOperator(z, n))
         if errors_out is not None:
-            if sce_runners:
-                sce_runners[0].equalize(taps, estimate, out=weights[:len(sce_runners)])
-            wrong = np.count_nonzero(da.detect_da(rx.op, weights) != desired, axis=-1)
-            for key, at in slot.items():
+            if sce_adapts:
+                runners.equalize(cov)
+            wrong = np.count_nonzero(da.detect_da(rx.op, runners.weights) != desired, axis=-1)
+            for key, at in runners.slot.items():
                 errors_out[key][:, i] = wrong[at]
         for key, runner in runners.items():
             runner.observe(rx)
@@ -663,8 +629,8 @@ def _ber_trial(cfg, points, algo_keys, runs, curve=False):
     """Desired-user error counts of a batch of runs at each ``(point_idx,
     snr_db, users)`` point, ``{key: (R, P, blocks)}``. A training curve
     (``curve``) scores every training block, with each runner as it stands
-    before that block's update. A sweep trains, freezes every runner, and
-    scores ``cfg.eval_blocks`` more blocks.
+    before that block's update. A sweep trains, freezes every runner's
+    weights, and scores ``cfg.eval_blocks`` more blocks.
 
     Every (run, point) pair is one row (:func:`_map_rows`): it draws from
     its own generator and keeps its run's channel. A diverged run raises at
@@ -674,8 +640,11 @@ def _ber_trial(cfg, points, algo_keys, runs, curve=False):
 
 def _ber_rows(cfg, rows, algo_keys, curve):
     """:func:`_ber_trial` on one chunk of rows, which all train and are
-    scored together: ``{key: (rows, blocks)}``."""
-    runners = _new_runners(cfg, rows, algo_keys)
+    scored together, on one :class:`_Runners`: ``{key: (rows, blocks)}``. A
+    sweep's freeze is the scored block's one stacked build of the adaptive
+    SCE weights, made once after training, followed by dropping every
+    state; each runner then detects on its slot as it stands."""
+    runners = _Runners(cfg, rows, algo_keys)
     scored = cfg.training_blocks if curve else cfg.eval_blocks
     errors = {key: np.zeros((len(rows), scored), dtype=np.int64) for key in algo_keys}
     cov = (GroupCovariance.empty(cfg.block_length, cfg.spreading, (len(rows),))
@@ -685,9 +654,10 @@ def _ber_rows(cfg, rows, algo_keys, curve):
     if diverged:
         raise DivergenceError(diverged[min(diverged)])
     if not curve:
-        estimate = None if cov is None else subspace_estimate(cov)
+        if len(runners.taps):
+            runners.equalize(cov)
         for runner in runners.values():
-            runner.freeze(estimate)
+            runner.state = None
         _simulate_blocks(cfg, rows, runners, cfg.eval_blocks, errors_out=errors)
     return errors
 
@@ -937,7 +907,7 @@ def _measured_step_cost(algo, n, nc, num_taps, iters, rng) -> tuple[int, int]:
     cfg = ExperimentConfig(block_length=n, spreading=nc, cir_taps=num_taps, cg_iters=iters)
     rx = _Block(z, b, sce.NormalEquations(z, xdiag, num_taps), da.RxOperator(z, n))
     counter = OpCounter()
-    entry.step(entry.new_state(cfg, ()), *entry.runner.step_args(rx), counter)
+    entry.step(entry.new_state(cfg, ()), rx, counter)
     return counter.snapshot()
 
 

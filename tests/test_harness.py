@@ -1,6 +1,7 @@
 """Experiment harness: configuration, experiments, CSV output and the CLI."""
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
@@ -20,8 +21,8 @@ from uwbfde.fdcore import DivergenceError, random_bpsk, spread, tap_spectrum, wa
 from uwbfde.harness import (
     CurveSet,
     ExperimentConfig,
+    _Runners,
     _ber_trial,
-    _new_runners,
     _simulate_blocks,
     run_ber_vs_blocks,
     run_ber_vs_snr,
@@ -147,14 +148,14 @@ class TestExperiments:
             run_ber_vs_blocks(cfg)
 
     def test_sweep_builds_each_adaptive_weight_once(self, monkeypatch):
-        # a sweep freezes its runners after training: each adaptive SCE
-        # runner builds its equalizer once, on the trial's one subspace
-        # estimate, not on every scored block
+        # a sweep freezes its runners after training: the adaptive SCE
+        # runners build their equalizers once, in one stacked build on the
+        # trial's one subspace estimate, not on every scored block
         calls = _count_calls(monkeypatch, "build_mmse_sce", "subspace_estimate")
         cfg = _tiny_config(spreading=4, snr_db=(4.0, 12.0), scheme="sce", runs=2,
                            eval_blocks=10, use_estimated_sigma2=True, use_estimated_k=True)
         run_ber_vs_snr(cfg)
-        assert calls == {"build_mmse_sce": 3, "subspace_estimate": 1}
+        assert calls == {"build_mmse_sce": 1, "subspace_estimate": 1}
 
     def test_curve_estimates_once_per_block(self, monkeypatch):
         # the three adaptive SCE runners of a training curve read one
@@ -361,7 +362,7 @@ class TestEstimatedInputs:
             # the runners read users_seen and snr_db_seen off their chunk;
             # the blocks are drawn on the true ones
             inputs.clear()
-            runners = _new_runners(cfg, one_row(users_seen, snr_db_seen), keys)
+            runners = _Runners(cfg, one_row(users_seen, snr_db_seen), keys)
             errors = {key: np.zeros((1, cfg.training_blocks), dtype=np.int64) for key in keys}
             _simulate_blocks(cfg, one_row(cfg.users, cfg.snr_db[0]), runners,
                              cfg.training_blocks, errors_out=errors,
@@ -768,6 +769,79 @@ class TestSharedDecision:
         for key in keys:
             assert_array_equal(errors[key], _ber_trial(cfg, points, [key], runs)[key])
 
+    @pytest.mark.parametrize("estimated", [False, True])
+    def test_freeze_builds_each_sce_slot_as_its_runner_alone(self, monkeypatch, estimated):
+        # the freeze's one stacked build leaves each adaptive SCE slot bitwise
+        # equal to that runner's own build, on its taps, users and variances
+        builds = []
+
+        def recording_build(h_hat, k_used, sigma2, nc, m):
+            builds.append((h_hat.copy(), k_used, sigma2))
+            return build_mmse_sce(h_hat, k_used, sigma2, nc, m)
+
+        monkeypatch.setattr(harness, "build_mmse_sce", recording_build)
+        detected = self._record_detections(monkeypatch)
+        cfg = _tiny_config(spreading=4, eval_blocks=3, use_estimated_sigma2=estimated,
+                           use_estimated_k=estimated)
+        points, runs = [(0, 4.0, 3), (1, 12.0, 2), (2, np.inf, 1)], [0, 1]
+        _ber_trial(cfg, points, cfg.algo_keys(), runs)
+        [(taps, k_used, sigma2)] = builds
+        frozen = detected[0]
+        assert all(np.array_equal(w, frozen) for w in detected)
+        if not estimated:
+            assert_array_equal(k_used, [3, 2, 1] * 2)
+            assert_array_equal(sigma2, [cfg.sigma2_for(snr) for _, snr, _ in points] * 2)
+        nc, m = cfg.spreading, cfg.chips_per_block
+        despread_bins = np.conj(np.fft.fft(walsh_code_set(nc)[0], m)) / np.sqrt(nc)
+        for slot, key in enumerate(["sce-lms", "sce-rls", "sce-cg"]):
+            builds.clear()
+            _ber_trial(cfg, points, [key], runs)      # the runner alone
+            [(h_hat, _, _)] = builds
+            assert_array_equal(h_hat[0], taps[slot])
+            alone = np.conj(build_mmse_sce(h_hat[0], k_used, sigma2, nc, m)) * despread_bins
+            assert_array_equal(frozen[slot], alone)
+
+
+class TestRunnerSet:
+    """A chunk's runners are built once, with their weight buffer; the
+    benchmark's tracer times each runner's methods, and a runner holds no
+    reference back to its set."""
+
+    @pytest.mark.parametrize("curve", [True, False])
+    def test_each_runner_method_runs_once_per_block(self, monkeypatch, curve):
+        # perfbench/tracing.py wraps these methods to time each detector
+        calls = {}
+        for cls, methods in ((harness._SceRunner, ("observe", "detect", "update")),
+                             (harness._DaRunner, ("detect", "update"))):
+            for method in methods:
+                def counted(runner, rx, _fn=getattr(cls, method), _name=method):
+                    key = (f"{runner.scheme}-{runner.kind}", _name)
+                    calls[key] = calls.get(key, 0) + 1
+                    return _fn(runner, rx)
+                monkeypatch.setattr(cls, method, counted)
+        cfg = _tiny_config(spreading=4, training_blocks=12, eval_blocks=5)
+        _ber_trial(cfg, [(0, 4.0, 3), (1, 12.0, 2)], cfg.algo_keys(), [0, 1], curve=curve)
+        blocks = cfg.training_blocks + (0 if curve else cfg.eval_blocks)
+        assert {key for key, method in calls if method == "update"} == set(cfg.algo_keys())
+        assert all(count == blocks for (_, method), count in calls.items()
+                   if method in ("observe", "update"))
+
+    def test_trials_leave_no_cyclic_garbage(self):
+        # a reference cycle through the runners outlives its chunk until the
+        # collector runs, which raises the benchmark's peak memory
+        cfg = _tiny_config(spreading=4, training_blocks=20, eval_blocks=5,
+                           use_estimated_sigma2=True, use_estimated_k=True)
+        points = [(0, 4.0, 3), (1, 12.0, 2)]
+        gc.collect()
+        gc.disable()
+        try:
+            for curve in (False, True):
+                _ber_trial(cfg, points[:1] if curve else points, cfg.algo_keys(), [0, 1],
+                           curve=curve)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestSceKernel:
     """An adaptive SCE runner decides through ``da.detect_da`` on the weight
@@ -779,10 +853,13 @@ class TestSceKernel:
 
     def _runner(self, key, points, h_hat):
         """A runner over one row per ``(point_idx, snr_db, users)`` point,
-        holding the ``(R, L)`` channel estimate ``h_hat``; it draws no block."""
+        holding the ``(R, L)`` channel estimate ``h_hat`` and the weights its
+        set builds on it; it draws no block."""
         rows = _chunk(self.CFG, range(len(points)), points, np.asarray(h_hat), None)
-        runner = _new_runners(self.CFG, rows, [key])[key]
+        runners = _Runners(self.CFG, rows, [key])
+        runner = runners[key]
         runner.state.h_hat[...] = h_hat
+        runners.equalize(None)
         return runner, rows
 
     def _block(self, z):
@@ -805,7 +882,7 @@ class TestSceKernel:
             rx = self._block(z)
             assert_array_equal(runner.detect(rx), detect_sce(z, det, codes[0]))
             soft = despread(np.fft.ifft(np.conj(det) * z, norm="ortho"), codes[0])
-            assert_allclose(rx.op.matvec(runner.weights()), soft, rtol=0, atol=1e-12)
+            assert_allclose(rx.op.matvec(runner.weights), soft, rtol=0, atol=1e-12)
 
     def test_noiseless_single_user_perfect_estimate(self):
         rng = np.random.default_rng(19)
