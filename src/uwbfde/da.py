@@ -49,6 +49,7 @@ from .fdcore import (
 
 logger = logging.getLogger(__name__)
 _DIVERGED = "adaptive update diverged (non-finite weights)"
+_LOADING_FLOOR = 1e-12      # least DA-RLS diagonal loading, relative to its group's trace
 
 
 class RxOperator:
@@ -99,6 +100,7 @@ class DaLmsState:
 class DaRlsState:
     w_hat: np.ndarray
     corr: np.ndarray            # (n, nc, nc) Hermitian blocks, grouped by symbol index
+    loading: np.ndarray         # (n,) diagonal loading of each block, delta * lam^t or more
     lam: float
     delta: float = 1e-2
 
@@ -122,7 +124,8 @@ def new_rls_state(n: int, nc: int, lam: float = 0.998, delta: float = 1e-2,
         raise ValueError("forgetting factor must be in (0, 1]")
     corr = np.broadcast_to(delta * np.eye(nc, dtype=complex), (*batch, n, nc, nc)).copy()
     return DaRlsState(w_hat=np.zeros((*batch, n * nc), dtype=complex), corr=corr,
-                      lam=float(lam), delta=float(delta))
+                      loading=np.full((*batch, n), float(delta)), lam=float(lam),
+                      delta=float(delta))
 
 
 def new_cg_state(m: int, iters: int = 8, batch=()) -> DaCgState:
@@ -156,14 +159,23 @@ def da_rls_step(state: DaRlsState, op: RxOperator, b, counter=None) -> DaRlsStat
     The per-block normal-matrix increment is the outer product of each
     symbol's bin group with itself (:func:`fdcore.add_group_outer`), so the
     accumulator stays block diagonal in the regrouped ordering and each
-    nc-by-nc block is solved directly. A singular block is regularized with
-    ``delta * I``, that block only.
+    nc-by-nc block is solved directly. The ``delta * lam^t`` loading of
+    each block is kept at least ``_LOADING_FLOOR`` times its trace: where the
+    data span fewer than nc directions (fewer users than codes, no noise),
+    the decayed loading alone would fall below round-off of the data and
+    leave the block numerically singular. A singular block is still
+    regularized with ``delta * I``, that block only.
     """
     n, nc = op.n, op.nc
     zg = by_symbol(op.zbins, n)                           # (..., n, nc)
     zg_conj = zg.conj()
     state.corr *= state.lam
+    state.loading *= state.lam
     add_group_outer(state.corr, zg_conj, zg)
+    diag = state.corr.real[..., range(nc), range(nc)]     # (..., n, nc)
+    shortfall = np.maximum(_LOADING_FLOOR * diag.sum(axis=-1) - state.loading, 0.0)
+    state.loading += shortfall
+    state.corr.real[..., range(nc), range(nc)] = diag + shortfall[..., None]
     err = np.fft.fft(b, norm="ortho") - fold_segments(op.zbins * state.w_hat, n)
     grad = (zg_conj * err[..., None])[..., None]          # conj(z_g) * err_g, per group
     update, regularized = solve_regularized(state.corr, grad, state.delta)

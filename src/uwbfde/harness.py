@@ -197,8 +197,8 @@ class ExperimentConfig:
             raise ValueError(f"{experiment} runs at one SNR point: --snr-db takes one value")
         if experiment in ("ber-vs-snr", "ber-vs-users") and self.eval_blocks < 1:
             raise ValueError(f"{experiment} scores steady-state blocks: --eval-blocks must be >= 1")
-        sce_adapts = any(_ALGORITHMS[key].runner is _SceRunner
-                         and _ALGORITHMS[key].step is not None for key in self.algo_keys())
+        sce_adapts = any(_ALGORITHMS[key].scheme == "sce" and _ALGORITHMS[key].step is not None
+                         for key in self.algo_keys())
         for flag, on in (("--estimated-sigma2", self.use_estimated_sigma2),
                          ("--estimated-k", self.use_estimated_k)):
             if on and experiment in ("estimators", "complexity"):
@@ -212,7 +212,7 @@ class ExperimentConfig:
 
     def algo_keys(self) -> list[str]:
         return [key for key, algo in _ALGORITHMS.items()
-                if self.scheme in ("both", algo.runner.scheme)
+                if self.scheme in ("both", algo.scheme)
                 and self.algorithm in ("all", algo.kind)]
 
     def metadata(self) -> dict:
@@ -279,23 +279,21 @@ class _Block:
 
 
 class _Runner:
-    """One algorithm advanced over a :class:`_Rows` chunk: it adapts, and it
-    detects on ``weights``, its ``(R, m)`` slot of the chunk's
-    :class:`_Runners` buffer.
+    """One algorithm over a :class:`_Rows` chunk, with its table entry's
+    ``scheme``, ``kind`` and ``step``: it detects on ``weights``, its ``(R,
+    m)`` slot of the chunk's :class:`_Runners` buffer, and adapts ``state``.
 
-    An adaptive algorithm gets state with one row per chunk row, which
-    ``update`` advances by one block; a genie has none, and its slot holds
-    the MMSE weights of :func:`_genie_weights`. ``detect`` applies the slot's
-    length-m weights to the block's :class:`da.RxOperator` as they stand. A
+    The set hands an adaptive algorithm its state, one row per chunk row,
+    which ``update`` advances by one block; a genie has none, and its slot
+    holds the MMSE weights of :func:`_genie_weights`. ``detect`` applies the
+    slot's weights to the block's :class:`da.RxOperator` as they stand. A
     sweep drops every state once its weights are frozen; ``update`` then
     does nothing. A runner holds no reference to its :class:`_Runners`.
     """
 
-    scheme = ""
-
-    def __init__(self, algo, cfg, rows, weights):
-        self.kind, self.step, self.weights = algo.kind, algo.step, weights
-        self.state = None if algo.step is None else algo.new_state(cfg, (len(rows),))
+    def __init__(self, algo, state, weights):
+        self.scheme, self.kind, self.step = algo.scheme, algo.kind, algo.step
+        self.state, self.weights = state, weights
 
     def observe(self, rx: _Block):
         """Does nothing; no runner keeps estimates of its own. It stays as the
@@ -320,61 +318,51 @@ class _SceRunner(_Runner):
     ``R_g^-1 diag(hbar_g)`` collapses the same way to ``conj(R_g^-1 lam_0,g)
     / sqrt(nc)``."""
 
-    scheme = "sce"
-
 
 class _DaRunner(_Runner):
     """A DA algorithm; an adaptive one's ``w_hat`` is its weight slot, which
     its step updates in place."""
 
-    scheme = "da"
-
-    def __init__(self, algo, cfg, rows, weights):
-        super().__init__(algo, cfg, rows, weights)
-        if self.state is not None:
-            weights[...] = self.state.w_hat
-            self.state.w_hat = weights
-
 
 @dataclass(frozen=True)
 class _Algorithm:
-    """One detector: its runner class and, for an adaptive algorithm, its
-    state constructor ``new_state(cfg, batch)`` and block step ``step(state,
-    rx, counter=None)`` on a :class:`_Block`; without them it is its
-    scheme's genie. The lambdas look the module functions up at call time,
-    so wrappers installed on the modules apply."""
+    """One detector: its ``scheme`` (``"sce"`` or ``"da"``), ``kind`` and, for
+    an adaptive algorithm, its state constructor ``new_state(cfg, batch)``
+    and block step ``step(state, rx, counter=None)`` on a :class:`_Block`;
+    without them it is its scheme's genie. The lambdas look the module
+    functions up at call time, so wrappers installed on the modules apply."""
 
+    scheme: str
     kind: str
-    runner: type
     new_state: Callable | None = None
     step: Callable | None = None
 
 
-_ALGORITHMS = {f"{algo.runner.scheme}-{algo.kind}": algo for algo in (
-    _Algorithm("lms", _SceRunner,
+_ALGORITHMS = {f"{algo.scheme}-{algo.kind}": algo for algo in (
+    _Algorithm("sce", "lms",
                lambda cfg, batch: sce.new_lms_state(cfg.cir_taps, cfg.resolved_mu_h, batch),
                lambda state, rx, *counter: sce.sce_lms_step(state, rx.z, rx.normal, *counter)),
-    _Algorithm("rls", _SceRunner,
+    _Algorithm("sce", "rls",
                lambda cfg, batch: sce.new_rls_state(cfg.cir_taps, cfg.lambda_h,
                                                     cfg.delta_init, batch),
                lambda state, rx, *counter: sce.sce_rls_step(state, rx.z, rx.normal, *counter)),
-    _Algorithm("cg", _SceRunner,
+    _Algorithm("sce", "cg",
                lambda cfg, batch: sce.new_cg_state(cfg.cir_taps, cfg.cg_iters, batch),
                lambda state, rx, *counter: sce.sce_cg_step(state, rx.z, rx.normal, *counter)),
-    _Algorithm("mmse", _SceRunner),
-    _Algorithm("lms", _DaRunner,
+    _Algorithm("sce", "mmse"),
+    _Algorithm("da", "lms",
                lambda cfg, batch: da.new_lms_state(cfg.chips_per_block, cfg.mu_w, batch),
                lambda state, rx, *counter: da.da_lms_step(state, rx.op, rx.desired, *counter)),
-    _Algorithm("rls", _DaRunner,
+    _Algorithm("da", "rls",
                lambda cfg, batch: da.new_rls_state(cfg.block_length, cfg.spreading,
                                                    cfg.lambda_w, cfg.delta_init, batch),
                lambda state, rx, *counter: da.da_rls_step(state, rx.op, rx.desired, *counter)),
-    _Algorithm("cg", _DaRunner,
+    _Algorithm("da", "cg",
                lambda cfg, batch: da.new_cg_state(cfg.chips_per_block, cfg.cg_iters, batch),
                lambda state, rx, *counter: da.da_cg_step(state, rx.op, rx.desired, *counter)),
-    _Algorithm("mmse", _DaRunner),
+    _Algorithm("da", "mmse"),
 )}
-SCHEMES = (*dict.fromkeys(algo.runner.scheme for algo in _ALGORITHMS.values()), "both")
+SCHEMES = (*dict.fromkeys(algo.scheme for algo in _ALGORITHMS.values()), "both")
 ALGORITHMS = (*dict.fromkeys(algo.kind for algo in _ALGORITHMS.values()), "all")
 
 
@@ -395,31 +383,35 @@ def _genie_weights(cfg, rows) -> np.ndarray:
 class _Runners(dict):
     """Every runner of a :class:`_Rows` chunk, by key, built once per chunk
     with ``weights``, one ``(D, R, m)`` buffer of their weights, and
-    ``slot``, each key's slot in it. The S adaptive SCE runners take the
-    first slots, and their ``h_hat`` are views of the ``(S, R, L)`` stack
-    ``taps``, which :meth:`equalize` turns into their weights in one
-    :func:`build_mmse_sce` call. Each adaptive DA runner's ``w_hat`` is its
-    slot; both genies share the last slot, which :func:`_genie_weights`
-    fills."""
+    ``slot``, each key's slot in it, in :data:`_ALGORITHMS` order: the S
+    adaptive SCE runners, the adaptive DA runners, then one slot for both
+    genies, which :func:`_genie_weights` fills. The set creates every
+    adaptive state: an SCE ``h_hat`` is its row of the ``(S, R, L)`` stack
+    ``taps``, which :meth:`equalize` builds into their weights in one
+    :func:`build_mmse_sce` call, and a DA ``w_hat`` is its slot."""
 
     def __init__(self, cfg, rows, algo_keys):
-        # adaptive SCE, then adaptive DA, then the genies
-        order = sorted(algo_keys, key=lambda key: (_ALGORITHMS[key].step is None,
-                                                   _ALGORITHMS[key].runner is _DaRunner))
-        adaptive = sum(_ALGORITHMS[key].step is not None for key in algo_keys)
-        self.slot = {key: min(i, adaptive) for i, key in enumerate(order)}
+        adaptive = [key for key, algo in _ALGORITHMS.items()
+                    if key in algo_keys and algo.step is not None]
+        self.slot = {key: adaptive.index(key) if key in adaptive else len(adaptive)
+                     for key in algo_keys}
         self.weights = np.empty((len(set(self.slot.values())), len(rows), cfg.chips_per_block),
                                 dtype=complex)
-        if adaptive < len(algo_keys):
-            self.weights[adaptive] = _genie_weights(cfg, rows)
-        super().__init__((key, _ALGORITHMS[key].runner(_ALGORITHMS[key], cfg, rows,
-                                                       self.weights[self.slot[key]]))
-                         for key in algo_keys)
-        sce_states = [self[key].state for key in order[:adaptive]
-                      if isinstance(self[key], _SceRunner)]
-        self.taps = np.array([state.h_hat for state in sce_states])
-        for state, h_hat in zip(sce_states, self.taps):
-            state.h_hat = h_hat
+        if len(adaptive) < len(algo_keys):
+            self.weights[-1] = _genie_weights(cfg, rows)
+        states = {key: _ALGORITHMS[key].new_state(cfg, (len(rows),)) for key in adaptive}
+        self.taps = np.array([state.h_hat for key, state in states.items()
+                              if _ALGORITHMS[key].scheme == "sce"])
+        for key, state in states.items():
+            if _ALGORITHMS[key].scheme == "sce":
+                state.h_hat = self.taps[self.slot[key]]
+            else:
+                self.weights[self.slot[key]] = state.w_hat
+                state.w_hat = self.weights[self.slot[key]]
+        for key in algo_keys:
+            algo = _ALGORITHMS[key]
+            runner = _SceRunner if algo.scheme == "sce" else _DaRunner
+            self[key] = runner(algo, states.get(key), self.weights[self.slot[key]])
         self.cfg, self.users, self.sigma2 = cfg, rows.users, rows.sigma2
         self.despread_bins = (np.conj(np.fft.fft(rows.codes[0], cfg.chips_per_block))
                               / np.sqrt(cfg.spreading))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import logging
 import os
 import subprocess
 import sys
@@ -240,6 +241,28 @@ class TestExperiments:
         assert kc.x.size == 30
         assert "k_float_genie_k2" in kc.columns
         assert "k_int_est_k3" in kc.columns
+
+
+class TestNoiselessDaRls:
+    """At K < nc the data fill only K of each symbol group's nc directions,
+    and on a noiseless channel nothing else loads the rest but DA-RLS's
+    decaying ``delta`` loading. The step keeps that loading above round-off
+    of each group's trace, so the noiseless point decides as well as a
+    nearly noiseless one, and no block needs the singular-block fallback."""
+
+    @pytest.mark.parametrize("overrides", [dict(users=1), dict(users=3), dict(users=8),
+                                           dict(users=3, delta_init=1e-8),
+                                           dict(users=3, lambda_w=1.0)],
+                             ids=["k1", "k3", "k8", "delta_1e-8", "lambda_1"])
+    def test_noiseless_point_no_worse_than_120_db(self, overrides, caplog):
+        cfg = ExperimentConfig(block_length=8, spreading=8, cir_taps=5, cp_chips=5,
+                               snr_db=(np.inf, 120.0, 16.0), training_blocks=400,
+                               eval_blocks=100, runs=4, scheme="da", algorithm="rls",
+                               **overrides)
+        with caplog.at_level(logging.DEBUG, logger="uwbfde.da"):
+            ber = run_ber_vs_snr(cfg).columns["ber_da-rls"]
+        assert ber[0] <= ber[1]
+        assert [record for record in caplog.records if record.name == "uwbfde.da"] == []
 
 
 # 101 of the 360 one-row pilot fits of this sweep are rank deficient
@@ -841,6 +864,36 @@ class TestRunnerSet:
                 assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("curve", [True, False])
+    def test_results_do_not_depend_on_key_order(self, curve):
+        # the slots follow the table, whatever order the keys come in
+        cfg = _tiny_config(spreading=4, training_blocks=20, eval_blocks=5)
+        points = [(0, 4.0, 3)] if curve else [(0, 4.0, 3), (1, 12.0, 2)]
+        keys = cfg.algo_keys()
+        assert len(keys) == 8
+        forward = _ber_trial(cfg, points, keys, [0, 1], curve=curve)
+        backward = _ber_trial(cfg, points, keys[::-1], [0, 1], curve=curve)
+        for key in keys:
+            assert_array_equal(backward[key], forward[key])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_adaptive_states_live_in_the_set_storage(self, reverse):
+        cfg = _tiny_config(spreading=4)
+        keys = cfg.algo_keys()[::-1] if reverse else cfg.algo_keys()
+        taps = generate_cir(ChannelProfile(cfg.cir_taps, cfg.decay_rate, seed=5))[None]
+        runners = _Runners(cfg, _chunk(cfg, [0], [(0, 12.0, 2)], taps, [None]), keys)
+        assert runners.slot == {"sce-lms": 0, "sce-rls": 1, "sce-cg": 2, "da-lms": 3,
+                                "da-rls": 4, "da-cg": 5, "sce-mmse": 6, "da-mmse": 6}
+        for key, runner in runners.items():
+            at = runners.slot[key]
+            if runner.state is None:
+                assert runner.kind == "mmse"
+            elif runner.scheme == "sce":
+                assert np.shares_memory(runner.state.h_hat, runners.taps[at])
+            else:
+                assert np.shares_memory(runner.state.w_hat, runners.weights[at])
+            assert np.shares_memory(runner.weights, runners.weights[at])
 
 
 class TestSceKernel:
