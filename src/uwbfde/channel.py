@@ -122,13 +122,10 @@ def synthesize_rx(symbol_blocks, codes, taps, sigma2, rng, spectrum=None):
         raise ValueError(f"K exceeds Nc ({k} > {codes.shape[0]}): out of spreading codes")
     m = n * codes.shape[1]
     # chip i*nc + j of a user is its symbol i times its code chip j, as in
-    # fdcore.spread; real codes sum in real arithmetic, the same adds as on
-    # complex chips, each user's products formed in one reused buffer
-    chips = np.zeros((*blocks.shape[:-2], n, codes.shape[1]),
-                     dtype=np.result_type(blocks, codes))
-    product = np.empty_like(chips)
-    for i in range(k):
-        chips += np.multiply(blocks[..., i, :, None], codes[i], out=product)
+    # fdcore.spread. Each product is exact (±1·c or 0), and the matmul adds
+    # them in user order, as adding one user at a time onto zeros does, so
+    # the chips match that sum bit for bit (tests/test_channel.py pins it)
+    chips = np.swapaxes(blocks, -1, -2) @ codes[:k]
     y = circulant_apply(taps, chips.reshape(*blocks.shape[:-2], m), spectrum)
     noisy, noise = draw_noise([rng] if blocks.ndim == 2 else rng, sigma2, m)
     if noisy.size:

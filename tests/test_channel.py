@@ -158,6 +158,30 @@ class TestSynthesizeRx:
         chips = sum(fdcore.spread(blocks[i], codes[i]) for i in range(k))
         assert_allclose(z, fmat @ h_mat @ chips, atol=1e-12)
 
+    @pytest.mark.parametrize("nc", [1, 2, 4, 8, 16, 32])
+    def test_users_sum_in_user_order_bitwise(self, nc):
+        # The received spectrum is bitwise that of the users' chips added
+        # one user at a time, in user order, onto a zero block. The golden
+        # files cannot see the order: at nc = 4 every chip is a multiple of
+        # 1/2, so any order sums exactly; at nc = 8 and 32 it does not.
+        # Row counts 1 and 40 cover one row and the widest row chunk; every
+        # second row carries fewer users (zero symbol blocks).
+        n = 6
+        codes = fdcore.walsh_code_set(nc)
+        rng = np.random.default_rng([24, nc])
+        taps = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        for k in range(1, nc + 1):
+            for rows in (1, 40):
+                blocks = fdcore.random_bpsk(rng, rows * k * n).reshape(rows, k, n)
+                blocks[1::2, rng.integers(0, k):] = 0.0
+                chips = np.zeros((rows, n * nc))
+                for i in range(k):
+                    chips += fdcore.spread(blocks[:, i], codes[i])
+                z = synthesize_rx(blocks, codes, taps, 0.0, [rng] * rows)
+                assert_array_equal(
+                    z, np.fft.fft(fdcore.circulant_apply(taps, chips), norm="ortho"),
+                    err_msg=f"nc={nc} K={k} rows={rows}")
+
     def test_given_spectrum_replaces_the_taps_bitwise(self):
         # a batch with noiseless rows (noise added by index) and one where
         # every row is noisy (added by slice)

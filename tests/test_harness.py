@@ -265,6 +265,36 @@ class TestNoiselessDaRls:
         assert [record for record in caplog.records if record.name == "uwbfde.da"] == []
 
 
+class TestEdgeSettings:
+    """A fast check of all eight detectors on the noiseless point and edge
+    settings of a small scenario (n=16, nc=4, L=9, 2 runs, 300 training
+    blocks): K = 1, K = nc (every Walsh code spread), ``lambda_w`` = 1, a
+    small ``delta`` and one CG iteration. Every BER is finite and no run
+    diverges; no block is regularized, at finite SNR or at inf. On each of
+    these settings DA-RLS, DA-CG and both genies read about 0 at 120 dB, so
+    they must read no higher at inf. DA-LMS is still converging at 300
+    blocks, and SCE-LMS and SCE-CG may read higher at inf than at 16 dB, as
+    expected: the MMSE weights built on their poor tap estimates tend to
+    zero forcing as the noise vanishes (ROADMAP item 13). So those three are
+    held to the first rule only."""
+
+    @pytest.mark.parametrize("overrides", [dict(users=1), dict(users=4), dict(lambda_w=1.0),
+                                           dict(delta_init=1e-8), dict(cg_iters=1)],
+                             ids=["k1", "k_nc", "lambda_1", "delta_1e-8", "cg_1"])
+    def test_noiseless_and_edge_settings(self, overrides, caplog):
+        cfg = ExperimentConfig(block_length=16, spreading=4, cir_taps=9,
+                               snr_db=(np.inf, 120.0, 16.0), training_blocks=300,
+                               eval_blocks=100, runs=2, **overrides)
+        with caplog.at_level(logging.WARNING, logger="uwbfde"):
+            columns = run_ber_vs_snr(cfg).columns
+        for key in cfg.algo_keys():
+            assert np.all(np.isfinite(columns[f"ber_{key}"])), key
+        for key in ("da-rls", "da-cg", "sce-mmse", "da-mmse"):
+            ber = columns[f"ber_{key}"]
+            assert ber[0] <= ber[1], key
+        assert [r.getMessage() for r in caplog.records if "regularizing" in r.getMessage()] == []
+
+
 # 101 of the 360 one-row pilot fits of this sweep are rank deficient
 _DEGENERATE = dict(users=1, block_length=4, spreading=2, cir_taps=3, cp_chips=2,
                    snr_db=(0.0, 8.0, 16.0), training_blocks=20, runs=6, base_seed=3)
