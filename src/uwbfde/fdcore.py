@@ -123,10 +123,7 @@ def tap_spectrum_adjoint(bins, num_taps: int) -> np.ndarray:
     if num_taps < 1:
         raise ValueError("num_taps must be >= 1")
     m = bins.shape[-1]
-    folded = np.fft.ifft(bins) * m
-    if num_taps <= m:
-        return folded[..., :num_taps]
-    return folded[..., np.arange(num_taps) % m]
+    return np.fft.ifft(bins)[..., np.arange(num_taps) % m] * m
 
 
 def row_energy(v):

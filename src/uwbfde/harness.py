@@ -21,35 +21,37 @@ Protocol notes
   adaptive steps, the genie builds, detection and the estimators. The
   channels and their spectra are built once per trial. A chunk
   (:class:`_Rows`) carries its rows' inputs and generators, and it is the
-  one input of the block source, the block loop, the runners and the genie
-  build; a sweep's scoring pass continues the generators of its training
-  pass. A trial returns ``{name: (runs, points, ...)}`` arrays. Every BER
-  experiment runs one trial, :func:`_ber_trial`. A training curve
-  (``ber-vs-blocks``) has one point and scores every training block. A
-  steady-state sweep (``ber-vs-snr``, ``ber-vs-users``) trains every point
-  of a chunk in one pass, freezes every runner's weights (one stacked build
-  of the adaptive SCE weights, then every state is dropped), and scores
-  ``eval_blocks`` more blocks. The ``estimators`` noise-variance sweep and
-  user-count traces put their points on the same axis. ``--workers`` deals
-  the chunks to worker processes in contiguous groups, and the chunks'
-  results join in row order. Every row is computed as it would be alone, so
-  output is byte-identical for any worker count and chunk size.
+  one input of the block source, the block loop, the adaptive states and
+  the genie build; a sweep's scoring pass continues the generators of its
+  training pass. A trial returns ``{name: (runs, points, ...)}`` arrays.
+  Every BER experiment runs one trial, :func:`_ber_trial`. A training
+  curve (``ber-vs-blocks``) has one point and scores every training block.
+  A steady-state sweep (``ber-vs-snr``, ``ber-vs-users``) trains every
+  point of a chunk in one pass, freezes every detector's weights (one
+  stacked build of the adaptive SCE weights, then every state is dropped),
+  and scores ``eval_blocks`` more blocks. The ``estimators`` noise-variance
+  sweep and user-count traces put their points on the same axis.
+  ``--workers`` deals the chunks to worker processes in contiguous groups,
+  and the chunks' results join in row order. Every row is computed as it
+  would be alone, so output is byte-identical for any worker count and
+  chunk size.
 * On estimated inputs a BER trial folds each training block once into one
-  per-group covariance of its rows, and every adaptive SCE runner builds
+  per-group covariance of its rows, and every adaptive SCE detector builds
   its weights on the one subspace estimate taken from it.
-* A pass that no runner reads (no runner has state and no block is scored,
-  as in a genie-only sweep's training) is drawn, not synthesized: each row
+* A pass that nothing reads (no adaptive state and no scored block, as in
+  a genie-only sweep's training) is drawn, not synthesized: each row
   draws its bits, then its noise, so its generator ends where synthesis
   would leave it.
 * All eight detectors decide through one kernel, :func:`da.detect_da`: each
-  runner supplies one length-m weight vector per row. An SCE detector's
+  supplies one length-m weight vector per row. An SCE detector's
   per-bin equalizer followed by time-domain despreading with the desired
   code is the weight vector ``conj(d) * conj(FFT_m(c_0)) / sqrt(nc)``.
   Both genies apply one MMSE weight vector per row (:func:`da.build_mmse_da`,
-  built once per sweep point). A chunk's runners are built once, with one
-  buffer of their weights where the genies share a slot (:class:`_Runners`),
-  and one :func:`da.detect_da` call on it decides every runner on a scored
-  block.
+  built once per sweep point). A chunk's adaptive states are built once,
+  with one buffer of every detector's weights where the genies share a slot
+  (:class:`_Runners`), and one :func:`da.detect_da` call on it decides every
+  detector on a scored block. The block loop steps each adaptive state by
+  its key in :data:`_ALGORITHMS`.
 * A diverging row is recorded at its first non-finite update. It stays
   non-finite, which touches no other row, and its later divergences are not
   recorded while the other rows of its chunk finish. The experiment then
@@ -278,59 +280,15 @@ class _Block:
     op: da.RxOperator               # received-data operator, for DA and every detection
 
 
-class _Runner:
-    """One algorithm over a :class:`_Rows` chunk, with its table entry's
-    ``scheme``, ``kind`` and ``step``: it detects on ``weights``, its ``(R,
-    m)`` slot of the chunk's :class:`_Runners` buffer, and adapts ``state``.
-
-    The set hands an adaptive algorithm its state, one row per chunk row,
-    which ``update`` advances by one block; a genie has none, and its slot
-    holds the MMSE weights of :func:`_genie_weights`. ``detect`` applies the
-    slot's weights to the block's :class:`da.RxOperator` as they stand. A
-    sweep drops every state once its weights are frozen; ``update`` then
-    does nothing. A runner holds no reference to its :class:`_Runners`.
-    """
-
-    def __init__(self, algo, state, weights):
-        self.scheme, self.kind, self.step = algo.scheme, algo.kind, algo.step
-        self.state, self.weights = state, weights
-
-    def observe(self, rx: _Block):
-        """Does nothing; no runner keeps estimates of its own. It stays as the
-        per-block hook that ``perfbench/tracing.py`` times for each detector,
-        beside ``detect`` and ``update``."""
-
-    def update(self, rx: _Block):
-        if self.state is not None:
-            self.step(self.state, rx)
-
-    def detect(self, rx: _Block):
-        return da.detect_da(rx.op, self.weights)
-
-
-class _SceRunner(_Runner):
-    """An SCE algorithm; an adaptive one's ``h_hat`` is its row of the
-    :class:`_Runners` tap stack, from which the set builds its weights. Its
-    per-bin equalizer ``d``, followed by despreading with the desired code
-    ``c_0``, acts on a received block as the weight vector ``conj(d) *
-    despread_bins`` does, with ``despread_bins = conj(FFT_m(c_0)) /
-    sqrt(nc)``. Its genie is the DA genie: the per-group MMSE detector
-    ``R_g^-1 diag(hbar_g)`` collapses the same way to ``conj(R_g^-1 lam_0,g)
-    / sqrt(nc)``."""
-
-
-class _DaRunner(_Runner):
-    """A DA algorithm; an adaptive one's ``w_hat`` is its weight slot, which
-    its step updates in place."""
-
-
 @dataclass(frozen=True)
 class _Algorithm:
     """One detector: its ``scheme`` (``"sce"`` or ``"da"``), ``kind`` and, for
     an adaptive algorithm, its state constructor ``new_state(cfg, batch)``
-    and block step ``step(state, rx, counter=None)`` on a :class:`_Block`;
-    without them it is its scheme's genie. The lambdas look the module
-    functions up at call time, so wrappers installed on the modules apply."""
+    and block step ``step(state, rx, counter=None)`` on a :class:`_Block`,
+    which the block loop calls by key on the state its :class:`_Runners`
+    holds; without them it is its scheme's genie. Each step calls one
+    module function, ``sce.sce_<kind>_step`` or ``da.da_<kind>_step``,
+    looked up at call time, so wrappers installed on the modules apply."""
 
     scheme: str
     kind: str
@@ -370,7 +328,9 @@ def _genie_weights(cfg, rows) -> np.ndarray:
     """MMSE weights of both genies for every row of a :class:`_Rows` chunk,
     ``(R, m)``: one :func:`da.build_mmse_da` call per distinct (users,
     sigma2) point, on that point's rows, with a noiseless point floored at
-    ``_GENIE_RIDGE``."""
+    ``_GENIE_RIDGE``. The SCE genie is the DA genie: its per-group MMSE
+    detector ``R_g^-1 diag(hbar_g)``, followed by despreading, collapses to
+    the weights ``conj(R_g^-1 lam_0,g) / sqrt(nc)``."""
     users, sigma2 = rows.users, rows.sigma2
     weights = np.empty((len(rows), cfg.chips_per_block), dtype=complex)
     for k, s2 in sorted(set(zip(users, sigma2))):
@@ -381,14 +341,16 @@ def _genie_weights(cfg, rows) -> np.ndarray:
 
 
 class _Runners(dict):
-    """Every runner of a :class:`_Rows` chunk, by key, built once per chunk
-    with ``weights``, one ``(D, R, m)`` buffer of their weights, and
-    ``slot``, each key's slot in it, in :data:`_ALGORITHMS` order: the S
-    adaptive SCE runners, the adaptive DA runners, then one slot for both
-    genies, which :func:`_genie_weights` fills. The set creates every
-    adaptive state: an SCE ``h_hat`` is its row of the ``(S, R, L)`` stack
-    ``taps``, which :meth:`equalize` builds into their weights in one
-    :func:`build_mmse_sce` call, and a DA ``w_hat`` is its slot."""
+    """The adaptive states of a :class:`_Rows` chunk, ``{key: state}`` with
+    one row per chunk row, built once per chunk with ``weights``, one ``(D,
+    R, m)`` buffer of every detector's weights, and ``slot``, each key's
+    slot in it, in :data:`_ALGORITHMS` order: the S adaptive SCE
+    algorithms, the adaptive DA algorithms, then one slot for both genies,
+    which :func:`_genie_weights` fills. An SCE ``h_hat`` is its row of the
+    ``(S, R, L)`` stack ``taps``, which :meth:`equalize` builds into their
+    weights in one :func:`build_mmse_sce` call, and a DA ``w_hat`` is its
+    slot, which its step updates in place. A sweep clears the states once
+    its weights are frozen. No state refers back to the set."""
 
     def __init__(self, cfg, rows, algo_keys):
         adaptive = [key for key, algo in _ALGORITHMS.items()
@@ -399,19 +361,15 @@ class _Runners(dict):
                                 dtype=complex)
         if len(adaptive) < len(algo_keys):
             self.weights[-1] = _genie_weights(cfg, rows)
-        states = {key: _ALGORITHMS[key].new_state(cfg, (len(rows),)) for key in adaptive}
-        self.taps = np.array([state.h_hat for key, state in states.items()
+        super().__init__((key, _ALGORITHMS[key].new_state(cfg, (len(rows),))) for key in adaptive)
+        self.taps = np.array([state.h_hat for key, state in self.items()
                               if _ALGORITHMS[key].scheme == "sce"])
-        for key, state in states.items():
+        for key, state in self.items():
             if _ALGORITHMS[key].scheme == "sce":
                 state.h_hat = self.taps[self.slot[key]]
             else:
                 self.weights[self.slot[key]] = state.w_hat
                 state.w_hat = self.weights[self.slot[key]]
-        for key in algo_keys:
-            algo = _ALGORITHMS[key]
-            runner = _SceRunner if algo.scheme == "sce" else _DaRunner
-            self[key] = runner(algo, states.get(key), self.weights[self.slot[key]])
         self.cfg, self.users, self.sigma2 = cfg, rows.users, rows.sigma2
         self.despread_bins = (np.conj(np.fft.fft(rows.codes[0], cfg.chips_per_block))
                               / np.sqrt(cfg.spreading))
@@ -468,18 +426,19 @@ def _received_blocks(rows, n, n_blocks, synthesize=True):
 # check_finite reports a diverging row with its context; numpy's warnings would repeat it
 @np.errstate(over="ignore", invalid="ignore")
 def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) -> dict:
-    """Advance every runner over ``n_blocks`` blocks of every row of a
+    """Advance every detector over ``n_blocks`` blocks of every row of a
     :class:`_Rows` chunk, which carries the rows' inputs and generators
     (:func:`_received_blocks`), filling ``errors_out`` (``key -> (R,
-    n_blocks)`` error counts). On estimated inputs ``cov`` is the trial's
-    :class:`GroupCovariance`: each block is folded into it once, and each
-    scored block builds the adaptive SCE weights on its one subspace
-    estimate. Without ``errors_out`` no block is scored, so none is
-    detected; a frozen runner only detects. So when no runner has state and
-    no block is scored, nothing reads the blocks, and they are only drawn. A
-    scored block is decided for every runner before any update, in one
+    n_blocks)`` error counts). Each block steps every state of ``runners``
+    once, by key, through ``_ALGORITHMS[key].step``. On estimated inputs
+    ``cov`` is the trial's :class:`GroupCovariance`: each block is folded
+    into it once, and each scored block builds the adaptive SCE weights on
+    its one subspace estimate. Without ``errors_out`` no block is scored,
+    so none is detected. So when ``runners`` holds no state and no block is
+    scored, nothing reads the blocks, and they are only drawn. A scored
+    block is decided for every detector before any step, in one
     :func:`da.detect_da` call on the ``runners`` buffer, after one
-    :meth:`_Runners.equalize` while the SCE runners adapt.
+    :meth:`_Runners.equalize` while the SCE states adapt.
 
     Returns the first divergence of each diverged row, ``{row: message}``,
     the message naming the row's run and point (``rows.where``), the
@@ -488,12 +447,12 @@ def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) ->
     are not recorded.
     """
     n = cfg.block_length
-    adapting = any(r.state is not None for r in runners.values())
+    adapting = bool(runners)
     # the genies read no pilot; only the adaptive SCE steps do
     sce_adapts = adapting and len(runners.taps) > 0
     code0 = rows.codes[0]
     diverged = {}
-    # a pass that no runner reads is only drawn, and yields no block to this loop
+    # a pass that nothing reads is only drawn, and yields no block to this loop
     read = errors_out is not None or adapting
     for i, (blocks, z) in enumerate(_received_blocks(rows, n, n_blocks, read)):
         desired = blocks[:, 0]
@@ -508,10 +467,9 @@ def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) ->
             wrong = np.count_nonzero(da.detect_da(rx.op, runners.weights) != desired, axis=-1)
             for key, at in runners.slot.items():
                 errors_out[key][:, i] = wrong[at]
-        for key, runner in runners.items():
-            runner.observe(rx)
+        for key, state in runners.items():
             try:
-                runner.update(rx)
+                _ALGORITHMS[key].step(state, rx)
             except DivergenceError as exc:
                 for row in exc.rows:
                     diverged.setdefault(int(row), f"{rows.where[row]}, {key}, "
@@ -620,9 +578,9 @@ def _run_chunks(cfg, trial, inputs, chunks, args) -> list[dict]:
 def _ber_trial(cfg, points, algo_keys, runs, curve=False):
     """Desired-user error counts of a batch of runs at each ``(point_idx,
     snr_db, users)`` point, ``{key: (R, P, blocks)}``. A training curve
-    (``curve``) scores every training block, with each runner as it stands
-    before that block's update. A sweep trains, freezes every runner's
-    weights, and scores ``cfg.eval_blocks`` more blocks.
+    (``curve``) scores every training block, with each detector as it
+    stands before that block's step. A sweep trains, freezes every
+    detector's weights, and scores ``cfg.eval_blocks`` more blocks.
 
     Every (run, point) pair is one row (:func:`_map_rows`): it draws from
     its own generator and keeps its run's channel. A diverged run raises at
@@ -634,8 +592,9 @@ def _ber_rows(cfg, rows, algo_keys, curve):
     """:func:`_ber_trial` on one chunk of rows, which all train and are
     scored together, on one :class:`_Runners`: ``{key: (rows, blocks)}``. A
     sweep's freeze is the scored block's one stacked build of the adaptive
-    SCE weights, made once after training, followed by dropping every
-    state; each runner then detects on its slot as it stands."""
+    SCE weights, made once after training, followed by
+    ``runners.clear()``; each detector then decides on its slot as it
+    stands."""
     runners = _Runners(cfg, rows, algo_keys)
     scored = cfg.training_blocks if curve else cfg.eval_blocks
     errors = {key: np.zeros((len(rows), scored), dtype=np.int64) for key in algo_keys}
@@ -648,8 +607,7 @@ def _ber_rows(cfg, rows, algo_keys, curve):
     if not curve:
         if len(runners.taps):
             runners.equalize(cov)
-        for runner in runners.values():
-            runner.state = None
+        runners.clear()
         _simulate_blocks(cfg, rows, runners, cfg.eval_blocks, errors_out=errors)
     return errors
 

@@ -119,14 +119,15 @@ def pilot_normal_matrix(xdiag, num_taps: int) -> np.ndarray:
     xdiag = np.asarray(xdiag, dtype=complex)
     m = xdiag.shape[-1]
     power = np.abs(xdiag) ** 2
-    acf = np.fft.ifft(power) * m
-    lags = acf[..., np.arange(num_taps) % m]
+    lags = np.fft.ifft(power)[..., np.arange(num_taps) % m] * m
     # lags -(L-1)..(L-1): entry (p, q) is lag p - q, and lag -d is conj(lag d)
     both = np.concatenate([lags[..., :0:-1].conj(), lags], axis=-1)
-    taps = np.arange(num_taps)
-    # fancy indexing leaves the row axis innermost in memory; batched matmul
-    # takes another path on that layout than on one row, so make it C order
-    return np.ascontiguousarray(both[..., num_taps - 1 + taps[:, None] - taps[None, :]])
+    # L+1 copies of the 2L-1 lags cut into rows of 2L: row p starts at lag
+    # p-(L-1), so its first L entries reversed are row p of the gram; C order,
+    # as batched matmul takes another path on a strided stack than on one row
+    rows = np.tile(both, num_taps + 1)[..., :2 * num_taps * num_taps]
+    windows = rows.reshape(*both.shape[:-1], num_taps, 2 * num_taps)[..., :num_taps]
+    return np.ascontiguousarray(windows[..., ::-1])
 
 
 class PilotOperator:

@@ -4,7 +4,8 @@
 its operation tallies with ``nominal_cost`` before any benchmark run. This
 test runs that guard for every benchmark workload, so a change to a step's
 signature or tally fails here rather than in every benchmark run. It also
-runs the tracer and the setup probe against the package. The
+runs the tracer and the setup probe against the package; the tracer's
+layer span of each adaptive step is what times each detector's update. The
 benchmark files are loaded by path, under names of their own, and are not
 modified.
 """
@@ -44,21 +45,33 @@ def test_opcount_guard_matches_model_on_every_workload(bench):
         assert set(counts) == {"sce-lms", "sce-rls", "sce-cg", "da-lms", "da-rls", "da-cg"}
 
 
-def test_tracer_attributes_every_runner_method_and_uninstalls(monkeypatch):
-    # the layer targets the package no longer defines are named in
-    # ``missing``; every detector's runner methods stay wrapped
+def test_tracer_spans_every_adaptive_step_once_per_block_and_uninstalls(monkeypatch):
+    # each adaptive algorithm has a module step of its own, so the step's
+    # layer span times that detector's update, as the retired runner hooks
+    # did; the targets the package no longer defines are named in ``missing``
+    from uwbfde import harness
     tracing = _load(monkeypatch, "uwbfde_contract_bench_tracing", "tracing.py")
+    steps = {key: f"{algo.scheme}.{algo.scheme}_{algo.kind}_step"
+             for key, algo in harness._ALGORITHMS.items() if algo.step is not None}
+    assert len(steps) == 6
+    assert set(steps.values()) <= set(tracing.LAYER_SPANS)
+    cfg = harness.ExperimentConfig(block_length=8, spreading=4, users=2, cir_taps=3, cp_chips=4,
+                                   training_blocks=7, eval_blocks=3, decay_rate=0.2, cg_iters=3)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         missing = set(tracer.missing)
-        installed = set(tracing.find_wrappers())
+        # a sweep of two points on one chunk: its steps stop at the freeze
+        harness._ber_trial(cfg, [(0, 4.0, 2), (1, 12.0, 1)], cfg.algo_keys(), [0, 1])
+        names = [span[0] for span in tracer.take_spans()]
     finally:
         tracer.uninstall()
-    assert missing == {"sce.build_mmse_sce_exact", "sce.detect_sce", "estimators.update_power"}
-    assert not [name for name in missing if name.startswith("harness.")]
-    for cls_name, _, methods in tracing.RUNNER_METHODS:
-        assert {f"harness.{cls_name}.{method}" for method in methods} <= installed
+    assert missing == {"sce.build_mmse_sce_exact", "sce.detect_sce", "estimators.update_power",
+                       "harness._SceRunner.observe", "harness._SceRunner.detect",
+                       "harness._SceRunner.update", "harness._DaRunner.detect",
+                       "harness._DaRunner.update"}
+    assert {step: names.count(step) for step in steps.values()} == dict.fromkeys(
+        steps.values(), cfg.training_blocks)
     assert tracing.find_wrappers() == []
 
 

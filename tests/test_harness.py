@@ -856,28 +856,28 @@ class TestSharedDecision:
 
 
 class TestRunnerSet:
-    """A chunk's runners are built once, with their weight buffer; the
-    benchmark's tracer times each runner's methods, and a runner holds no
-    reference back to its set."""
+    """A chunk's adaptive states are built once, with their weight buffer;
+    the block loop steps each by key, and no state holds a reference back
+    to its set."""
 
     @pytest.mark.parametrize("curve", [True, False])
-    def test_each_runner_method_runs_once_per_block(self, monkeypatch, curve):
-        # perfbench/tracing.py wraps these methods to time each detector
+    def test_each_adaptive_step_runs_once_per_block(self, monkeypatch, curve):
+        # the table's steps look these module functions up at call time, and
+        # the benchmark's tracer times each detector's update through them
         calls = {}
-        for cls, methods in ((harness._SceRunner, ("observe", "detect", "update")),
-                             (harness._DaRunner, ("detect", "update"))):
-            for method in methods:
-                def counted(runner, rx, _fn=getattr(cls, method), _name=method):
-                    key = (f"{runner.scheme}-{runner.kind}", _name)
-                    calls[key] = calls.get(key, 0) + 1
-                    return _fn(runner, rx)
-                monkeypatch.setattr(cls, method, counted)
+        for key, algo in harness._ALGORITHMS.items():
+            if algo.step is not None:
+                module = sce if algo.scheme == "sce" else da
+                name = f"{algo.scheme}_{algo.kind}_step"
+                def counted(*args, _fn=getattr(module, name), _key=key):
+                    calls[_key] = calls.get(_key, 0) + 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
         cfg = _tiny_config(spreading=4, training_blocks=12, eval_blocks=5)
         _ber_trial(cfg, [(0, 4.0, 3), (1, 12.0, 2)], cfg.algo_keys(), [0, 1], curve=curve)
-        blocks = cfg.training_blocks + (0 if curve else cfg.eval_blocks)
-        assert {key for key, method in calls if method == "update"} == set(cfg.algo_keys())
-        assert all(count == blocks for (_, method), count in calls.items()
-                   if method in ("observe", "update"))
+        # a sweep's states are dropped at the freeze, so only training steps
+        assert calls == dict.fromkeys(["sce-lms", "sce-rls", "sce-cg", "da-lms", "da-rls",
+                                       "da-cg"], cfg.training_blocks)
 
     def test_trials_leave_no_cyclic_garbage(self):
         # a reference cycle through the runners outlives its chunk until the
@@ -915,38 +915,35 @@ class TestRunnerSet:
         runners = _Runners(cfg, _chunk(cfg, [0], [(0, 12.0, 2)], taps, [None]), keys)
         assert runners.slot == {"sce-lms": 0, "sce-rls": 1, "sce-cg": 2, "da-lms": 3,
                                 "da-rls": 4, "da-cg": 5, "sce-mmse": 6, "da-mmse": 6}
-        for key, runner in runners.items():
+        assert sorted(runners) == sorted(key for key in keys if not key.endswith("-mmse"))
+        for key, state in runners.items():
             at = runners.slot[key]
-            if runner.state is None:
-                assert runner.kind == "mmse"
-            elif runner.scheme == "sce":
-                assert np.shares_memory(runner.state.h_hat, runners.taps[at])
+            if harness._ALGORITHMS[key].scheme == "sce":
+                assert np.shares_memory(state.h_hat, runners.taps[at])
             else:
-                assert np.shares_memory(runner.state.w_hat, runners.weights[at])
-            assert np.shares_memory(runner.weights, runners.weights[at])
+                assert np.shares_memory(state.w_hat, runners.weights[at])
 
 
 class TestSceKernel:
-    """An adaptive SCE runner decides through ``da.detect_da`` on the weight
-    vector ``conj(d) * despread_bins``; the paper's receiver, per-bin
+    """An adaptive SCE detector decides through ``da.detect_da`` on the
+    weight vector ``conj(d) * despread_bins``; the paper's receiver, per-bin
     equalization then time-domain despreading (``oracles.detect_sce``), is
     the reference."""
 
     CFG = _tiny_config(block_length=8, spreading=4, users=3, cir_taps=3)
 
-    def _runner(self, key, points, h_hat):
-        """A runner over one row per ``(point_idx, snr_db, users)`` point,
-        holding the ``(R, L)`` channel estimate ``h_hat`` and the weights its
-        set builds on it; it draws no block."""
+    def _weights(self, key, points, h_hat):
+        """The ``(R, m)`` weights that the set of one row per ``(point_idx,
+        snr_db, users)`` point builds for ``key`` on its state's ``(R, L)``
+        channel estimate ``h_hat``, and the rows; it draws no block."""
         rows = _chunk(self.CFG, range(len(points)), points, np.asarray(h_hat), None)
         runners = _Runners(self.CFG, rows, [key])
-        runner = runners[key]
-        runner.state.h_hat[...] = h_hat
+        runners[key].h_hat[...] = h_hat
         runners.equalize(None)
-        return runner, rows
+        return runners.weights[runners.slot[key]], rows
 
-    def _block(self, z):
-        return harness._Block(z, None, None, da.RxOperator(z, self.CFG.block_length))
+    def _op(self, z):
+        return da.RxOperator(z, self.CFG.block_length)
 
     @pytest.mark.parametrize("key", ["sce-lms", "sce-rls", "sce-cg"])
     def test_weights_decide_as_equalizer_then_despreading(self, key):
@@ -956,28 +953,28 @@ class TestSceKernel:
         h_hat[2] = [1.0, -1.0, 0.0]     # bin 0 dead, and with sigma2 = 0 zero-forced
         users = [1, 2, 3, 4, 2]
         snr_db = [3.0, 10.0, np.inf, 30.0, -3.0]   # sigma2 about 0.5, 0.1, 0, 1e-3 and 2
-        runner, chunk = self._runner(key, [(0, s, k) for k, s in zip(users, snr_db)], h_hat)
+        weights, chunk = self._weights(key, [(0, s, k) for k, s in zip(users, snr_db)], h_hat)
         codes = chunk.codes
         det = build_mmse_sce(h_hat, chunk.users, chunk.sigma2, nc, m)
         assert chunk.sigma2[2] == 0 and det[2, 0] == 0
         for _ in range(10):
             z = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
-            rx = self._block(z)
-            assert_array_equal(runner.detect(rx), detect_sce(z, det, codes[0]))
+            op = self._op(z)
+            assert_array_equal(da.detect_da(op, weights), detect_sce(z, det, codes[0]))
             soft = despread(np.fft.ifft(np.conj(det) * z, norm="ortho"), codes[0])
-            assert_allclose(rx.op.matvec(runner.weights), soft, rtol=0, atol=1e-12)
+            assert_allclose(op.matvec(weights), soft, rtol=0, atol=1e-12)
 
     def test_noiseless_single_user_perfect_estimate(self):
         rng = np.random.default_rng(19)
         taps = generate_cir(ChannelProfile(3, 0.2, seed=20))
-        runner, chunk = self._runner("sce-lms", [(0, np.inf, 1)], taps[None])
+        weights, chunk = self._weights("sce-lms", [(0, np.inf, 1)], taps[None])
         for _ in range(20):
             b = random_bpsk(rng, self.CFG.block_length)
             z = synthesize_rx(b[None, :], chunk.codes, taps, 0.0, rng)
-            assert_array_equal(runner.detect(self._block(z[None])), b[None])
+            assert_array_equal(da.detect_da(self._op(z[None]), weights), b[None])
 
     def test_zero_input_resolves_positive(self):
-        runner, _ = self._runner("sce-rls", [(0, 10.0, 2)] * 2, np.ones((2, 3), complex))
+        weights, _ = self._weights("sce-rls", [(0, 10.0, 2)] * 2, np.ones((2, 3), complex))
         z = np.zeros((2, self.CFG.chips_per_block), complex)
-        assert_array_equal(runner.detect(self._block(z)),
+        assert_array_equal(da.detect_da(self._op(z), weights),
                            np.ones((2, self.CFG.block_length)))
