@@ -1,13 +1,16 @@
 """Deterministic signal-chain primitives shared by both detection schemes.
 
-Everything in this module is a pure function of its inputs: Walsh
-spreading, circulant channel application, the structured Fourier operators
-that let the adaptive algorithms work on a short tap vector instead of a
-full frequency-domain vector, the symbol-group kernel, and the one CG loop (:func:`cg_least_squares`: CGLS, or CG on normal
-equations for an operator with a curvature hook). The cyclic prefix is not
-simulated chip by chip: a prefix at least as long as the channel memory
-makes the channel circular, which is what :func:`circulant_apply` computes.
-Transforms call ``np.fft`` directly, and no m-by-m matrix is built here.
+Walsh spreading, circulant channel application, the structured Fourier
+operators that let the adaptive algorithms work on a short tap vector
+instead of a full frequency-domain vector, the symbol-group kernel, and the
+one CG loop (:func:`cg_least_squares`: CGLS, or CG on normal equations for
+an operator with a curvature hook). Each is a pure function of its inputs,
+except that :func:`random_bits` and :func:`random_bpsk` advance the
+generator they are given. The cyclic prefix is not simulated chip by chip:
+a prefix at least as long as the channel memory makes the channel circular,
+which is what :func:`circulant_apply` computes. Transforms call ``np.fft``
+directly, every code or tap spectrum is :func:`tap_spectrum`'s, and no
+m-by-m matrix is built here.
 
 Conventions
 -----------
@@ -175,7 +178,7 @@ def genie_covariance(taps, codes, sigma2: float, n: int):
             raise np.linalg.LinAlgError("noiseless input covariance is rank deficient (K < Nc)")
         if np.any(hbar == 0):
             raise np.linalg.LinAlgError("noiseless input covariance is singular (dead channel bin)")
-    lam = by_symbol(hbar[..., None, :] * np.fft.fft(codes, n=m, axis=-1), n)
+    lam = by_symbol(hbar[..., None, :] * tap_spectrum(codes, m), n)
     cov = np.einsum("...kgi,...kgj->...gij", lam, lam.conj()) / nc + sigma2 * np.eye(nc)
     return cov, lam
 
@@ -194,7 +197,7 @@ def circulant_apply(taps, chips, spectrum=None) -> np.ndarray:
         taps = _as_complex_rows(taps, "taps")
         if taps.shape[-1] > m:
             raise ValueError(f"tap count {taps.shape[-1]} exceeds block length {m}")
-        spectrum = np.fft.fft(taps, n=m)
+        spectrum = tap_spectrum(taps, m)
     return np.fft.ifft(np.fft.fft(chips) * spectrum)
 
 

@@ -98,6 +98,7 @@ _GENIE_RIDGE = 1e-12         # noise floor substituted for exactly noiseless gen
 _CHIP_SECONDS = 0.375e-9
 
 EXPERIMENTS = ("ber-vs-blocks", "ber-vs-snr", "ber-vs-users", "estimators", "complexity")
+KCOUNT_USERS = (2, 3, 4)     # user counts of the estimators experiment's kcount traces
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +153,9 @@ class ExperimentConfig:
         Every experiment function calls this first."""
         if self.spreading < 1 or (self.spreading & (self.spreading - 1)) != 0:
             raise ValueError(f"spreading gain must be a power of two, got {self.spreading}")
+        if experiment == "estimators" and self.spreading < min(KCOUNT_USERS):
+            raise ValueError(f"--spreading {self.spreading} is below every kcount user "
+                             f"count {KCOUNT_USERS}")
         if self.users < 1:
             raise ValueError("users must be >= 1")
         if self.users > self.spreading:
@@ -371,7 +375,7 @@ class _Runners(dict):
                 self.weights[self.slot[key]] = state.w_hat
                 state.w_hat = self.weights[self.slot[key]]
         self.cfg, self.users, self.sigma2 = cfg, rows.users, rows.sigma2
-        self.despread_bins = (np.conj(np.fft.fft(rows.codes[0], cfg.chips_per_block))
+        self.despread_bins = (np.conj(tap_spectrum(rows.codes[0], cfg.chips_per_block))
                               / np.sqrt(cfg.spreading))
 
     def equalize(self, cov):
@@ -428,16 +432,16 @@ def _received_blocks(rows, n, n_blocks, synthesize=True):
 def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) -> dict:
     """Advance every detector over ``n_blocks`` blocks of every row of a
     :class:`_Rows` chunk, which carries the rows' inputs and generators
-    (:func:`_received_blocks`), filling ``errors_out`` (``key -> (R,
-    n_blocks)`` error counts). Each block steps every state of ``runners``
-    once, by key, through ``_ALGORITHMS[key].step``. On estimated inputs
-    ``cov`` is the trial's :class:`GroupCovariance`: each block is folded
-    into it once, and each scored block builds the adaptive SCE weights on
-    its one subspace estimate. Without ``errors_out`` no block is scored,
-    so none is detected. So when ``runners`` holds no state and no block is
-    scored, nothing reads the blocks, and they are only drawn. A scored
-    block is decided for every detector before any step, in one
-    :func:`da.detect_da` call on the ``runners`` buffer, after one
+    (:func:`_received_blocks`), filling ``errors_out`` (the ``(D, R,
+    n_blocks)`` error counts of the weight slots). Each block steps every
+    state of ``runners`` once, by key, through ``_ALGORITHMS[key].step``. On
+    estimated inputs ``cov`` is the trial's :class:`GroupCovariance`: each
+    block is folded into it once, and each scored block builds the adaptive
+    SCE weights on its one subspace estimate. Without ``errors_out`` no
+    block is scored, so none is detected. So when ``runners`` holds no state
+    and no block is scored, nothing reads the blocks, and they are only
+    drawn. A scored block is decided for every detector before any step, in
+    one :func:`da.detect_da` call on the ``runners`` buffer, after one
     :meth:`_Runners.equalize` while the SCE states adapt.
 
     Returns the first divergence of each diverged row, ``{row: message}``,
@@ -464,9 +468,8 @@ def _simulate_blocks(cfg, rows, runners, n_blocks, errors_out=None, cov=None) ->
         if errors_out is not None:
             if sce_adapts:
                 runners.equalize(cov)
-            wrong = np.count_nonzero(da.detect_da(rx.op, runners.weights) != desired, axis=-1)
-            for key, at in runners.slot.items():
-                errors_out[key][:, i] = wrong[at]
+            errors_out[..., i] = np.count_nonzero(da.detect_da(rx.op, runners.weights) != desired,
+                                                  axis=-1)
         for key, state in runners.items():
             try:
                 _ALGORITHMS[key].step(state, rx)
@@ -590,14 +593,14 @@ def _ber_trial(cfg, points, algo_keys, runs, curve=False):
 
 def _ber_rows(cfg, rows, algo_keys, curve):
     """:func:`_ber_trial` on one chunk of rows, which all train and are
-    scored together, on one :class:`_Runners`: ``{key: (rows, blocks)}``. A
-    sweep's freeze is the scored block's one stacked build of the adaptive
-    SCE weights, made once after training, followed by
-    ``runners.clear()``; each detector then decides on its slot as it
-    stands."""
+    scored together, on one :class:`_Runners`: ``{key: (rows, blocks)}``,
+    the tally of the key's weight slot. A sweep's freeze is the scored
+    block's one stacked build of the adaptive SCE weights, made once after
+    training, followed by ``runners.clear()``; each detector then decides on
+    its slot as it stands."""
     runners = _Runners(cfg, rows, algo_keys)
     scored = cfg.training_blocks if curve else cfg.eval_blocks
-    errors = {key: np.zeros((len(rows), scored), dtype=np.int64) for key in algo_keys}
+    errors = np.zeros((len(runners.weights), len(rows), scored), dtype=np.int64)
     cov = (GroupCovariance.empty(cfg.block_length, cfg.spreading, (len(rows),))
            if cfg.use_estimated_sigma2 or cfg.use_estimated_k else None)
     diverged = _simulate_blocks(cfg, rows, runners, cfg.training_blocks,
@@ -609,7 +612,7 @@ def _ber_rows(cfg, rows, algo_keys, curve):
             runners.equalize(cov)
         runners.clear()
         _simulate_blocks(cfg, rows, runners, cfg.eval_blocks, errors_out=errors)
-    return errors
+    return {key: errors[slot] for key, slot in runners.slot.items()}
 
 
 def _sigma2_trial(cfg, points, runs):
@@ -760,7 +763,7 @@ def run_estimator_curves(cfg: ExperimentConfig) -> dict:
     """
     cfg.validate("estimators")
     user_set_sigma2 = [k for k in (1, 3, 5) if k <= cfg.spreading]
-    user_set_kcount = [k for k in (2, 3, 4) if k <= cfg.spreading]
+    user_set_kcount = [k for k in KCOUNT_USERS if k <= cfg.spreading]
     snrs = np.asarray(cfg.snr_db, dtype=float)
 
     sigma2_curve = CurveSet("snr_db", snrs,

@@ -5,7 +5,9 @@ its operation tallies with ``nominal_cost`` before any benchmark run. This
 test runs that guard for every benchmark workload, so a change to a step's
 signature or tally fails here rather than in every benchmark run. It also
 runs the tracer and the setup probe against the package; the tracer's
-layer span of each adaptive step is what times each detector's update. The
+layer span of each adaptive step is what times each detector's update. And
+it makes each workload's reference call, at the default scenario's shape,
+and compares it with the stored reference as the benchmark does. The
 benchmark files are loaded by path, under names of their own, and are not
 modified.
 """
@@ -43,6 +45,18 @@ def test_opcount_guard_matches_model_on_every_workload(bench):
         counts, mismatches = checks.opcount_guard(spec, seed=1)
         assert mismatches == [], name
         assert set(counts) == {"sce-lms", "sce-rls", "sce-cg", "da-lms", "da-rls", "da-cg"}
+
+
+def test_reference_call_of_every_workload_matches_the_stored_reference(bench, tmp_path):
+    # the benchmark checks these calls only when it runs; here they also bind
+    # the default shape (n=32, nc=8, L=34) in every test run
+    from uwbfde.cli import main as cli_main
+    checks, run = bench
+    for name, spec in run.WORKLOADS.items():
+        ref, out = spec.reference(), tmp_path / f"{name}.csv"
+        assert cli_main(ref.argv(run.REF_SEED, out)) == 0, name
+        frames = checks.check_outputs(ref, ref.outputs(out), run.REF_SEED)
+        checks.compare_reference(frames, run.REF_DIR / name)
 
 
 def test_tracer_spans_every_adaptive_step_once_per_block_and_uninstalls(monkeypatch):

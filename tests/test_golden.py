@@ -7,12 +7,17 @@ noiseless point beside a noisy one. It also holds the four SCE detectors
 on estimated inputs (a training curve and a three-point SNR sweep), all
 eight detectors in that sweep with the SCE ones on estimated inputs, and
 the two ``estimators`` curves at three SNRs, and a two-point SNR sweep on
-the tap file ``cir_l9.txt``. They were written with numpy 2.4.6; the output
-is byte-identical across reruns, worker counts and batch sizes, but another
-numpy may round differently (see ``golden/README.md``). A change that moves
-any BER, or the CSV layout, fails here. A genie-only sweep only draws its
-training blocks, as no runner reads them; its columns must still equal the
-genie columns of the all-detector files.
+the tap file ``cir_l9.txt``. Two more files run the default shape (n=32,
+nc=8, L=34, 2 runs x 60 training blocks): an all-detector sweep with a
+noiseless point, and the same sweep with the SCE detectors on estimated
+inputs. At nc = 8 a code chip is not a power of two, so a sum that changes
+order can round differently there and not at nc = 4. They were written with
+numpy 2.4.6; the output is byte-identical across reruns, worker counts and
+batch sizes, but another numpy may round differently (see
+``golden/README.md``). A change that moves any BER, or the CSV layout, fails
+here. A genie-only sweep only draws its training blocks, as no runner reads
+them; its columns must still equal the genie columns of the all-detector
+files.
 """
 
 from pathlib import Path
@@ -28,6 +33,7 @@ SMALL = ["--block-length", "16", "--spreading", "4", "--cir-length", "9",
          "--runs", "4", "--blocks", "60"]
 ESTIMATES = ["--estimated-sigma2", "--estimated-k"]
 ESTIMATED = ["--scheme", "sce", *ESTIMATES]
+DEFAULT_SHAPE = ["--runs", "2", "--blocks", "60", "--eval-blocks", "20"]
 CASES = {
     "ber_vs_blocks_n16_nc4_l9.csv": ["--experiment", "ber-vs-blocks", *SMALL],
     "ber_vs_snr_n16_nc4_l9.csv": ["--experiment", "ber-vs-snr", "--snr-db", "0,8,16",
@@ -44,6 +50,10 @@ CASES = {
     "ber_vs_snr_estimated_both_n16_nc4_l9.csv": ["--experiment", "ber-vs-snr", "--scheme", "both",
                                                  *ESTIMATES, "--snr-db", "0,8,16", *SMALL,
                                                  "--eval-blocks", "40"],
+    "ber_vs_snr_n32_nc8_l34.csv": ["--experiment", "ber-vs-snr", "--snr-db", "0,16,inf",
+                                   *DEFAULT_SHAPE],
+    "ber_vs_snr_estimated_both_n32_nc8_l34.csv": ["--experiment", "ber-vs-snr", "--scheme", "both",
+                                                  *ESTIMATES, "--snr-db", "0,16", *DEFAULT_SHAPE],
 }
 
 

@@ -416,7 +416,8 @@ class TestEstimatedInputs:
             # the blocks are drawn on the true ones
             inputs.clear()
             runners = _Runners(cfg, one_row(users_seen, snr_db_seen), keys)
-            errors = {key: np.zeros((1, cfg.training_blocks), dtype=np.int64) for key in keys}
+            # one error tally per weight slot, as _ber_rows holds them
+            errors = np.zeros((len(runners.weights), 1, cfg.training_blocks), dtype=np.int64)
             _simulate_blocks(cfg, one_row(cfg.users, cfg.snr_db[0]), runners,
                              cfg.training_blocks, errors_out=errors,
                              cov=GroupCovariance.empty(cfg.block_length, cfg.spreading, (1,)))
@@ -558,19 +559,20 @@ class TestCli:
         assert (tmp_path / "est_sigma2.csv").exists()
         assert (tmp_path / "est_kcount.csv").exists()
 
-    def test_estimators_without_a_kcount_user_count(self, tmp_path):
-        # no kcount user count (2, 3 or 4) fits nc = 1: the sigma2 sweep runs
-        # for one user, and the kcount file holds only its block column
-        rc = cli_main(["--experiment", "estimators", "--spreading", "1", "--users", "1",
-                       "--block-length", "16", "--cir-length", "3", "--cp-chips", "2",
-                       "--blocks", "5", "--runs", "2", "--out", str(tmp_path / "est.csv")])
-        assert rc == 0
-        sigma2 = (tmp_path / "est_sigma2.csv").read_text().splitlines()
-        assert [line for line in sigma2 if not line.startswith("#")][0] == (
-            "snr_db,sigma2_theory,sigma2_hat_k1")
-        kcount = [line for line in (tmp_path / "est_kcount.csv").read_text().splitlines()
-                  if not line.startswith("#")]
-        assert kcount == ["block", "1", "2", "3", "4", "5"]
+    def test_estimators_without_a_kcount_user_count_refused(self, tmp_path, capsys):
+        # no kcount user count (2, 3 or 4) fits nc = 1, so the kcount file
+        # would hold only its block column; the refusal names --spreading,
+        # also for the default three users, which exceed nc too
+        for users in ("1", "3"):
+            args = ["--experiment", "estimators", "--spreading", "1", "--users", users,
+                    "--block-length", "16", "--cir-length", "3", "--cp-chips", "2",
+                    "--blocks", "5", "--runs", "2"]
+            with pytest.raises(ValueError, match="^--spreading 1 "):
+                run_estimator_curves(config_from_args(build_parser().parse_args(args)))
+            assert cli_main([*args, "--out", str(tmp_path / "est.csv")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: --spreading 1 ") and err.count("\n") == 1
+            assert not list(tmp_path.iterdir())
 
     def test_cir_file_flag(self, tmp_path):
         cir = tmp_path / "taps.txt"
@@ -679,22 +681,29 @@ class TestCli:
         assert config_from_args(args) == dataclasses.replace(ExperimentConfig(), **{name: value})
 
     @staticmethod
-    def _assert_cli_import_leaves_out(module):
-        code = f"import sys\nimport uwbfde.cli\nsys.exit({module!r} in sys.modules)"
+    def _assert_import_leaves_out(*prefixes, module="uwbfde.cli"):
+        # a fresh interpreter imports ``module`` and exits with the names it
+        # loaded that start with one of ``prefixes``
+        code = (f"import sys\nimport {module}\nsys.exit(sorted(name for name in sys.modules "
+                f"if name.startswith({prefixes!r})) or None)")
         src = Path(harness.__file__).resolve().parents[1]
         proc = subprocess.run([sys.executable, "-c", code],
                               env={**os.environ, "PYTHONPATH": str(src)},
                               capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr or f"importing uwbfde.cli loads {module}"
+        assert proc.returncode == 0, f"importing {module} loads {proc.stderr}"
+
+    def test_package_import_loads_no_submodule_and_no_numpy(self):
+        # callers import the submodules; the package namespace re-exports none
+        self._assert_import_leaves_out("uwbfde.", "numpy", module="uwbfde")
 
     def test_import_leaves_the_process_pool_out(self):
         # only a run split over several workers imports concurrent.futures
-        self._assert_cli_import_leaves_out("concurrent.futures")
+        self._assert_import_leaves_out("concurrent.futures")
 
     def test_import_leaves_numpy_random_out(self):
         # numpy loads numpy.random on first use; the first generator of a run
         # pays for it, not every process that starts
-        self._assert_cli_import_leaves_out("numpy.random")
+        self._assert_import_leaves_out("numpy.random")
 
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: a fresh interpreter in which
