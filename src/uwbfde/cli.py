@@ -1,6 +1,7 @@
-"""Command line front end for the experiment harness. Each flag stores into
-the config field its ``dest`` names. The experiment function refuses what it
-cannot use (:meth:`ExperimentConfig.validate`); the CLI refuses only ``--check``."""
+"""Command line front end for the experiment harness. Each config field's
+flag is the one :data:`harness.FLAGS` names, and it stores into that field.
+The experiment function refuses what it cannot use or does not read
+(:meth:`ExperimentConfig.validate`); the CLI refuses only ``--check``."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from .fdcore import DivergenceError
 from .harness import (
     ALGORITHMS,
     EXPERIMENTS,
+    FLAGS,
     SCHEMES,
     ExperimentConfig,
     run_ber_vs_blocks,
@@ -36,33 +38,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monte-Carlo simulator for multiuser spread-spectrum downlink "
                     "detection with frequency-domain equalization.")
     p.add_argument("--experiment", required=True, choices=EXPERIMENTS)
-    p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--algorithm", choices=ALGORITHMS)
-    p.add_argument("--users", type=int, help="active users K")
-    p.add_argument("--spreading", type=int, help="chips per symbol Nc")
-    p.add_argument("--block-length", type=int, help="symbols per block N")
-    p.add_argument("--cir-length", dest="cir_taps", type=int, help="channel taps L")
-    p.add_argument("--cir-file", help="load channel taps from a re,im file")
-    p.add_argument("--snr-db", type=_snr_list, help="SNR point or comma-separated sweep")
-    p.add_argument("--blocks", dest="training_blocks", type=int,
-                   help="training blocks per run")
-    p.add_argument("--eval-blocks", type=int,
-                   help="steady-state measurement blocks for sweeps")
-    p.add_argument("--runs", type=int, help="independent Monte-Carlo runs")
-    p.add_argument("--seed", dest="base_seed", type=int)
-    p.add_argument("--cg-iters", type=int)
-    p.add_argument("--mu-h", type=float)
-    p.add_argument("--mu-w", type=float)
-    p.add_argument("--lambda-h", type=float)
-    p.add_argument("--lambda-w", type=float)
-    p.add_argument("--delta", dest="delta_init", type=float)
-    p.add_argument("--cp-chips", type=int)
-    p.add_argument("--estimated-sigma2", dest="use_estimated_sigma2", action="store_true",
-                   help="feed the detector the estimated noise variance")
-    p.add_argument("--estimated-k", dest="use_estimated_k", action="store_true",
-                   help="feed the detector the estimated user count")
-    p.add_argument("--workers", type=int,
-                   help="worker processes, each advancing a contiguous group of row chunks")
+
+    def option(name, **kwargs):     # the flag of a config field stores into it
+        p.add_argument(FLAGS[name], dest=name, **kwargs)
+
+    option("scheme", choices=SCHEMES)
+    option("algorithm", choices=ALGORITHMS)
+    option("users", type=int, help="active users K")
+    option("spreading", type=int, help="chips per symbol Nc")
+    option("block_length", type=int, help="symbols per block N")
+    option("cir_taps", type=int, help="channel taps L")
+    option("cir_file", help="load channel taps from a re,im file")
+    option("snr_db", type=_snr_list, help="SNR point or comma-separated sweep")
+    option("training_blocks", type=int, help="training blocks per run")
+    option("eval_blocks", type=int, help="steady-state measurement blocks for sweeps")
+    option("runs", type=int, help="independent Monte-Carlo runs")
+    option("base_seed", type=int)
+    option("cg_iters", type=int)
+    for name in ("mu_h", "mu_w", "lambda_h", "lambda_w", "delta_init"):
+        option(name, type=float)
+    option("cp_chips", type=int)
+    option("use_estimated_sigma2", action="store_true",
+           help="feed the detector the estimated noise variance")
+    option("use_estimated_k", action="store_true",
+           help="feed the detector the estimated user count")
+    option("workers", type=int,
+           help="worker processes, each advancing a contiguous group of row chunks")
     p.add_argument("--check", action="store_true",
                    help="complexity experiment: exit nonzero unless all counts match")
     p.add_argument("--out", default=None, help="output path (default <experiment>.csv)")

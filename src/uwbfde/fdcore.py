@@ -5,8 +5,8 @@ operators that let the adaptive algorithms work on a short tap vector
 instead of a full frequency-domain vector, the symbol-group kernel, and the
 one CG loop (:func:`cg_least_squares`: CGLS, or CG on normal equations for
 an operator with a curvature hook). Each is a pure function of its inputs,
-except that :func:`random_bits` and :func:`random_bpsk` advance the
-generator they are given. The cyclic prefix is not simulated chip by chip:
+except that the bit draws (:func:`random_bit_rows`) advance the
+generators they are given. The cyclic prefix is not simulated chip by chip:
 a prefix at least as long as the channel memory makes the channel circular,
 which is what :func:`circulant_apply` computes. Transforms call ``np.fft``
 directly, every code or tap spectrum is :func:`tap_spectrum`'s, and no
@@ -271,35 +271,43 @@ def cg_least_squares(x, op, d, iters: int, trace=None) -> int:
     return iters
 
 
-def reads_raw_words(rng: np.random.Generator, count: int) -> bool:
-    """Whether :func:`random_bits` reads ``count`` bits from ``count // 2``
-    raw words of ``rng`` (an even count on a half-word generator) rather
-    than calling ``integers``."""
-    # looked up here: numpy imports np.random on first use, not with numpy
-    half_word = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
-    return count % 2 == 0 and isinstance(rng.bit_generator, half_word)
-
-
-def random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` equiprobable 0/1 draws: the values of
-    ``rng.integers(0, 2, count)``, leaving ``rng`` where that call would.
+def random_bit_rows(rngs, counts) -> np.ndarray:
+    """``(R, max(counts))`` equiprobable 0/1 draws, as ``uint32``: row ``r``
+    holds the values of ``rngs[r].integers(0, 2, counts[r])``, then zeros,
+    and leaves ``rngs[r]`` where that call would.
 
     ``integers`` makes each bit the top bit of one 32-bit draw (Lemire's
     bounded method rejects nothing at a range of 2), and PCG64, PCG64DXSM,
     Philox and SFC64 serve 32-bit draws as the low, then the high half of a
-    64-bit word. So for an even ``count`` the bits are read from
-    ``count // 2`` raw words, without the per-call overhead of
+    64-bit word. So an even count's bits are read from ``count // 2`` raw
+    words, all rows' in one buffer, without the per-call overhead of
     ``integers``. An odd count leaves a buffered half-word for the next
     32-bit draw, which raw words cannot, so it calls ``integers``, as does
-    any other bit generator (:func:`reads_raw_words`). The even path assumes
-    that no half-word is buffered: true of a fresh generator and after
-    64-bit or even-count draws. After an odd count or a scalar draw below
-    ``2**32`` it returns other, equally random, bits.
+    any other bit generator. The even path assumes that no half-word is
+    buffered: true of a fresh generator and after 64-bit or even-count
+    draws. After an odd count or a scalar draw below ``2**32`` it returns
+    other, equally random, bits.
     """
-    if not reads_raw_words(rng, count):
-        return rng.integers(0, 2, count)
-    words = rng.bit_generator.random_raw(count // 2).astype("<u8", copy=False)
-    return (words.view("<u4") >> 31).astype(np.int64)     # low half first
+    # looked up here: numpy imports np.random on first use, not with numpy
+    half_word = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+    width = int(max(counts))
+    words = np.zeros((len(rngs), (width + 1) // 2), dtype="<u8")
+    drawn = {}
+    for row, (rng, count) in enumerate(zip(rngs, counts)):
+        if count % 2 == 0 and isinstance(rng.bit_generator, half_word):
+            words[row, :count // 2] = rng.bit_generator.random_raw(count // 2)
+        else:
+            drawn[row] = rng.integers(0, 2, count)
+    bits = words.view("<u4")[:, :width]     # low half first
+    bits >>= 31
+    for row, values in drawn.items():
+        bits[row, :values.size] = values
+    return bits
+
+
+def random_bits(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` bits of :func:`random_bit_rows` on the one generator ``rng``."""
+    return random_bit_rows([rng], [count])[0]
 
 
 def random_bpsk(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -59,9 +59,9 @@ Protocol notes
   naming the point, algorithm and block; so does a noise-variance row
   without a usable pilot block.
 * Every experiment function first calls ``cfg.validate(<its name>)``, the
-  one place that refuses a config value that cannot run or that the
-  experiment would ignore (README lists the ignored values it still
-  accepts); the CLI adds only its ``--check`` rule.
+  one place that refuses a config value that cannot run, and a field that
+  the experiment does not read (:data:`EXPERIMENTS`) set away from its
+  default; the CLI adds only its ``--check`` rule.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ from .estimators import (
 )
 from .fdcore import (
     DivergenceError,
+    random_bit_rows,
     random_bpsk,
-    reads_raw_words,
     spread,
     tap_spectrum,
     walsh_code_set,
@@ -97,7 +97,6 @@ _DATA_STREAM = 104729
 _GENIE_RIDGE = 1e-12         # noise floor substituted for exactly noiseless genie runs
 _CHIP_SECONDS = 0.375e-9
 
-EXPERIMENTS = ("ber-vs-blocks", "ber-vs-snr", "ber-vs-users", "estimators", "complexity")
 KCOUNT_USERS = (2, 3, 4)     # user counts of the estimators experiment's kcount traces
 
 
@@ -148,73 +147,68 @@ class ExperimentConfig:
         return 10.0 ** (-snr_db / 10.0)
 
     def validate(self, experiment: str):
-        """Reject a value that cannot run, or that ``experiment`` would
-        accept and then ignore (not yet every such value; see README).
-        Every experiment function calls this first."""
-        if self.spreading < 1 or (self.spreading & (self.spreading - 1)) != 0:
+        """Refuse a value that cannot run, and every field that
+        ``experiment`` does not read (:data:`EXPERIMENTS`) set away from its
+        default, naming each by its flag (:data:`FLAGS`). A field's value
+        checks run only where it is read. Every experiment function calls
+        this first."""
+        ignored = EXPERIMENTS[experiment]
+        read = set(vars(self)) - set(ignored)
+        if "spreading" in read and (self.spreading < 1 or self.spreading & (self.spreading - 1)):
             raise ValueError(f"spreading gain must be a power of two, got {self.spreading}")
         if experiment == "estimators" and self.spreading < min(KCOUNT_USERS):
             raise ValueError(f"--spreading {self.spreading} is below every kcount user "
                              f"count {KCOUNT_USERS}")
-        if self.users < 1:
-            raise ValueError("users must be >= 1")
-        if self.users > self.spreading:
+        for name, least in (("users", 1), ("block_length", 1), ("cir_taps", 1), ("cp_chips", 0),
+                            ("cg_iters", 1), ("runs", 1), ("training_blocks", 1),
+                            ("eval_blocks", 0), ("workers", 1)):
+            if name in read and getattr(self, name) < least:
+                raise ValueError(f"{FLAGS[name]} {getattr(self, name)} is below {least}")
+        if "users" in read and self.users > self.spreading:
             raise ValueError(f"K exceeds Nc ({self.users} > {self.spreading})")
-        if self.block_length < 1:
-            raise ValueError("block_length must be >= 1")
-        if self.cir_taps < 1:
-            raise ValueError("cir_taps must be >= 1")
-        if self.cp_chips < 0:
-            raise ValueError("cp_chips must be >= 0")
-        if self.cp_chips < self.cir_taps - 1:
+        if "cp_chips" in read and self.cp_chips < self.cir_taps - 1:
             raise ValueError(f"cyclic prefix ({self.cp_chips} chips) shorter than the channel "
                              f"memory ({self.cir_taps - 1}); synthesis is circular, so the "
                              "inter-block interference would not be simulated")
         # a synthesized block holds the channel, and the pilot fit needs a
         # residual; the complexity model runs no block and aliases longer channels
         most = self.chips_per_block - (experiment == "estimators")
-        if experiment != "complexity" and self.cir_taps > most:
+        if "spreading" in read and self.cir_taps > most:
             raise ValueError(f"--cir-length {self.cir_taps} exceeds {most}, the most taps "
                              f"{experiment} runs on a block of {self.chips_per_block} chips")
-        if self.cg_iters < 1:
-            raise ValueError("cg_iters must be >= 1")
-        if not self.delta_init > 0:
+        if "delta_init" in read and not self.delta_init > 0:
             raise ValueError(f"delta_init must be > 0 (the RLS filters start from "
                              f"delta_init * I), got {self.delta_init}")
         for name, mu in (("mu_w", self.mu_w), ("mu_h", self.resolved_mu_h)):
-            if not mu >= 0:
+            if name in read and not mu >= 0:
                 raise ValueError(f"{name} must be >= 0, got {mu}")
-        for name, lam in (("lambda_h", self.lambda_h), ("lambda_w", self.lambda_w)):
-            if not 0 < lam <= 1:
-                raise ValueError(f"{name} must be in (0, 1], got {lam}")
-        if self.runs < 1 or self.training_blocks < 1 or self.eval_blocks < 0:
-            raise ValueError("runs/training_blocks/eval_blocks out of range")
-        if not self.snr_db:
+        for name in ("lambda_h", "lambda_w"):
+            if name in read and not 0 < getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)}")
+        if "snr_db" in read and not self.snr_db:
             raise ValueError("at least one SNR point is required")
-        for snr_db in self.snr_db:
+        for snr_db in self.snr_db if "snr_db" in read else ():
             if np.isnan(snr_db) or snr_db == -np.inf:
                 raise ValueError(f"SNR {snr_db} dB has no noise variance; "
                                  "+inf (noiseless) is the only infinite SNR")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name, known in (("scheme", SCHEMES), ("algorithm", ALGORITHMS)):
+            if name in read and getattr(self, name) not in known:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if experiment in ("ber-vs-blocks", "ber-vs-users") and len(self.snr_db) > 1:
             raise ValueError(f"{experiment} runs at one SNR point: --snr-db takes one value")
         if experiment in ("ber-vs-snr", "ber-vs-users") and self.eval_blocks < 1:
             raise ValueError(f"{experiment} scores steady-state blocks: --eval-blocks must be >= 1")
         sce_adapts = any(_ALGORITHMS[key].scheme == "sce" and _ALGORITHMS[key].step is not None
                          for key in self.algo_keys())
-        for flag, on in (("--estimated-sigma2", self.use_estimated_sigma2),
-                         ("--estimated-k", self.use_estimated_k)):
-            if on and experiment in ("estimators", "complexity"):
-                raise ValueError(f"{flag} does not apply to the {experiment} experiment")
-            if on and not sce_adapts:
-                raise ValueError(f"{flag} feeds the adaptive SCE detectors, and scheme "
+        for name in ("use_estimated_sigma2", "use_estimated_k"):
+            if name in read and getattr(self, name) and not sce_adapts:
+                raise ValueError(f"{FLAGS[name]} feeds the adaptive SCE detectors, and scheme "
                                  f"{self.scheme!r} with algorithm {self.algorithm!r} "
                                  "runs none")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        given = [FLAGS[f] for f in ignored if getattr(self, f) != getattr(ExperimentConfig, f)]
+        if given:
+            raise ValueError(f"the {experiment} experiment does not read {', '.join(given)}; "
+                             "only the default value is accepted")
 
     def algo_keys(self) -> list[str]:
         return [key for key, algo in _ALGORITHMS.items()
@@ -236,6 +230,29 @@ class ExperimentConfig:
         meta["uncoded_rate_mbps"] = round(
             self.block_length / ((m + self.cp_chips) * _CHIP_SECONDS) / 1e6, 3)
         return meta
+
+
+# what a refusal calls each config field: the CLI flag the parser builds for
+# it, its name dashed unless renamed here; decay_rate has no flag
+FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in dataclasses.fields(ExperimentConfig)} | {
+    "cir_taps": "--cir-length", "training_blocks": "--blocks", "base_seed": "--seed",
+    "delta_init": "--delta", "use_estimated_sigma2": "--estimated-sigma2",
+    "use_estimated_k": "--estimated-k", "decay_rate": "decay_rate"}
+
+# each experiment, by its CLI name, and the config fields it does not read,
+# which validate refuses away from their defaults. ber-vs-blocks and
+# estimators read no eval_blocks either, but the benchmark passes it to both
+EXPERIMENTS = {
+    "ber-vs-blocks": (),
+    "ber-vs-snr": (),
+    "ber-vs-users": ("users",),     # it sweeps 1 .. nc - 1 users
+    # its own user counts, and no detector
+    "estimators": ("users", "scheme", "algorithm", "cg_iters", "mu_h", "mu_w", "lambda_h",
+                   "lambda_w", "delta_init", "use_estimated_sigma2", "use_estimated_k"),
+    # the complexity model sweeps its own spreading gains and iteration counts
+    "complexity": tuple(f.name for f in dataclasses.fields(ExperimentConfig)
+                        if f.name not in ("block_length", "cir_taps", "base_seed")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -395,34 +412,22 @@ def _received_blocks(rows, n, n_blocks, synthesize=True):
     """Yield ``(blocks, z)``, the ``(R, K, n)`` symbols and ``(R, m)``
     spectrum, for each of ``n_blocks`` blocks of a :class:`_Rows` chunk,
     which carries each row's users, noise variance, channel spectrum and
-    generator. Each row draws its bits, the values of
-    :func:`fdcore.random_bits` (raw words land in one buffer, read once per
-    block), then its noise (:func:`channel.draw_noise`), from its own
-    generator; ``K`` is the largest user count, and a row with fewer users
-    has all-zero symbols for the others. Without ``synthesize`` the blocks
-    are only drawn, so every generator ends where it would, and nothing is
-    yielded."""
+    generator. Each row draws its bits (:func:`fdcore.random_bit_rows`,
+    mapped to symbols as by :func:`fdcore.random_bpsk`), then its noise
+    (:func:`channel.draw_noise`), from its own generator; ``K`` is the
+    largest user count, and a row with fewer users has all-zero symbols for
+    the others. Without ``synthesize`` the blocks are only drawn, so every
+    generator ends where it would, and nothing is yielded."""
     gens, sigma2 = rows.rngs, rows.sigma2
     counts = rows.users * n
-    width = int(counts.max())
-    drawn = np.arange(width) < counts[:, None]
-    raw = [reads_raw_words(g, count) for g, count in zip(gens, counts)]
-    words = np.zeros((len(gens), (width + 1) // 2), dtype="<u8")
+    drawn = np.arange(counts.max()) < counts[:, None]
     for _ in range(n_blocks):
-        drawn_ints = {}
-        for row, (g, count, fast) in enumerate(zip(gens, counts, raw)):
-            if fast:
-                words[row, :count // 2] = g.bit_generator.random_raw(count // 2)
-            else:
-                drawn_ints[row] = g.integers(0, 2, count)
         if not synthesize:
+            random_bit_rows(gens, counts)
             channel.draw_noise(gens, sigma2, n * rows.codes.shape[1])
             continue
-        ints = (words.view("<u4") >> 31)[:, :width]        # low half first
-        for row, values in drawn_ints.items():
-            ints[row, :values.size] = values
-        bits = np.where(drawn, ints * 2.0 - 1.0, 0.0)     # as fdcore.random_bpsk
-        blocks = bits.reshape(len(gens), -1, n)
+        symbols = np.where(drawn, random_bit_rows(gens, counts) * 2.0 - 1.0, 0.0)
+        blocks = symbols.reshape(len(gens), -1, n)
         yield blocks, channel.synthesize_rx(blocks, rows.codes, rows.taps, sigma2, gens,
                                             rows.spectrum)
 
@@ -759,7 +764,8 @@ def run_estimator_curves(cfg: ExperimentConfig) -> dict:
     traces run at the last configured SNR for 2, 3 and 4 users: the
     genie-input power-inversion estimate and the estimated-input subspace
     estimate that feeds the SCE detector (see :func:`estimator_kcount_trial`).
-    The configured ``users`` field is not used by this experiment.
+    It reads no ``users`` and no detector field, and refuses them away from
+    their defaults.
     """
     cfg.validate("estimators")
     user_set_sigma2 = [k for k in (1, 3, 5) if k <= cfg.spreading]

@@ -2,8 +2,10 @@
 
 import dataclasses
 import gc
+import importlib.util
 import logging
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -34,6 +36,7 @@ from uwbfde.harness import (
 from uwbfde.opcount import nominal_cost
 from uwbfde.sce import build_mmse_sce, pilot_matrix
 
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
 
 # every experiment function, by the name the CLI gives it
 EXPERIMENT_FUNCTIONS = {"ber-vs-blocks": run_ber_vs_blocks, "ber-vs-snr": run_ber_vs_snr,
@@ -226,13 +229,14 @@ class TestExperiments:
         assert ber[1] <= ber[0]
 
     def test_ber_vs_users_sweeps_full_range(self):
-        cfg = _tiny_config(spreading=4, users=1, scheme="da", algorithm="rls",
+        cfg = _tiny_config(spreading=4, users=3, scheme="da", algorithm="rls",
                            training_blocks=30, eval_blocks=20)
         curve = run_ber_vs_users(cfg)
         assert list(curve.x) == [1, 2, 3]
 
     def test_estimator_curves_structure(self):
-        cfg = _tiny_config(spreading=4, snr_db=(4.0, 12.0), training_blocks=30)
+        cfg = _tiny_config(spreading=4, snr_db=(4.0, 12.0), training_blocks=30, users=3,
+                           cg_iters=8)
         curves = run_estimator_curves(cfg)
         sig = curves["sigma2"]
         assert "sigma2_theory" in sig.columns
@@ -586,8 +590,8 @@ class TestCli:
         # channel, and no infinite genie-input user count
         cir = tmp_path / "taps.txt"
         cir.write_text("0,0\n0,0\n0,0\n1,0\n")
-        rc = cli_main(["--experiment", "estimators", *self.BASE, "--cir-file", str(cir),
-                       "--out", str(tmp_path / "e.csv")])
+        rc = cli_main(["--experiment", "estimators", *self.BASE, "--users", "3",
+                       "--cir-file", str(cir), "--out", str(tmp_path / "e.csv")])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {cir}: no energy in the first 3 taps")
         assert list(tmp_path.iterdir()) == [cir]
@@ -612,7 +616,7 @@ class TestCli:
         assert cli_main(["--experiment", "ber-vs-blocks", *args,
                          "--out", str(tmp_path / "x.csv")]) == 0
         # the complexity model aliases a channel longer than the block
-        assert cli_main(["--experiment", "complexity", *args[:-4],
+        assert cli_main(["--experiment", "complexity", *args[:2], *args[4:6],
                          "--out", str(tmp_path / "c.txt")]) == 0
 
     def test_unknown_experiment_rejected(self):
@@ -650,19 +654,22 @@ class TestCli:
         assert err.startswith("error: ") and "--snr-db" in err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("experiment", ["ber-vs-blocks", "estimators"])
-    def test_benchmark_argv_accepted(self, experiment, tmp_path):
-        # the benchmark passes every workload the same flags, --eval-blocks
-        # and --scheme/--algorithm/--users included; ber-vs-blocks gets one
-        # SNR point and estimators a sweep
-        snr_db = {"ber-vs-blocks": "16.0", "estimators": "8,16"}[experiment]
-        rc = cli_main(["--experiment", experiment, "--scheme", "both", "--algorithm", "all",
-                       "--users", "2", "--spreading", "4", "--block-length", "8",
-                       "--cir-length", "3", "--cp-chips", "4", "--snr-db", snr_db,
-                       "--blocks", "12", "--eval-blocks", "0", "--runs", "2",
-                       "--cg-iters", "3", "--seed", "1", "--workers", "1",
-                       "--out", str(tmp_path / "bench.csv")])
-        assert rc == 0
+    @pytest.mark.parametrize("experiment", ["ber-vs-blocks", "ber-vs-users", "estimators"])
+    def test_benchmark_argv_accepted(self, experiment, monkeypatch, tmp_path):
+        # every argv the benchmark passes this experiment, cut to two runs of
+        # three blocks: it sets flags the experiment ignores only to their
+        # defaults, except --eval-blocks
+        spec = importlib.util.spec_from_file_location("uwbfde_harness_bench_run",
+                                                      BENCH_DIR / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        # dataclasses look their defining module up by name
+        monkeypatch.setitem(sys.modules, spec.name, bench)
+        spec.loader.exec_module(bench)
+        specs = [*bench.WORKLOADS.values(), bench.ACCURACY]
+        assert {w.experiment for w in specs} == {"ber-vs-blocks", "ber-vs-users", "estimators"}
+        for i, workload in enumerate(w for w in specs if w.experiment == experiment):
+            small = dataclasses.replace(workload, runs=2, blocks=3)
+            assert cli_main(small.argv(seed=1, out=tmp_path / f"bench{i}.csv")) == 0
 
     @pytest.mark.parametrize("experiment", harness.EXPERIMENTS)
     def test_flag_defaults_are_the_config_defaults(self, experiment):
@@ -708,10 +715,10 @@ class TestCli:
     def test_runs_without_scipy(self, tmp_path):
         # numpy is the only runtime dependency: a fresh interpreter in which
         # every scipy import fails runs both experiment kinds
-        tiny = ["--block-length", "8", "--spreading", "2", "--users", "1",
+        tiny = ["--block-length", "8", "--spreading", "2",
                 "--cir-length", "3", "--cp-chips", "2", "--blocks", "4", "--runs", "2"]
         calls = [["--experiment", "estimators", *tiny, "--out", "est.csv"],
-                 ["--experiment", "ber-vs-blocks", *tiny, "--out", "blocks.csv"]]
+                 ["--experiment", "ber-vs-blocks", *tiny, "--users", "1", "--out", "blocks.csv"]]
         code = ("import sys\nsys.modules['scipy'] = None\nfrom uwbfde.cli import main\n"
                 f"sys.exit(max(main(argv) for argv in {calls!r}))")
         src = Path(harness.__file__).resolve().parents[1]
@@ -764,6 +771,113 @@ class TestCli:
         assert "Traceback" not in err
 
 
+# a valid value away from its default for every config field
+AWAY_FROM_DEFAULT = {
+    "block_length": 16, "spreading": 4, "users": 2, "cir_taps": 5, "cp_chips": 8,
+    "snr_db": (8.0,), "training_blocks": 7, "eval_blocks": 5, "runs": 3, "base_seed": 9,
+    "scheme": "sce", "algorithm": "cg", "cg_iters": 3, "mu_h": 1e-4, "mu_w": 1e-3,
+    "lambda_h": 0.99, "lambda_w": 0.9, "delta_init": 0.5, "use_estimated_sigma2": True,
+    "use_estimated_k": True, "cir_file": "taps.txt", "decay_rate": 0.2, "workers": 2}
+
+# every (experiment, config field it does not read) pair
+IGNORED_PAIRS = [(experiment, name) for experiment, ignored in harness.EXPERIMENTS.items()
+                 for name in ignored]
+
+# small sizes, each given to the experiments that read it
+SMALL = {"block_length": 8, "spreading": 4, "cir_taps": 3, "cp_chips": 4,
+         "training_blocks": 5, "eval_blocks": 3, "runs": 2}
+
+
+def _flag_argv(name, value) -> list[str]:
+    """The CLI arguments that set config field ``name`` to ``value``."""
+    if isinstance(value, bool):
+        return [harness.FLAGS[name]] if value else []
+    if isinstance(value, tuple):
+        value = ",".join(str(v) for v in value)
+    return [] if value is None else [harness.FLAGS[name], str(value)]
+
+
+class TestExperimentTable:
+    """``harness.EXPERIMENTS`` names the config fields each experiment does
+    not read; ``validate`` refuses them away from their defaults and runs
+    a field's value checks only where the field is read."""
+
+    def test_table_names_config_fields_and_the_cli_choices(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(AWAY_FROM_DEFAULT) == set(harness.FLAGS) == fields
+        for ignored in harness.EXPERIMENTS.values():
+            assert set(ignored) <= fields and len(set(ignored)) == len(ignored)
+        [choices] = [a.choices for a in build_parser()._actions if a.dest == "experiment"]
+        assert list(choices) == list(harness.EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", sorted(set(AWAY_FROM_DEFAULT) - {"decay_rate"}))
+    def test_each_field_flag_is_the_one_flags_names(self, name):
+        # the parser builds each field's flag from harness.FLAGS and stores into the field
+        value = AWAY_FROM_DEFAULT[name]
+        args = build_parser().parse_args(["--experiment", "ber-vs-snr", *_flag_argv(name, value)])
+        assert config_from_args(args) == dataclasses.replace(ExperimentConfig(), **{name: value})
+
+    @pytest.mark.parametrize("experiment, name", IGNORED_PAIRS)
+    def test_ignored_field_away_from_its_default_refused(self, experiment, name, tmp_path,
+                                                         capsys):
+        value, flag = AWAY_FROM_DEFAULT[name], harness.FLAGS[name]
+        refusal = f"the {experiment} experiment does not read {flag}; "
+        cfg = dataclasses.replace(ExperimentConfig(), **{name: value})
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
+            EXPERIMENT_FUNCTIONS[experiment](cfg)
+        if name == "decay_rate":        # a library field with no flag
+            return
+        rc = cli_main(["--experiment", experiment, *_flag_argv(name, value),
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {refusal}") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_every_ignored_field_named_in_one_refusal(self, capsys):
+        cfg = dataclasses.replace(ExperimentConfig(), users=2, cg_iters=3, mu_w=0.5)
+        with pytest.raises(ValueError, match="^the estimators experiment does not read "
+                                             "--users, --cg-iters, --mu-w; "):
+            run_estimator_curves(cfg)
+
+    @pytest.mark.parametrize("experiment", [e for e, ignored in harness.EXPERIMENTS.items()
+                                            if ignored])
+    def test_ignored_fields_given_at_their_defaults_accepted(self, experiment, tmp_path):
+        # as the benchmark passes estimators --users 3 --cg-iters 8
+        ignored = harness.EXPERIMENTS[experiment]
+        default = ExperimentConfig()
+        argv = [arg for name in ignored if name != "decay_rate"
+                for arg in _flag_argv(name, getattr(default, name))]
+        assert "--users" in argv
+        small = [arg for name, value in SMALL.items() if name not in ignored
+                 for arg in _flag_argv(name, value)]
+        assert cli_main(["--experiment", experiment, *argv, *small,
+                         "--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--experiment", "estimators", "--spreading", "2", "--blocks", "5", "--runs", "2"],
+        ["--experiment", "ber-vs-users", "--spreading", "2", "--blocks", "5",
+         "--eval-blocks", "3", "--runs", "2"],
+        ["--experiment", "complexity", "--cir-length", "60", "--check"]])
+    def test_checks_of_an_unread_field_do_not_refuse(self, argv, tmp_path):
+        # K exceeds Nc reads --users, and the prefix check --cp-chips: the
+        # default three users exceed nc = 2, and the default 35-chip prefix
+        # is shorter than a 60-tap channel
+        assert cli_main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--runs", "0"), ("--blocks", "0"), ("--eval-blocks", "-1"), ("--users", "0"),
+        ("--block-length", "0"), ("--cir-length", "0"), ("--cp-chips", "-1"),
+        ("--cg-iters", "0"), ("--workers", "0")])
+    def test_range_refusal_names_its_flag_and_value(self, flag, value, tmp_path, capsys):
+        rc = cli_main(["--experiment", "ber-vs-snr", *TestCli.BASE, flag, value,
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {value} is below ") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+
 class TestPilotGate:
     """Only the adaptive SCE steps read the pilot, through the block's normal
     equations, which are formed once per block for all of them."""
@@ -774,7 +888,8 @@ class TestPilotGate:
 
         monkeypatch.setattr(harness, "pilot_matrix", no_pilot)
         run_ber_vs_blocks(_tiny_config(scheme="sce", algorithm="mmse"))
-        run_ber_vs_users(_tiny_config(algorithm="mmse", training_blocks=10, eval_blocks=5))
+        run_ber_vs_users(_tiny_config(algorithm="mmse", users=3, training_blocks=10,
+                                      eval_blocks=5))
 
     def test_adaptive_sce_steps_share_one_pilot_fit_per_block(self, monkeypatch):
         built = []
