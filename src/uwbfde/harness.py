@@ -59,9 +59,9 @@ Protocol notes
   naming the point, algorithm and block; so does a noise-variance row
   without a usable pilot block.
 * Every experiment function first calls ``cfg.validate(<its name>)``, the
-  one place that refuses a config value that cannot run, and a field that
-  the experiment does not read (:data:`EXPERIMENTS`) set away from its
-  default; the CLI adds only its ``--check`` rule.
+  one place that refuses a value that cannot run, and a field set away from
+  its default that the experiment (:data:`EXPERIMENTS`) or its detectors (the
+  ``reads`` of :data:`_ALGORITHMS`) do not read; the CLI adds only ``--check``.
 """
 
 from __future__ import annotations
@@ -132,6 +132,9 @@ class ExperimentConfig:
     decay_rate: float = 0.35
     workers: int = 1
 
+    def __post_init__(self):
+        self.snr_db = tuple(float(v) for v in self.snr_db)     # compared and recorded by value
+
     @property
     def chips_per_block(self) -> int:
         return self.block_length * self.spreading
@@ -147,13 +150,14 @@ class ExperimentConfig:
         return 10.0 ** (-snr_db / 10.0)
 
     def validate(self, experiment: str):
-        """Refuse a value that cannot run, and every field that
-        ``experiment`` does not read (:data:`EXPERIMENTS`) set away from its
-        default, naming each by its flag (:data:`FLAGS`). A field's value
-        checks run only where it is read. Every experiment function calls
-        this first."""
+        """Refuse a value that cannot run, and every unread field set away
+        from its default, named by its flag (:data:`FLAGS`) in one line: a
+        field ``experiment`` does not read (:data:`EXPERIMENTS`) or that no
+        selected detector (:meth:`algo_keys`) ``reads``. A field's value
+        checks run only where it is read. Every experiment calls this first."""
         ignored = EXPERIMENTS[experiment]
-        read = set(vars(self)) - set(ignored)
+        selected = {name for key in self.algo_keys() for name in _ALGORITHMS[key].reads}
+        read = set(vars(self)) - set(ignored) - (set(_DETECTOR_FIELDS) - selected)
         if "spreading" in read and (self.spreading < 1 or self.spreading & (self.spreading - 1)):
             raise ValueError(f"spreading gain must be a power of two, got {self.spreading}")
         if experiment == "estimators" and self.spreading < min(KCOUNT_USERS):
@@ -198,17 +202,14 @@ class ExperimentConfig:
             raise ValueError(f"{experiment} runs at one SNR point: --snr-db takes one value")
         if experiment in ("ber-vs-snr", "ber-vs-users") and self.eval_blocks < 1:
             raise ValueError(f"{experiment} scores steady-state blocks: --eval-blocks must be >= 1")
-        sce_adapts = any(_ALGORITHMS[key].scheme == "sce" and _ALGORITHMS[key].step is not None
-                         for key in self.algo_keys())
-        for name in ("use_estimated_sigma2", "use_estimated_k"):
-            if name in read and getattr(self, name) and not sce_adapts:
-                raise ValueError(f"{FLAGS[name]} feeds the adaptive SCE detectors, and scheme "
-                                 f"{self.scheme!r} with algorithm {self.algorithm!r} "
-                                 "runs none")
-        given = [FLAGS[f] for f in ignored if getattr(self, f) != getattr(ExperimentConfig, f)]
+        given = [f for f in vars(self) if f not in read
+                 and getattr(self, f) != getattr(ExperimentConfig, f)]
         if given:
-            raise ValueError(f"the {experiment} experiment does not read {', '.join(given)}; "
-                             "only the default value is accepted")
+            selection = (f" with --scheme {self.scheme} --algorithm {self.algorithm}"
+                         if set(given) - set(ignored) else "")
+            raise ValueError(f"the {experiment} experiment{selection} does not read "
+                             f"{', '.join(FLAGS[f] for f in given)}; only the default value "
+                             "is accepted")
 
     def algo_keys(self) -> list[str]:
         return [key for key, algo in _ALGORITHMS.items()
@@ -238,21 +239,6 @@ FLAGS = {f.name: "--" + f.name.replace("_", "-") for f in dataclasses.fields(Exp
     "cir_taps": "--cir-length", "training_blocks": "--blocks", "base_seed": "--seed",
     "delta_init": "--delta", "use_estimated_sigma2": "--estimated-sigma2",
     "use_estimated_k": "--estimated-k", "decay_rate": "decay_rate"}
-
-# each experiment, by its CLI name, and the config fields it does not read,
-# which validate refuses away from their defaults. ber-vs-blocks and
-# estimators read no eval_blocks either, but the benchmark passes it to both
-EXPERIMENTS = {
-    "ber-vs-blocks": (),
-    "ber-vs-snr": (),
-    "ber-vs-users": ("users",),     # it sweeps 1 .. nc - 1 users
-    # its own user counts, and no detector
-    "estimators": ("users", "scheme", "algorithm", "cg_iters", "mu_h", "mu_w", "lambda_h",
-                   "lambda_w", "delta_init", "use_estimated_sigma2", "use_estimated_k"),
-    # the complexity model sweeps its own spreading gains and iteration counts
-    "complexity": tuple(f.name for f in dataclasses.fields(ExperimentConfig)
-                        if f.name not in ("block_length", "cir_taps", "base_seed")),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -303,46 +289,62 @@ class _Block:
 
 @dataclass(frozen=True)
 class _Algorithm:
-    """One detector: its ``scheme`` (``"sce"`` or ``"da"``), ``kind`` and, for
-    an adaptive algorithm, its state constructor ``new_state(cfg, batch)``
-    and block step ``step(state, rx, counter=None)`` on a :class:`_Block`,
-    which the block loop calls by key on the state its :class:`_Runners`
-    holds; without them it is its scheme's genie. Each step calls one
-    module function, ``sce.sce_<kind>_step`` or ``da.da_<kind>_step``,
-    looked up at call time, so wrappers installed on the modules apply."""
+    """One detector: its ``scheme`` (``"sce"`` or ``"da"``), ``kind``, the
+    detector fields it ``reads`` (validate refuses one that no selected
+    detector reads) and, for an adaptive algorithm, its state constructor
+    ``new_state(cfg, batch)`` and block step ``step(state, rx, counter=None)``
+    on a :class:`_Block`, which the block loop calls by key on the state its
+    :class:`_Runners` holds; without them it is its scheme's genie. Each
+    step calls ``sce.sce_<kind>_step`` or ``da.da_<kind>_step``, looked up
+    at call time, so wrappers installed on the modules apply."""
 
     scheme: str
     kind: str
+    reads: tuple = ()
     new_state: Callable | None = None
     step: Callable | None = None
 
 
 _ALGORITHMS = {f"{algo.scheme}-{algo.kind}": algo for algo in (
-    _Algorithm("sce", "lms",
+    _Algorithm("sce", "lms", ("mu_h", "use_estimated_sigma2", "use_estimated_k"),
                lambda cfg, batch: sce.new_lms_state(cfg.cir_taps, cfg.resolved_mu_h, batch),
                lambda state, rx, *counter: sce.sce_lms_step(state, rx.z, rx.normal, *counter)),
     _Algorithm("sce", "rls",
+               ("lambda_h", "delta_init", "use_estimated_sigma2", "use_estimated_k"),
                lambda cfg, batch: sce.new_rls_state(cfg.cir_taps, cfg.lambda_h,
                                                     cfg.delta_init, batch),
                lambda state, rx, *counter: sce.sce_rls_step(state, rx.z, rx.normal, *counter)),
-    _Algorithm("sce", "cg",
+    _Algorithm("sce", "cg", ("cg_iters", "use_estimated_sigma2", "use_estimated_k"),
                lambda cfg, batch: sce.new_cg_state(cfg.cir_taps, cfg.cg_iters, batch),
                lambda state, rx, *counter: sce.sce_cg_step(state, rx.z, rx.normal, *counter)),
     _Algorithm("sce", "mmse"),
-    _Algorithm("da", "lms",
+    _Algorithm("da", "lms", ("mu_w",),
                lambda cfg, batch: da.new_lms_state(cfg.chips_per_block, cfg.mu_w, batch),
                lambda state, rx, *counter: da.da_lms_step(state, rx.op, rx.desired, *counter)),
-    _Algorithm("da", "rls",
+    _Algorithm("da", "rls", ("lambda_w", "delta_init"),
                lambda cfg, batch: da.new_rls_state(cfg.block_length, cfg.spreading,
                                                    cfg.lambda_w, cfg.delta_init, batch),
                lambda state, rx, *counter: da.da_rls_step(state, rx.op, rx.desired, *counter)),
-    _Algorithm("da", "cg",
+    _Algorithm("da", "cg", ("cg_iters",),
                lambda cfg, batch: da.new_cg_state(cfg.chips_per_block, cfg.cg_iters, batch),
                lambda state, rx, *counter: da.da_cg_step(state, rx.op, rx.desired, *counter)),
     _Algorithm("da", "mmse"),
 )}
 SCHEMES = (*dict.fromkeys(algo.scheme for algo in _ALGORITHMS.values()), "both")
 ALGORITHMS = (*dict.fromkeys(algo.kind for algo in _ALGORITHMS.values()), "all")
+_DETECTOR_FIELDS = tuple(f for f in FLAGS if any(f in algo.reads for algo in _ALGORITHMS.values()))
+
+# each experiment, by its CLI name, and the config fields it does not read,
+# which validate refuses away from their defaults. ber-vs-blocks and
+# estimators read no eval_blocks either, but the benchmark passes it to both
+EXPERIMENTS = {
+    "ber-vs-blocks": (),
+    "ber-vs-snr": (),
+    "ber-vs-users": ("users",),     # it sweeps 1 .. nc - 1 users
+    "estimators": ("users", "scheme", "algorithm", *_DETECTOR_FIELDS),  # its own K, no detector
+    # the complexity model sweeps its own spreading gains and iteration counts
+    "complexity": tuple(f for f in FLAGS if f not in ("block_length", "cir_taps", "base_seed")),
+}
 
 
 def _genie_weights(cfg, rows) -> np.ndarray:

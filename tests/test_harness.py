@@ -144,7 +144,8 @@ class TestConfigValidation:
 
 class TestExperiments:
     def test_divergence_names_run_point_algorithm_and_block(self):
-        cfg = _tiny_config(scheme="da", algorithm="lms", mu_w=5.0, training_blocks=400)
+        cfg = _tiny_config(scheme="da", algorithm="lms", mu_w=5.0, training_blocks=400,
+                           cg_iters=8)
         with np.errstate(all="ignore"), pytest.raises(
                 DivergenceError,
                 match=r"^run 0, 12 dB SNR, 2 users, da-lms, block 357 of 400: "
@@ -176,7 +177,7 @@ class TestExperiments:
         # run 3 diverges first (block 331), run 0 later (block 357); the
         # error names run 0, as it does when runs advance one at a time
         cfg = _tiny_config(scheme="da", algorithm="lms", mu_w=5.0, training_blocks=400,
-                           runs=4, workers=workers)
+                           runs=4, workers=workers, cg_iters=8)
         with np.errstate(all="ignore"), pytest.raises(
                 DivergenceError,
                 match=r"^run 0, 12 dB SNR, 2 users, da-lms, block 357 of 400: "
@@ -212,25 +213,25 @@ class TestExperiments:
 
     def test_noiseless_genie_zero_from_first_block(self):
         cfg = _tiny_config(users=1, snr_db=(300.0,), scheme="sce", algorithm="mmse",
-                           training_blocks=10)
+                           training_blocks=10, cg_iters=8)
         curve = run_ber_vs_blocks(cfg)
         assert np.all(curve.columns["ber_sce-mmse"] == 0)
 
     def test_genie_paths_identical(self):
-        cfg = _tiny_config(algorithm="mmse", training_blocks=30)
+        cfg = _tiny_config(algorithm="mmse", training_blocks=30, cg_iters=8)
         curve = run_ber_vs_blocks(cfg)
         assert np.array_equal(curve.columns["ber_sce-mmse"], curve.columns["ber_da-mmse"])
 
     def test_ber_vs_snr_monotone_sanity(self):
         cfg = _tiny_config(snr_db=(0.0, 30.0), scheme="sce", algorithm="rls",
-                           training_blocks=80, eval_blocks=60, runs=3)
+                           training_blocks=80, eval_blocks=60, runs=3, cg_iters=8)
         curve = run_ber_vs_snr(cfg)
         ber = curve.columns["ber_sce-rls"]
         assert ber[1] <= ber[0]
 
     def test_ber_vs_users_sweeps_full_range(self):
         cfg = _tiny_config(spreading=4, users=3, scheme="da", algorithm="rls",
-                           training_blocks=30, eval_blocks=20)
+                           training_blocks=30, eval_blocks=20, cg_iters=8)
         curve = run_ber_vs_users(cfg)
         assert list(curve.x) == [1, 2, 3]
 
@@ -878,6 +879,129 @@ class TestExperimentTable:
         assert not list(tmp_path.iterdir())
 
 
+# every (detector field, --scheme/--algorithm selection that runs none of the
+# detectors that read it) pair, from the rows of the detector table
+UNREAD_DETECTOR_PAIRS = [
+    (name, scheme, algorithm)
+    for scheme in harness.SCHEMES for algorithm in harness.ALGORITHMS
+    for name in harness._DETECTOR_FIELDS
+    if not any(name in harness._ALGORITHMS[key].reads
+               for key in ExperimentConfig(scheme=scheme, algorithm=algorithm).algo_keys())]
+
+# each detector's selection with each field it reads set away from its default
+READER_ARGVS = [["--scheme", algo.scheme, "--algorithm", algo.kind,
+                 *_flag_argv(name, AWAY_FROM_DEFAULT[name])]
+                for algo in harness._ALGORITHMS.values() for name in algo.reads]
+
+ADAPTIVE_KEYS = [key for key, algo in harness._ALGORITHMS.items() if algo.step is not None]
+
+
+class TestDetectorFields:
+    """Each row of ``harness._ALGORITHMS`` names the config fields its
+    detector ``reads``. A detector field that no selected detector reads is
+    unread: its value checks are skipped and ``validate`` refuses it away
+    from its default, in the one line that names every unread flag."""
+
+    def test_detector_fields_are_the_rows_reads(self):
+        assert harness._DETECTOR_FIELDS == (
+            "cg_iters", "mu_h", "mu_w", "lambda_h", "lambda_w", "delta_init",
+            "use_estimated_sigma2", "use_estimated_k")
+        assert harness.EXPERIMENTS["estimators"] == (
+            "users", "scheme", "algorithm", *harness._DETECTOR_FIELDS)
+        for key, algo in harness._ALGORITHMS.items():
+            assert (algo.reads == ()) == (algo.step is None), key
+            # _Runners.equalize builds every adaptive SCE detector on the
+            # estimated inputs, and no other detector reads them
+            estimated = {"use_estimated_sigma2", "use_estimated_k"} & set(algo.reads)
+            assert bool(estimated) == (algo.scheme == "sce" and algo.step is not None), key
+            assert len(estimated) in (0, 2), key
+
+    @pytest.mark.parametrize("name, scheme, algorithm", UNREAD_DETECTOR_PAIRS)
+    def test_field_no_selected_detector_reads_refused(self, name, scheme, algorithm, tmp_path,
+                                                      capsys):
+        value, flag = AWAY_FROM_DEFAULT[name], harness.FLAGS[name]
+        cfg = dataclasses.replace(ExperimentConfig(), scheme=scheme, algorithm=algorithm,
+                                  **{name: value})
+        for experiment in ("ber-vs-blocks", "ber-vs-snr", "ber-vs-users"):
+            refusal = (f"the {experiment} experiment with --scheme {scheme} --algorithm "
+                       f"{algorithm} does not read {flag}; ")
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}"):
+                EXPERIMENT_FUNCTIONS[experiment](cfg)
+        rc = cli_main(["--experiment", "ber-vs-blocks", "--scheme", scheme,
+                       "--algorithm", algorithm, *_flag_argv(name, value),
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        *READER_ARGVS,
+        ["--algorithm", "cg", "--cg-iters", "3"],
+        ["--scheme", "da", "--algorithm", "rls", "--lambda-w", "0.9", "--delta", "0.5"]])
+    def test_field_accepted_where_a_reader_runs(self, argv, tmp_path):
+        out = tmp_path / "x.csv"
+        assert cli_main(["--experiment", "ber-vs-blocks", *TestCli.BASE, *argv,
+                         "--out", str(out)]) == 0
+        assert out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--scheme", "da", "--mu-h", "1e-4"],
+        ["--algorithm", "lms", "--lambda-w", "0.5"],
+        ["--algorithm", "mmse", "--cg-iters", "3"]])
+    def test_field_of_a_detector_that_does_not_run_refused(self, argv, tmp_path, capsys):
+        # each ran, ignoring the flag, before detectors named their fields
+        rc = cli_main(["--experiment", "ber-vs-blocks", "--runs", "1", "--blocks", "2", *argv,
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert argv[-2] in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_experiment_and_detector_fields_refused_in_one_line(self, tmp_path, capsys):
+        rc = cli_main(["--experiment", "ber-vs-users", "--users", "2", "--algorithm", "mmse",
+                       "--cg-iters", "3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: the ber-vs-users experiment with --scheme both --algorithm mmse does not "
+            "read --users, --cg-iters; only the default value is accepted\n")
+
+    def test_value_checks_of_an_unread_detector_field_skipped(self):
+        # a forgetting factor above 1 is refused as unread, not as out of range
+        cfg = _tiny_config(scheme="da", lambda_h=1.5)
+        with pytest.raises(ValueError, match=r"^the ber-vs-blocks experiment with --scheme da "
+                                             r"--algorithm all does not read --lambda-h; "):
+            cfg.validate("ber-vs-blocks")
+
+    @pytest.mark.parametrize("key", ADAPTIVE_KEYS)
+    def test_new_state_reads_the_rows_fields(self, key):
+        # a field outside the row's reads leaves the state as the defaults
+        # build it, and each field new_state reads moves it; the equalizer,
+        # not new_state, reads the estimated-input switches
+        algo = harness._ALGORITHMS[key]
+
+        def state(**fields):
+            return vars(algo.new_state(dataclasses.replace(ExperimentConfig(), **fields), (2,)))
+
+        default = state()
+        for name in harness._DETECTOR_FIELDS:
+            if name in algo.reads and name.startswith("use_estimated"):
+                continue
+            moved = state(**{name: AWAY_FROM_DEFAULT[name]})
+            assert moved.keys() == default.keys()
+            same = all(np.array_equal(moved[attr], default[attr]) for attr in default)
+            assert same == (name not in algo.reads), name
+
+    def test_snr_grid_compared_and_recorded_by_value(self):
+        cfg = ExperimentConfig(snr_db=[0, 8])
+        assert cfg.snr_db == (0.0, 8.0) and {type(v) for v in cfg.snr_db} == {float}
+        cli = config_from_args(build_parser().parse_args(["--experiment", "ber-vs-snr",
+                                                          "--snr-db", "0,8"]))
+        assert cfg.metadata()["snr_db"] == cli.metadata()["snr_db"] == "0.0,8.0"
+        # the default grid given as a list is the default, which complexity accepts
+        assert ExperimentConfig(snr_db=[16.0]) == ExperimentConfig()
+        ExperimentConfig(snr_db=[16.0]).validate("complexity")
+
+
 class TestPilotGate:
     """Only the adaptive SCE steps read the pilot, through the block's normal
     equations, which are formed once per block for all of them."""
@@ -887,9 +1011,9 @@ class TestPilotGate:
             raise AssertionError("pilot spectrum built for a run that reads none")
 
         monkeypatch.setattr(harness, "pilot_matrix", no_pilot)
-        run_ber_vs_blocks(_tiny_config(scheme="sce", algorithm="mmse"))
+        run_ber_vs_blocks(_tiny_config(scheme="sce", algorithm="mmse", cg_iters=8))
         run_ber_vs_users(_tiny_config(algorithm="mmse", users=3, training_blocks=10,
-                                      eval_blocks=5))
+                                      eval_blocks=5, cg_iters=8))
 
     def test_adaptive_sce_steps_share_one_pilot_fit_per_block(self, monkeypatch):
         built = []
